@@ -220,7 +220,7 @@ void BM_SimScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScheduleCancel)->Arg(1000)->Arg(100000);
 
-/// Tombstone purge economics around the MaybePurgeCancelled thresholds.
+/// Tombstone purge economics around the Simulation::OnCancelled thresholds.
 /// Cancels push tombstone density to `pct`% of the queue against a fixed
 /// pool of `live` firable events. The sweep runs only at >= 64 tombstones
 /// AND >= 25% (heap) / >= 50% (calendar) density; the cells below sit just
@@ -343,25 +343,26 @@ void BM_FlightRecorderAppend(benchmark::State& state) {
 BENCHMARK(BM_FlightRecorderAppend);
 
 /// A representative source file for the lint engines: comments, string
-/// literals, a raw string, nested scopes, annotations, one suppressed
-/// hazard. Repeated to the requested line count so the benchmark scales.
+/// literals, a raw string, nested scopes, a lambda, one suppressed hazard.
+/// Repeated to the requested line count so the benchmark scales.
 std::string SynthesizeLintInput(int repeats) {
   static const char* kChunk =
       "// A chunk of plausible simulator code for the linter.\n"
       "#include <string>\n"
       "#include <vector>\n"
-      "struct DMR_SHARD_AFFINE Shardlet {\n"
-      "  std::vector<int> shards_;\n"
+      "struct Tally {\n"
+      "  std::vector<int> counts_;\n"
       "  int Sum() const {\n"
       "    int total = 0;\n"
-      "    for (int v : shards_) total += v;\n"
+      "    for (int v : counts_) total += v;\n"
       "    return total;\n"
       "  }\n"
       "};\n"
-      "std::string Describe(const Shardlet& s) DMR_CROSS_SHARD_OK {\n"
+      "std::string Describe(const Tally& s) {\n"
       "  /* the \"<<\" below lives in a literal */\n"
       "  std::string out = R\"(sum << goes here)\";\n"
-      "  out += std::to_string(s.shards_.size());\n"
+      "  auto size = [&s] { return s.counts_.size(); };\n"
+      "  out += std::to_string(size());\n"
       "  return out;\n"
       "}\n"
       "int Jitter() {\n"

@@ -1,36 +1,24 @@
 /// \file
 /// Measures raw DES kernel throughput at cluster scale: a synthetic
-/// heartbeat + task-lifecycle + cross-shard-ping event program is run at
-/// 100 / 1k / 10k nodes through every {queue kind} x {engine} combination
-/// ({calendar, heap} x {serial, sharded RunParallel}) and the events/sec
-/// and wall time of each cell are recorded as BENCH_sim_scale.json (via
-/// --json=FILE).
+/// heartbeat + task-lifecycle + far-event program is run at 100 / 1k / 10k
+/// nodes on both queue kinds (calendar and the binary-heap oracle), and the
+/// events/sec and wall time of each cell are recorded as
+/// BENCH_sim_scale.json (via --json=FILE).
 ///
-/// Every cell also folds its firing sequence into per-shard FNV digests
-/// (combined in shard order); the driver aborts unless all cells at one
-/// node count produce the same digest and event count — the order
-/// equivalence contract of DESIGN.md §14, checked end to end.
+/// Every cell also folds its firing sequence into an FNV digest; the
+/// driver aborts unless both queue kinds at one node count produce the
+/// same digest and event count — the order equivalence contract of
+/// DESIGN.md §14, checked end to end.
 ///
 /// Event times are constructed to be globally unique (each (node, period,
 /// kind) triple owns a distinct rational multiple of the node slot width),
-/// so the program has no virtual-time ties. That keeps serial and sharded
-/// runs digest-comparable even for cross-shard pings, whose sequence
-/// numbers are assigned at different points by the two engines and which
-/// therefore only commute when untied (see DESIGN.md §14).
+/// so the program has no virtual-time ties.
 ///
-/// Usage: sim_scale [--nodes=100,1000,10000] [--shards=4] [--until=60]
-///                  [--json=FILE] [--queue=calendar|heap]
+/// Usage: sim_scale [--nodes=100,1000,10000] [--until=60] [--json=FILE]
+///                  [--queue=calendar|heap]
 ///
-/// With --queue given, only that kind runs (the tier-1 smoke uses this to
-/// cross-check the heap oracle); otherwise both kinds run and are compared.
-///
-/// --shards takes a comma list (e.g. --shards=1,2,4,8): each shard count
-/// forms its own digest group (the digest partition is per shard, so cells
-/// are only comparable at equal shard counts) and the driver emits one
-/// `sim_scale_crossover` summary per node count recording the serial
-/// events/sec against the best parallel shard count. When no shard count
-/// beats serial — the current truth at every measured scale, see
-/// EXPERIMENTS.md — the recommendation defaults to serial.
+/// With --queue given, only that kind runs; otherwise both kinds run and
+/// are compared.
 
 #include <algorithm>
 #include <bit>
@@ -38,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,31 +49,14 @@ constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 inline uint64_t Mix(uint64_t h, uint64_t v) { return (h ^ v) * kFnvPrime; }
 
-/// One cache line per shard so parallel workers never share a digest line.
-struct alignas(64) ShardDigest {
-  uint64_t h = kFnvOffset;
-};
-
-/// The synthetic event program. Per node and 3 s heartbeat period:
-///   - a heartbeat (kScheduling) that re-arms itself,
-///   - one task completion (kTaskLifecycle) ~0.5 s later that fires,
-///   - one speculative task that is cancelled immediately (exercising the
-///     tombstone path),
-///   - a ping onto the next shard ~7.1 s ahead (>= two 3 s lookahead
-///     epochs, satisfying the conservative cross-shard contract),
-///   - plus `kLeasesPerNode` far-future lease events scheduled at setup
-///     that never fire inside the run: dead weight every heap operation
-///     pays for and the calendar's overflow tier keeps out of the way.
-/// Telemetry attached to the serial overhead cells: a timeline with the
-/// testbed's probe population, a windowed series fed from completed tasks,
-/// and flight-recorder appends from heartbeats. Hooks ride 1 in 16 events
+/// Telemetry attached to the overhead cells: a timeline with the testbed's
+/// probe population, a windowed series fed from completed tasks, and
+/// flight-recorder appends from heartbeats. Hooks ride 1 in 16 events
 /// (kHookMask) — the synthetic program's events are ~100 ns no-ops,
 /// whereas the real drivers fire ~15 kernel events (heartbeat chains, PS
 /// resource steps, DFS transfers) per obs-instrumented operation (fig5:
 /// ~1M events for ~68k task launches/completions + provider decisions),
 /// so per-event hooking here would overstate the hook density 15x.
-/// Serial cells only — Timeline/FlightRecorder are single-writer, and the
-/// sharded engine would interleave Observe/Append across worker threads.
 struct TimelineHooks {
   static constexpr int kHookMask = 15;  // hook (node + period) % 16 == 0
 
@@ -93,32 +65,27 @@ struct TimelineHooks {
   dmr::obs::Timeline::WindowedId task_latency;
 };
 
+/// The synthetic event program. Per node and 3 s heartbeat period:
+///   - a heartbeat (kScheduling) that re-arms itself,
+///   - one task completion (kTaskLifecycle) ~0.5 s later that fires,
+///   - one speculative task that is cancelled immediately (exercising the
+///     tombstone path),
+///   - a ping ~7.1 s ahead (more than two periods out), so a second
+///     generation of events is always queued behind the current one,
+///   - plus `kLeasesPerNode` far-future lease events scheduled at setup
+///     that never fire inside the run: dead weight every heap operation
+///     pays for and the calendar's overflow tier keeps out of the way.
 struct Workload {
   Simulation* sim = nullptr;
-  std::vector<ShardDigest>* digests = nullptr;
+  uint64_t digest = kFnvOffset;
   TimelineHooks* hooks = nullptr;
   int nodes = 0;
-  int shards = 0;
-  /// True when the simulation itself is sharded (RunParallel cells).
-  /// Serial cells push the whole program through one queue — exactly the
-  /// pre-shard kernel shape, which makes heap/serial the genuine baseline.
-  /// The digest partition below stays ShardOf(node) either way: a node
-  /// group's events fire in time order in both engines, so the per-group
-  /// subsequences — and hence the digests — are comparable.
-  bool sharded_sim = false;
   double slot = 0.0;  // 3.0 / nodes: each node owns one slot per period
   long task_cells = 0;  // slots between a heartbeat and its task event
   long ping_cells = 0;  // slots between a heartbeat and its ping
 
   static constexpr double kPeriod = 3.0;
   static constexpr int kLeasesPerNode = 1024;
-
-  int ShardOf(int node) const {
-    return static_cast<int>(static_cast<long>(node) * shards / nodes);
-  }
-
-  /// The simulation shard a node's events are placed on.
-  int PlaceShard(int node) const { return sharded_sim ? ShardOf(node) : 0; }
 
   /// All fired times are (cell + frac) * slot with frac in (0, 1) unique
   /// per event kind and cell unique per (node, period, kind): strictly
@@ -127,17 +94,14 @@ struct Workload {
     return (static_cast<double>(cell) + frac) * slot;
   }
 
-  void Note(int shard, uint64_t kind, int node) {
-    uint64_t h = (*digests)[shard].h;
-    h = Mix(h, kind);
-    h = Mix(h, static_cast<uint64_t>(node));
-    h = Mix(h, std::bit_cast<uint64_t>(sim->Now()));
-    (*digests)[shard].h = h;
+  void Note(uint64_t kind, int node) {
+    digest = Mix(digest, kind);
+    digest = Mix(digest, static_cast<uint64_t>(node));
+    digest = Mix(digest, std::bit_cast<uint64_t>(sim->Now()));
   }
 
   void Heartbeat(int node, long k) {
-    int shard = ShardOf(node);
-    Note(shard, 0x48, node);
+    Note(0x48, node);
     if (hooks != nullptr &&
         ((node + k) & TimelineHooks::kHookMask) == 0) {
       hooks->flight->Append(sim->Now(), dmr::obs::FlightEventKind::kSchedule,
@@ -151,7 +115,7 @@ struct Workload {
     // slot-pool refcounting.
     sim->ScheduleDetachedAt(TimeAt(cell + task_cells, 0.375),
                             EventClass::kTaskLifecycle, [this, node, k]() {
-                              Note(ShardOf(node), 0x54, node);
+                              Note(0x54, node);
                               if (hooks != nullptr &&
                                   ((node + k) &
                                    TimelineHooks::kHookMask) == 0) {
@@ -163,15 +127,11 @@ struct Workload {
     dmr::sim::EventHandle spec =
         sim->ScheduleAt(TimeAt(cell + task_cells, 0.5),
                         EventClass::kTaskLifecycle,
-                        [this, node](){ Note(ShardOf(node), 0x58, node); });
+                        [this, node](){ Note(0x58, node); });
     spec.Cancel();
-    // Ping the next node group two lookahead epochs out (a cross-shard
-    // staged event in the parallel cells).
-    int target = (shard + 1) % shards;
-    sim->ScheduleOnShardDetached(
-        sharded_sim ? target : 0, TimeAt(cell + ping_cells, 0.75),
-        EventClass::kDefault,
-        [this, target, node](){ Note(target, 0x50, node); });
+    sim->ScheduleDetachedAt(TimeAt(cell + ping_cells, 0.75),
+                            EventClass::kDefault,
+                            [this, node](){ Note(0x50, node); });
     sim->ScheduleDetachedAt(TimeAt(cell + static_cast<long>(nodes), 0.125),
                             EventClass::kScheduling,
                             [this, node, k](){ Heartbeat(node, k + 1); });
@@ -179,14 +139,11 @@ struct Workload {
 
   void Seed(double until) {
     for (int node = 0; node < nodes; ++node) {
-      int shard = PlaceShard(node);
-      sim->ScheduleOnShardDetached(shard, TimeAt(node, 0.125),
-                                   EventClass::kScheduling,
-                                   [this, node](){ Heartbeat(node, 0); });
+      sim->ScheduleDetachedAt(TimeAt(node, 0.125), EventClass::kScheduling,
+                              [this, node](){ Heartbeat(node, 0); });
       for (int j = 0; j < kLeasesPerNode; ++j) {
-        sim->ScheduleOnShardDetached(
-            shard, until + 1000.0 + j * kPeriod + node * slot,
-            EventClass::kBookkeeping, [](){});
+        sim->ScheduleDetachedAt(until + 1000.0 + j * kPeriod + node * slot,
+                                EventClass::kBookkeeping, [](){});
       }
     }
   }
@@ -194,15 +151,23 @@ struct Workload {
 
 struct CellResult {
   std::string queue;
-  std::string mode;
-  int shards = 0;
   uint64_t events = 0;
   double wall_ms = 0.0;
   uint64_t digest = 0;
+
+  double EventsPerSec() const {
+    return static_cast<double>(events) / (wall_ms / 1000.0);
+  }
+  std::string DigestHex() const {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(digest));
+    return buf;
+  }
 };
 
-CellResult RunCell(QueueKind kind, bool parallel, int nodes, int shards,
-                   double until, bool with_timeline = false) {
+CellResult RunCell(QueueKind kind, int nodes, double until,
+                   bool with_timeline = false) {
   SimulationOptions options;
   options.queue = kind;
   // Size buckets so one holds only a couple of events regardless of node
@@ -215,15 +180,10 @@ CellResult RunCell(QueueKind kind, bool parallel, int nodes, int shards,
       static_cast<int>((until + 10.0) / options.bucket_width) + 1;
 
   Simulation sim(options);
-  sim.ConfigureShards(parallel ? shards : 1);
-  std::vector<ShardDigest> digests(shards);
 
   Workload w;
   w.sim = &sim;
-  w.digests = &digests;
   w.nodes = nodes;
-  w.shards = shards;
-  w.sharded_sim = parallel;
   w.slot = Workload::kPeriod / nodes;
   w.task_cells = nodes / 6;  // ~0.5 s
   w.ping_cells = static_cast<long>(7.1 / Workload::kPeriod * nodes) + 1;
@@ -261,21 +221,59 @@ CellResult RunCell(QueueKind kind, bool parallel, int nodes, int shards,
   // dmr-lint: allow(wall-clock) measuring real kernel throughput is the
   // point; timings feed the printed table and JSON only, never a digest.
   double t0 = dmr::HostClock::NowMicros();
-  uint64_t fired = parallel ? sim.RunParallel(shards, until)
-                            : sim.RunUntil(until);
+  uint64_t fired = sim.RunUntil(until);
   double wall_us = dmr::HostClock::NowMicros() - t0;
 
   CellResult result;
   result.queue = sim.options().queue == QueueKind::kCalendar ? "calendar"
                                                              : "heap";
-  result.mode = parallel ? "parallel" : "serial";
-  result.shards = shards;
   result.events = fired;
   result.wall_ms = wall_us / 1000.0;
-  uint64_t combined = kFnvOffset;
-  for (const ShardDigest& d : digests) combined = Mix(combined, d.h);
-  result.digest = combined;
+  result.digest = w.digest;
   return result;
+}
+
+/// An A/B/A overhead measurement: the fastest plain and treated runs, the
+/// median of (treated - mean of its two plain brackets), and the median
+/// bracket-vs-bracket spread (the A/A noise floor).
+struct Overhead {
+  CellResult base;
+  CellResult treated;
+  double median_delta_ms = 0.0;
+  double noise_floor_ms = 0.0;
+
+  double Pct(double ms) const {
+    return base.wall_ms > 0.0 ? 100.0 * ms / base.wall_ms : 0.0;
+  }
+};
+
+/// The true per-run cost of the hooks under test sits near this machine's
+/// run-to-run wall-clock noise, so a naive A/B comparison reports the
+/// weather, not the code. Each repetition therefore runs plain / treated /
+/// plain and takes the treated run against the MEAN of its two brackets —
+/// centring cancels linear drift — and medians across repetitions shed the
+/// remaining outliers. An overhead figure is only meaningful relative to
+/// the reported noise floor.
+Overhead MeasureOverhead(const std::function<CellResult()>& plain,
+                         const std::function<CellResult()>& treated) {
+  Overhead out;
+  std::vector<double> deltas;
+  std::vector<double> null_deltas;
+  for (int rep = 0; rep < 5; ++rep) {
+    CellResult b1 = plain();
+    CellResult t = treated();
+    CellResult b2 = plain();
+    if (rep == 0 || b1.wall_ms < out.base.wall_ms) out.base = b1;
+    if (b2.wall_ms < out.base.wall_ms) out.base = b2;
+    if (rep == 0 || t.wall_ms < out.treated.wall_ms) out.treated = t;
+    deltas.push_back(t.wall_ms - (b1.wall_ms + b2.wall_ms) / 2.0);
+    null_deltas.push_back(std::abs(b2.wall_ms - b1.wall_ms));
+  }
+  std::sort(deltas.begin(), deltas.end());
+  std::sort(null_deltas.begin(), null_deltas.end());
+  out.median_delta_ms = deltas[deltas.size() / 2];
+  out.noise_floor_ms = null_deltas[null_deltas.size() / 2];
+  return out;
 }
 
 }  // namespace
@@ -286,15 +284,12 @@ int main(int argc, char** argv) {
   // Driver flags, stripped before the shared parser (which rejects
   // unknown --flags).
   std::string nodes_list = "100,1000,10000";
-  std::string shards_list = "4";
   double until = 60.0;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--nodes=", 8) == 0) {
       nodes_list = arg + 8;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards_list = arg + 9;
     } else if (std::strncmp(arg, "--until=", 8) == 0) {
       until = std::atof(arg + 8);
       if (until <= 0.0) {
@@ -308,317 +303,176 @@ int main(int argc, char** argv) {
   argc = kept;
   bench::BenchOptions options = bench::BenchOptions::Parse(argc, argv);
 
-  std::vector<int> shard_counts;
-  for (const char* p = shards_list.c_str(); *p != '\0';) {
-    char* end = nullptr;
-    long s = std::strtol(p, &end, 10);
-    if (end == p || s < 1 || s > 256) {
-      std::fprintf(stderr, "bad --shards value: %s (want counts in 1..256)\n",
-                   shards_list.c_str());
-      return 2;
-    }
-    shard_counts.push_back(static_cast<int>(s));
-    p = *end == ',' ? end + 1 : end;
-  }
-  const int max_shards =
-      *std::max_element(shard_counts.begin(), shard_counts.end());
-
   std::vector<int> node_counts;
   for (const char* p = nodes_list.c_str(); *p != '\0';) {
     char* end = nullptr;
     long n = std::strtol(p, &end, 10);
-    if (end == p || n < max_shards || n > 10000000) {
-      std::fprintf(stderr, "bad --nodes value: %s (want counts >= shards)\n",
+    if (end == p || n < 1 || n > 10000000) {
+      std::fprintf(stderr, "bad --nodes value: %s (want counts >= 1)\n",
                    nodes_list.c_str());
       return 2;
     }
     node_counts.push_back(static_cast<int>(n));
     p = *end == ',' ? end + 1 : end;
   }
+  const int max_nodes =
+      *std::max_element(node_counts.begin(), node_counts.end());
 
   std::vector<QueueKind> kinds;
   if (auto forced = sim::Simulation::GlobalQueueKind(); forced.has_value()) {
-    kinds.push_back(*forced);  // --queue smoke mode: one kind, both engines
+    kinds.push_back(*forced);  // --queue: one kind only
   } else {
     kinds = {QueueKind::kCalendar, QueueKind::kBinaryHeap};
   }
 
   bench::PrintHeader(
-      "DES kernel scale: calendar queue + sharded parallel execution",
+      "DES kernel scale: calendar queue vs binary-heap oracle",
       "kernel substrate for all paper figures (DESIGN.md §14)",
-      "identical digests for every {queue} x {engine} cell; calendar "
-      ">= 5x heap events/sec at 10k nodes (serial)");
+      "identical digests for both queue kinds; calendar >= 5x heap "
+      "events/sec at 10k nodes");
 
   bench::JsonWriter json;
   TablePrinter table(
-      {"nodes", "queue", "mode", "shards", "events", "wall ms", "events/sec",
+      {"nodes", "queue", "cell", "events", "wall ms", "events/sec",
        "digest"});
   bool ok = true;
   std::vector<std::string> overhead_lines;
-  std::vector<std::string> crossover_lines;
+  auto add_row = [&table](int nodes, const CellResult& cell,
+                          const char* label) {
+    char wall_buf[32], eps_buf[32];
+    std::snprintf(wall_buf, sizeof(wall_buf), "%.1f", cell.wall_ms);
+    std::snprintf(eps_buf, sizeof(eps_buf), "%.3g", cell.EventsPerSec());
+    table.AddRow({std::to_string(nodes), cell.queue, label,
+                  std::to_string(cell.events), wall_buf, eps_buf,
+                  cell.DigestHex()});
+  };
   for (int nodes : node_counts) {
-    // Crossover bookkeeping (front kind only — calendar unless --queue
-    // forced heap): best serial run vs best parallel run per shard count.
-    double serial_eps = 0.0;
-    double best_par_eps = 0.0;
-    int best_par_shards = 0;
-    uint64_t ref_digest = 0;   // first shard group's digest (overhead cells)
-    for (int shards : shard_counts) {
-      std::vector<CellResult> cells;
-      for (QueueKind kind : kinds) {
-        cells.push_back(RunCell(kind, /*parallel=*/false, nodes, shards,
-                                until));
-        cells.push_back(RunCell(kind, /*parallel=*/true, nodes, shards,
-                                until));
-      }
-      if (shards == shard_counts.front()) ref_digest = cells[0].digest;
-      for (const CellResult& cell : cells) {
-        double events_per_sec =
-            static_cast<double>(cell.events) / (cell.wall_ms / 1000.0);
-        if (cell.queue == cells[0].queue) {
-          if (cell.mode == "serial") {
-            serial_eps = std::max(serial_eps, events_per_sec);
-          } else if (events_per_sec > best_par_eps) {
-            best_par_eps = events_per_sec;
-            best_par_shards = cell.shards;
-          }
-        }
-        char wall_buf[32], eps_buf[32], digest_buf[32];
-        std::snprintf(wall_buf, sizeof(wall_buf), "%.1f", cell.wall_ms);
-        std::snprintf(eps_buf, sizeof(eps_buf), "%.3g", events_per_sec);
-        std::snprintf(digest_buf, sizeof(digest_buf), "%016llx",
-                      static_cast<unsigned long long>(cell.digest));
-        table.AddRow({std::to_string(nodes), cell.queue, cell.mode,
-                      std::to_string(cell.shards),
-                      std::to_string(cell.events), wall_buf, eps_buf,
-                      digest_buf});
-        json.AddCell()
-            .Set("bench", "sim_scale")
-            .Set("nodes", nodes)
-            .Set("queue", cell.queue)
-            .Set("mode", cell.mode)
-            .Set("shards", cell.shards)
-            .Set("events", cell.events)
-            .Set("wall_ms", cell.wall_ms)
-            .Set("events_per_sec", events_per_sec)
-            .Set("digest", digest_buf);
-        // Digest groups are per (nodes, shards): the digest partition is
-        // ShardOf(node), so only equal shard counts are comparable.
-        if (cell.digest != cells[0].digest ||
-            cell.events != cells[0].events) {
-          std::fprintf(stderr,
-                       "FAIL: %s/%s at %d nodes / %d shards fired %llu "
-                       "events with digest %016llx; expected %llu / %016llx "
-                       "(%s/%s)\n",
-                       cell.queue.c_str(), cell.mode.c_str(), nodes,
-                       shards, static_cast<unsigned long long>(cell.events),
-                       static_cast<unsigned long long>(cell.digest),
-                       static_cast<unsigned long long>(cells[0].events),
-                       static_cast<unsigned long long>(cells[0].digest),
-                       cells[0].queue.c_str(), cells[0].mode.c_str());
-          ok = false;
-        }
-      }
-    }
-    // The serial-by-default recommendation: RunParallel only pays when the
-    // best shard count beats serial on this workload/machine; so far it
-    // never has (EXPERIMENTS.md records the sweep), so drivers keep serial
-    // RunUntil as the default engine and RunParallel stays the explicit
-    // opt-in for scale studies.
-    const bool parallel_pays = best_par_eps > serial_eps;
-    char cross_buf[160];
-    std::snprintf(cross_buf, sizeof(cross_buf),
-                  "%d nodes: serial %.3g ev/s vs best parallel %.3g ev/s "
-                  "(%d shards) -> recommend %s",
-                  nodes, serial_eps, best_par_eps, best_par_shards,
-                  parallel_pays ? "parallel" : "serial");
-    crossover_lines.push_back(cross_buf);
-    json.AddCell()
-        .Set("bench", "sim_scale_crossover")
-        .Set("nodes", nodes)
-        .Set("serial_events_per_sec", serial_eps)
-        .Set("best_parallel_shards", best_par_shards)
-        .Set("best_parallel_events_per_sec", best_par_eps)
-        .Set("parallel_pays", parallel_pays)
-        .Set("recommended_mode", parallel_pays ? "parallel" : "serial");
-
-    // Timeline-overhead cells: the same serial program with the obs layer's
-    // probe/windowed/flight hot paths attached (see TimelineHooks). Kept
-    // OUT of the digest cross-check group above — the telemetry tick adds
-    // fired events — but the *noted* firing sequence must not move, so the
-    // digest itself is still compared. The true per-run cost (~1 ms of
-    // hooks + ticks, see BM_TimelineSample / BM_FlightRecorderAppend) sits
-    // well below this machine's run-to-run wall-clock noise, so a naive
-    // A/B comparison reports the weather, not the code. Each repetition
-    // therefore runs base / timeline / base (A/B/A) and takes the timeline
-    // run against the MEAN of its two brackets — centring cancels linear
-    // drift — and the bracket-vs-bracket spread is reported alongside as
-    // the A/A noise floor: an overhead figure is only meaningful relative
-    // to that floor. Medians across repetitions shed the remaining
-    // outliers. Only the largest node count runs these cells: the claim
-    // under test is that sampling amortizes at scale, whereas a tiny cell
-    // (~1 ms of kernel work at 100 nodes) mostly measures the fixed
-    // per-tick cost and would report a scary-but-irrelevant percentage.
-    if (nodes != *std::max_element(node_counts.begin(), node_counts.end())) {
-      continue;
-    }
-    const int tl_shards = shard_counts.front();  // digest partition only
-    for (QueueKind kind : kinds) {
-      CellResult base{};
-      CellResult with_tl{};
-      std::vector<double> deltas;
-      std::vector<double> null_deltas;
-      for (int rep = 0; rep < 5; ++rep) {
-        CellResult b1 =
-            RunCell(kind, /*parallel=*/false, nodes, tl_shards, until);
-        CellResult t = RunCell(kind, /*parallel=*/false, nodes, tl_shards,
-                               until, /*with_timeline=*/true);
-        CellResult b2 =
-            RunCell(kind, /*parallel=*/false, nodes, tl_shards, until);
-        if (rep == 0 || b1.wall_ms < base.wall_ms) base = b1;
-        if (b2.wall_ms < base.wall_ms) base = b2;
-        if (rep == 0 || t.wall_ms < with_tl.wall_ms) with_tl = t;
-        deltas.push_back(t.wall_ms - (b1.wall_ms + b2.wall_ms) / 2.0);
-        null_deltas.push_back(std::abs(b2.wall_ms - b1.wall_ms));
-      }
-      std::sort(deltas.begin(), deltas.end());
-      std::sort(null_deltas.begin(), null_deltas.end());
-      const double median_delta = deltas[deltas.size() / 2];
-      const double noise_floor = null_deltas[null_deltas.size() / 2];
-      double overhead_pct =
-          base.wall_ms > 0.0 ? 100.0 * median_delta / base.wall_ms : 0.0;
-      double noise_floor_pct =
-          base.wall_ms > 0.0 ? 100.0 * noise_floor / base.wall_ms : 0.0;
-      double events_per_sec =
-          static_cast<double>(with_tl.events) / (with_tl.wall_ms / 1000.0);
-      char wall_buf[32], eps_buf[32], digest_buf[32], ovh_buf[128];
-      std::snprintf(wall_buf, sizeof(wall_buf), "%.1f", with_tl.wall_ms);
-      std::snprintf(eps_buf, sizeof(eps_buf), "%.3g", events_per_sec);
-      std::snprintf(digest_buf, sizeof(digest_buf), "%016llx",
-                    static_cast<unsigned long long>(with_tl.digest));
-      table.AddRow({std::to_string(nodes), with_tl.queue, "serial+timeline",
-                    std::to_string(tl_shards),
-                    std::to_string(with_tl.events), wall_buf, eps_buf,
-                    digest_buf});
-      std::snprintf(ovh_buf, sizeof(ovh_buf),
-                    "timeline overhead at %d nodes (%s serial): %+.2f%% "
-                    "(A/A noise floor %.2f%%)",
-                    nodes, with_tl.queue.c_str(), overhead_pct,
-                    noise_floor_pct);
-      overhead_lines.push_back(ovh_buf);
+    std::vector<CellResult> cells;
+    for (QueueKind kind : kinds) cells.push_back(RunCell(kind, nodes, until));
+    const CellResult& ref = cells.front();
+    for (const CellResult& cell : cells) {
+      add_row(nodes, cell, "base");
       json.AddCell()
-          .Set("bench", "sim_scale_timeline_overhead")
+          .Set("bench", "sim_scale")
           .Set("nodes", nodes)
-          .Set("queue", with_tl.queue)
-          .Set("events", with_tl.events)
-          .Set("wall_ms", with_tl.wall_ms)
-          .Set("wall_ms_base", base.wall_ms)
-          .Set("median_delta_ms", median_delta)
-          .Set("overhead_pct", overhead_pct)
-          .Set("noise_floor_pct", noise_floor_pct);
-      if (with_tl.digest != ref_digest) {
+          .Set("queue", cell.queue)
+          .Set("events", cell.events)
+          .Set("wall_ms", cell.wall_ms)
+          .Set("events_per_sec", cell.EventsPerSec())
+          .Set("digest", cell.DigestHex());
+      if (cell.digest != ref.digest || cell.events != ref.events) {
         std::fprintf(stderr,
-                     "FAIL: %s/serial+timeline at %d nodes perturbed the "
-                     "noted firing sequence (digest %016llx != %016llx)\n",
-                     with_tl.queue.c_str(), nodes,
-                     static_cast<unsigned long long>(with_tl.digest),
-                     static_cast<unsigned long long>(ref_digest));
+                     "FAIL: %s at %d nodes fired %llu events with digest "
+                     "%016llx; expected %llu / %016llx (%s)\n",
+                     cell.queue.c_str(), nodes,
+                     static_cast<unsigned long long>(cell.events),
+                     static_cast<unsigned long long>(cell.digest),
+                     static_cast<unsigned long long>(ref.events),
+                     static_cast<unsigned long long>(ref.digest),
+                     ref.queue.c_str());
         ok = false;
       }
     }
 
-    // Prof-overhead cell: the same serial program with the host profiler
-    // recording (chunked dispatch frames + queue refill/purge scopes).
-    // Bracketed A/B/A exactly like the timeline cells above, because the
-    // budget under test — <= 2% events/sec cost at the largest node count
-    // (DESIGN.md §17) — is near this machine's run-to-run noise. The
-    // profiled run must also leave the firing digest untouched: profiling
-    // reads the host clock but never virtual time.
+    // Overhead cells, only at the largest node count: the claim under test
+    // is that sampling amortizes at scale, whereas a tiny cell (~1 ms of
+    // kernel work at 100 nodes) mostly measures the fixed per-tick cost
+    // and would report a scary-but-irrelevant percentage.
+    if (nodes != max_nodes) continue;
+
+    // Timeline overhead: the same program with the obs layer's
+    // probe/windowed/flight hot paths attached (see TimelineHooks). The
+    // telemetry tick adds fired events, but the *noted* firing sequence
+    // must not move, so the digest is still compared.
+    for (QueueKind kind : kinds) {
+      Overhead o = MeasureOverhead(
+          [&] { return RunCell(kind, nodes, until); },
+          [&] { return RunCell(kind, nodes, until, /*with_timeline=*/true); });
+      add_row(nodes, o.treated, "+timeline");
+      char ovh_buf[128];
+      std::snprintf(ovh_buf, sizeof(ovh_buf),
+                    "timeline overhead at %d nodes (%s): %+.2f%% "
+                    "(A/A noise floor %.2f%%)",
+                    nodes, o.treated.queue.c_str(), o.Pct(o.median_delta_ms),
+                    o.Pct(o.noise_floor_ms));
+      overhead_lines.push_back(ovh_buf);
+      json.AddCell()
+          .Set("bench", "sim_scale_timeline_overhead")
+          .Set("nodes", nodes)
+          .Set("queue", o.treated.queue)
+          .Set("events", o.treated.events)
+          .Set("wall_ms", o.treated.wall_ms)
+          .Set("wall_ms_base", o.base.wall_ms)
+          .Set("median_delta_ms", o.median_delta_ms)
+          .Set("overhead_pct", o.Pct(o.median_delta_ms))
+          .Set("noise_floor_pct", o.Pct(o.noise_floor_ms));
+      if (o.treated.digest != ref.digest) {
+        std::fprintf(stderr,
+                     "FAIL: %s+timeline at %d nodes perturbed the noted "
+                     "firing sequence (digest %016llx != %016llx)\n",
+                     o.treated.queue.c_str(), nodes,
+                     static_cast<unsigned long long>(o.treated.digest),
+                     static_cast<unsigned long long>(ref.digest));
+        ok = false;
+      }
+    }
+
+    // Prof overhead: the same program with the host profiler recording
+    // (chunked dispatch frames + queue refill/purge scopes), against the
+    // <= 2% events/sec budget of DESIGN.md §17. The profiled run must also
+    // leave the firing digest untouched: profiling reads the host clock
+    // but never virtual time.
     {
       const QueueKind kind = kinds.front();
-      CellResult prof_base{};
-      CellResult with_prof{};
-      std::vector<double> deltas;
-      std::vector<double> null_deltas;
-      for (int rep = 0; rep < 5; ++rep) {
-        CellResult b1 =
-            RunCell(kind, /*parallel=*/false, nodes, tl_shards, until);
-        prof::Enable();
-        CellResult p =
-            RunCell(kind, /*parallel=*/false, nodes, tl_shards, until);
-        prof::Disable();
-        prof::ResetForTest();
-        CellResult b2 =
-            RunCell(kind, /*parallel=*/false, nodes, tl_shards, until);
-        if (rep == 0 || b1.wall_ms < prof_base.wall_ms) prof_base = b1;
-        if (b2.wall_ms < prof_base.wall_ms) prof_base = b2;
-        if (rep == 0 || p.wall_ms < with_prof.wall_ms) with_prof = p;
-        deltas.push_back(p.wall_ms - (b1.wall_ms + b2.wall_ms) / 2.0);
-        null_deltas.push_back(std::abs(b2.wall_ms - b1.wall_ms));
-      }
-      std::sort(deltas.begin(), deltas.end());
-      std::sort(null_deltas.begin(), null_deltas.end());
-      const double median_delta = deltas[deltas.size() / 2];
-      const double noise_floor = null_deltas[null_deltas.size() / 2];
-      double overhead_pct = prof_base.wall_ms > 0.0
-                                ? 100.0 * median_delta / prof_base.wall_ms
-                                : 0.0;
-      double noise_floor_pct = prof_base.wall_ms > 0.0
-                                   ? 100.0 * noise_floor / prof_base.wall_ms
-                                   : 0.0;
-      double events_per_sec = static_cast<double>(with_prof.events) /
-                              (with_prof.wall_ms / 1000.0);
-      char wall_buf[32], eps_buf[32], digest_buf[32], ovh_buf[128];
-      std::snprintf(wall_buf, sizeof(wall_buf), "%.1f", with_prof.wall_ms);
-      std::snprintf(eps_buf, sizeof(eps_buf), "%.3g", events_per_sec);
-      std::snprintf(digest_buf, sizeof(digest_buf), "%016llx",
-                    static_cast<unsigned long long>(with_prof.digest));
-      table.AddRow({std::to_string(nodes), with_prof.queue, "serial+prof",
-                    std::to_string(tl_shards),
-                    std::to_string(with_prof.events), wall_buf, eps_buf,
-                    digest_buf});
+      Overhead o = MeasureOverhead(
+          [&] { return RunCell(kind, nodes, until); },
+          [&] {
+            prof::Enable();
+            CellResult p = RunCell(kind, nodes, until);
+            prof::Disable();
+            prof::ResetForTest();
+            return p;
+          });
+      add_row(nodes, o.treated, "+prof");
+      char ovh_buf[128];
       std::snprintf(ovh_buf, sizeof(ovh_buf),
-                    "prof overhead at %d nodes (%s serial): %+.2f%% "
+                    "prof overhead at %d nodes (%s): %+.2f%% "
                     "(A/A noise floor %.2f%%, budget 2%%)",
-                    nodes, with_prof.queue.c_str(), overhead_pct,
-                    noise_floor_pct);
+                    nodes, o.treated.queue.c_str(), o.Pct(o.median_delta_ms),
+                    o.Pct(o.noise_floor_ms));
       overhead_lines.push_back(ovh_buf);
       json.AddCell()
           .Set("bench", "sim_scale_prof_overhead")
           .Set("nodes", nodes)
-          .Set("queue", with_prof.queue)
-          .Set("events", with_prof.events)
-          .Set("wall_ms", with_prof.wall_ms)
-          .Set("wall_ms_base", prof_base.wall_ms)
-          .Set("median_delta_ms", median_delta)
-          .Set("overhead_pct", overhead_pct)
-          .Set("noise_floor_pct", noise_floor_pct)
+          .Set("queue", o.treated.queue)
+          .Set("events", o.treated.events)
+          .Set("wall_ms", o.treated.wall_ms)
+          .Set("wall_ms_base", o.base.wall_ms)
+          .Set("median_delta_ms", o.median_delta_ms)
+          .Set("overhead_pct", o.Pct(o.median_delta_ms))
+          .Set("noise_floor_pct", o.Pct(o.noise_floor_ms))
           .Set("budget_pct", 2.0);
-      if (with_prof.digest != ref_digest ||
-          with_prof.events != prof_base.events) {
+      if (o.treated.digest != ref.digest ||
+          o.treated.events != o.base.events) {
         std::fprintf(stderr,
-                     "FAIL: %s/serial+prof at %d nodes perturbed the firing "
+                     "FAIL: %s+prof at %d nodes perturbed the firing "
                      "sequence (digest %016llx != %016llx)\n",
-                     with_prof.queue.c_str(), nodes,
-                     static_cast<unsigned long long>(with_prof.digest),
-                     static_cast<unsigned long long>(ref_digest));
+                     o.treated.queue.c_str(), nodes,
+                     static_cast<unsigned long long>(o.treated.digest),
+                     static_cast<unsigned long long>(ref.digest));
         ok = false;
       }
     }
   }
   table.Print();
-  std::printf("\n(per-shard FNV digests over the firing sequence, combined "
-              "in shard order; every cell in a node-count group must "
-              "match)\n");
-  for (const std::string& line : crossover_lines) {
-    std::printf("%s\n", line.c_str());
-  }
+  std::printf("\n(FNV digests over the firing sequence; every cell in a "
+              "node-count group must match)\n");
   for (const std::string& line : overhead_lines) {
     std::printf("%s\n", line.c_str());
   }
   bench::MaybeWriteJson(options, json);
   if (!ok) {
-    std::fprintf(stderr, "\ndigest mismatch between queue/engine cells\n");
+    std::fprintf(stderr, "\ndigest mismatch between queue cells\n");
     return 1;
   }
   return 0;

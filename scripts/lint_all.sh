@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 lint gate: dmr-lint v2 over the whole tree against the
 # checked-in baseline, plus self-tests that prove the gate can actually
-# fail — a seeded shard-ownership violation must exit nonzero, a doctored
+# fail — a seeded unseeded-RNG violation must exit nonzero, a doctored
 # baseline (banking debt that does not exist) must exit nonzero, and the
 # --format=github annotation output must render. The tree pass is held to
 # a wall-clock budget so the linter cannot quietly become the slowest
@@ -37,10 +37,10 @@ if (( elapsed_ms > BUDGET_MS )); then
 fi
 echo "lint_all: tree lint clean in ${elapsed_ms} ms (budget ${BUDGET_MS} ms)"
 
-# 2. Self-test: a seeded shard-ownership violation must be refused.
+# 2. Self-test: a seeded error-level violation must be refused.
 if "${LINT}" --fail-on=error \
-     tests/lint/fixtures/shard_affine_violating.cc > /dev/null 2>&1; then
-  echo "lint_all: seeded shard-ownership violation was accepted — the" \
+     tests/lint/fixtures/unseeded_rng.cc > /dev/null 2>&1; then
+  echo "lint_all: seeded unseeded-rng violation was accepted — the" \
        "gate is not gating" >&2
   exit 1
 fi
@@ -51,7 +51,7 @@ python3 - "${BASELINE}" "${tmp}/doctored.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 doc["entries"].append(
-    {"file": "src/sim/simulation.cc", "check": "shard-affine", "count": 3})
+    {"file": "src/sim/simulation.cc", "check": "unseeded-rng", "count": 3})
 json.dump(doc, open(sys.argv[2], "w"))
 PY
 if "${LINT}" --fail-on=error --baseline="${tmp}/doctored.json" \

@@ -1,21 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, the dmr-lint gate
 # (scripts/lint_all.sh: tree lint against configs/lint_baseline.json plus
-# gate self-tests and a wall-clock budget), a bench smoke run (micro benchmarks + the Table III driver on both
-# predicate engines, asserting identical JSON), the DES kernel scale smoke
-# (calendar/heap x serial/sharded firing-order digests must agree), the
-# tie-shuffle + queue-kind digest invariance check (fig5 metrics AND the
-# virtual-time telemetry timelines must be byte-identical across shuffle
-# seeds and queue implementations), the timeline thread-count invariance +
-# dmr-analyze timeline smoke, the profiling digest-invisibility check plus
-# dmr-analyze profile smoke and count-regression gate (banded against
-# configs/baselines/profile_smoke.json), the shard-affinity sentinel
-# digest-invisibility check (fig5 artifacts byte-identical with the
-# sentinel armed or disarmed), the adaptive-layout smoke (pruning
-# must not change match counts or sample digests, across thread counts, with
-# the simulated cells banded against configs/baselines/), then the
-# concurrency-sensitive tests under ThreadSanitizer and the sim/mapred/obs
-# tests under ASan+UBSan.
+# gate self-tests and a wall-clock budget), a bench smoke run (micro
+# benchmarks + the Table III driver on both predicate engines, asserting
+# identical JSON), the DES kernel scale smoke (calendar/heap firing-order
+# digests must agree), the tie-shuffle + queue-kind digest invariance check
+# (fig5 metrics AND the virtual-time telemetry timelines must be
+# byte-identical across shuffle seeds and queue implementations), the
+# timeline thread-count invariance + dmr-analyze timeline smoke, the
+# profiling digest-invisibility check plus dmr-analyze profile smoke and
+# count-regression gate (banded against configs/baselines/profile_smoke.json),
+# the adaptive-layout smoke (pruning must not change match counts or sample
+# digests, across thread counts, with the simulated cells banded against
+# configs/baselines/), then the concurrency-sensitive tests under
+# ThreadSanitizer and the sim/mapred/obs/parser tests under ASan+UBSan.
 #
 # Usage: scripts/tier1.sh [--no-tsan] [--no-asan]
 set -euo pipefail
@@ -73,14 +71,13 @@ echo "== tier-1: bench smoke (micro benchmarks + engine-parity diff) =="
 diff "${obs_dir}/table3_interpreted.json" "${obs_dir}/table3_vectorized.json"
 echo "table3 JSON identical on both engines"
 
-echo "== tier-1: DES kernel scale smoke (calendar/heap x serial/sharded digest diff) =="
-# The sim_scale driver runs every {queue kind} x {serial, RunParallel}
-# cell at 100 nodes, folds each firing sequence into per-shard digests and
-# exits nonzero unless all four agree — the order-equivalence contract of
-# DESIGN.md §14 end to end.
-./build/bench/bench_sim_scale --nodes=100 --shards=4 \
+echo "== tier-1: DES kernel scale smoke (calendar vs heap digest diff) =="
+# The sim_scale driver runs the calendar queue and the heap oracle at 100
+# nodes, folds each firing sequence into a digest and exits nonzero unless
+# both agree — the order-equivalence contract of DESIGN.md §14 end to end.
+./build/bench/bench_sim_scale --nodes=100 \
   --json="${obs_dir}/sim_scale_smoke.json" > /dev/null
-echo "sim_scale digests identical across queue kinds and engines"
+echo "sim_scale digests identical across queue kinds"
 
 echo "== tier-1: tie-shuffle + queue-kind digest invariance (frozen host clock) =="
 # The determinism contract (DESIGN.md §13/§14): among events tied on
@@ -192,37 +189,6 @@ if ./build/src/obs/dmr-analyze profile \
 fi
 echo "dmr-analyze profile markdown + collapsed round-trip + baseline gate OK"
 
-echo "== tier-1: shard-affinity sentinel digest invisibility (on/off x threads x seeds) =="
-# DESIGN.md §18: the sentinel observes thread/shard bindings and never
-# touches virtual time, event order or allocation, so every simulation
-# artifact must be byte-identical with it armed or disarmed — at any
-# thread count and under any legal tie order. Metrics are compared at
-# --threads=1 only: at higher thread counts the per-worker histogram
-# merge order already wobbles in the last float digit run-to-run
-# (sentinel or not), which is why the other multi-thread stages diff
-# timelines too.
-while read -r threads seed; do
-  args=("--threads=${threads}")
-  if [[ "${seed}" != "base" ]]; then args+=("--shuffle-ties=${seed}"); fi
-  tag="t${threads}_${seed}"
-  DMR_HOST_CLOCK=frozen DMR_SHARD_SENTINEL=0 ./build/bench/bench_fig5_single_user \
-    "${args[@]}" --metrics="${obs_dir}/sentinel_off_${tag}.json" \
-    --timeline="${obs_dir}/sentinel_off_tl_${tag}.json" > /dev/null
-  DMR_HOST_CLOCK=frozen DMR_SHARD_SENTINEL=1 ./build/bench/bench_fig5_single_user \
-    "${args[@]}" --metrics="${obs_dir}/sentinel_on_${tag}.json" \
-    --timeline="${obs_dir}/sentinel_on_tl_${tag}.json" > /dev/null
-  if [[ "${threads}" == "1" ]]; then
-    diff "${obs_dir}/sentinel_off_${tag}.json" "${obs_dir}/sentinel_on_${tag}.json"
-  fi
-  diff "${obs_dir}/sentinel_off_tl_${tag}.json" "${obs_dir}/sentinel_on_tl_${tag}.json"
-done <<'CELLS'
-1 base
-1 17
-4 base
-4 17
-CELLS
-echo "fig5 metrics+timeline byte-identical sentinel on vs off across threads={1,4} and tie seeds"
-
 echo "== tier-1: adaptive-layout smoke (pruning invisibility + thread invariance + baseline) =="
 # DESIGN.md §16: zone-map pruning and piggybacked indexing must be
 # invisible to everything except physical cost. The driver itself asserts
@@ -247,25 +213,23 @@ if [[ "${run_tsan}" == "1" ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "${jobs}" \
     --target parallel_test simulation_test metrics_test vectorized_test \
-             ledger_test run_parallel_test queue_equivalence_test \
-             timeline_test layout_pruning_test prof_test \
-             affinity_sentinel_test
+             ledger_test queue_equivalence_test timeline_test \
+             layout_pruning_test prof_test
   ctest --preset tsan
 else
   echo "== tier-1: TSan stage skipped (--no-tsan) =="
 fi
 
 if [[ "${run_asan}" == "1" ]]; then
-  echo "== tier-1: ASan+UBSan pass (sim + mapred + obs tests) =="
+  echo "== tier-1: ASan+UBSan pass (sim + mapred + obs + parser tests) =="
   cmake --preset asan
   cmake --build --preset asan -j "${jobs}" \
     --target simulation_test tie_race_test ps_resource_test \
              job_tracker_test job_client_test metrics_test trace_test \
              ledger_test analysis_test lint_test \
-             lint_diff_test lint_engine_test \
-             run_parallel_test queue_equivalence_test \
+             lint_diff_test lint_engine_test queue_equivalence_test \
              timeline_test flight_recorder_test layout_pruning_test \
-             prof_test affinity_sentinel_test
+             prof_test grab_limit_expr_test parser_test
   ctest --preset asan
 else
   echo "== tier-1: ASan stage skipped (--no-asan) =="

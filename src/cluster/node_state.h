@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/affinity.h"
-
 namespace dmr::cluster {
 
 /// \brief Struct-of-arrays storage for the hot per-node scheduling state.
@@ -27,10 +25,9 @@ namespace dmr::cluster {
 /// a per-node busy bitmask: acquire picks the lowest free lane with a
 /// count-trailing-zeros instead of the old linear scan.
 ///
-/// Shard-affine (sim/affinity.h): a table belongs to the experiment cell
-/// (and under RunParallel, the shard) that built it; nothing here is
+/// A table belongs to the experiment cell that built it; nothing here is
 /// synchronized.
-class DMR_SHARD_AFFINE NodeStateTable {
+class NodeStateTable {
  public:
   /// `map_slots_per_node` must be <= 64 (one bitmask word per node).
   NodeStateTable(int num_nodes, int map_slots_per_node,

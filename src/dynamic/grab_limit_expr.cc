@@ -1,8 +1,10 @@
 #include "dynamic/grab_limit_expr.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -10,24 +12,29 @@
 
 namespace dmr::dynamic {
 
-/// Expression tree node: a small closure-based interpreter.
+/// Expression tree node: a small closure-based interpreter. `height` is
+/// the length of the longest path down to a leaf, which the parser caps.
 class GrabLimitExpr::Node {
  public:
   using EvalFn = std::function<double(const SlotVars&)>;
-  explicit Node(EvalFn fn) : fn_(std::move(fn)) {}
+  Node(EvalFn fn, int height) : fn_(std::move(fn)), height_(height) {}
   double Eval(const SlotVars& vars) const { return fn_(vars); }
+  int height() const { return height_; }
 
  private:
   EvalFn fn_;
+  int height_;
 };
 
 namespace {
 
 using NodePtr = std::shared_ptr<const GrabLimitExpr::Node>;
 
-NodePtr MakeNode(GrabLimitExpr::Node::EvalFn fn) {
-  return std::make_shared<const GrabLimitExpr::Node>(std::move(fn));
-}
+/// Cap on both parser recursion and tree height. Real policies nest a few
+/// levels; without the cap a policy file of nested parentheses or a long
+/// flat sum overflows the stack, in the parser or later in the recursive
+/// evaluation (or destruction) of the tree it built.
+constexpr int kMaxDepth = 256;
 
 struct Token {
   enum class Kind {
@@ -133,6 +140,24 @@ class Parser {
   const Token& Peek() const { return tokens_[index_]; }
   Token Take() { return tokens_[index_++]; }
 
+  Status TooDeep() const {
+    return Status::ParseError("expression nests deeper than " +
+                              std::to_string(kMaxDepth) +
+                              " levels at position " +
+                              std::to_string(Peek().pos));
+  }
+
+  /// Builds a node over `children`, refusing trees taller than kMaxDepth.
+  Result<NodePtr> MakeNode(GrabLimitExpr::Node::EvalFn fn,
+                           std::initializer_list<NodePtr> children = {}) {
+    int height = 1;
+    for (const NodePtr& child : children) {
+      height = std::max(height, child->height() + 1);
+    }
+    if (height > kMaxDepth) return TooDeep();
+    return std::make_shared<const GrabLimitExpr::Node>(std::move(fn), height);
+  }
+
   bool TakeOp(const char* op) {
     if (Peek().kind == Token::Kind::kOp && Peek().text == op) {
       ++index_;
@@ -141,18 +166,30 @@ class Parser {
     return false;
   }
 
+  // Every nested sub-expression (parentheses, ternary branches, max/min
+  // arguments) re-enters here, so this is where recursion is counted. An
+  // error aborts the whole parse, so only the success path unwinds depth_.
   Result<NodePtr> ParseTernary() {
-    DMR_ASSIGN_OR_RETURN(NodePtr cond, ParseOr());
-    if (!TakeOp("?")) return cond;
-    DMR_ASSIGN_OR_RETURN(NodePtr then_node, ParseTernary());
-    if (!TakeOp(":")) {
-      return Status::ParseError("expected ':' at position " +
-                                std::to_string(Peek().pos));
+    if (++depth_ > kMaxDepth) return TooDeep();
+    DMR_ASSIGN_OR_RETURN(NodePtr node, ParseOr());
+    if (TakeOp("?")) {
+      NodePtr cond = node;
+      DMR_ASSIGN_OR_RETURN(NodePtr then_node, ParseTernary());
+      if (!TakeOp(":")) {
+        return Status::ParseError("expected ':' at position " +
+                                  std::to_string(Peek().pos));
+      }
+      DMR_ASSIGN_OR_RETURN(NodePtr else_node, ParseTernary());
+      DMR_ASSIGN_OR_RETURN(
+          node, MakeNode(
+                    [cond, then_node, else_node](const SlotVars& v) {
+                      return cond->Eval(v) != 0.0 ? then_node->Eval(v)
+                                                  : else_node->Eval(v);
+                    },
+                    {cond, then_node, else_node}));
     }
-    DMR_ASSIGN_OR_RETURN(NodePtr else_node, ParseTernary());
-    return MakeNode([cond, then_node, else_node](const SlotVars& v) {
-      return cond->Eval(v) != 0.0 ? then_node->Eval(v) : else_node->Eval(v);
-    });
+    --depth_;
+    return node;
   }
 
   Result<NodePtr> ParseOr() {
@@ -161,9 +198,14 @@ class Parser {
       ++index_;
       DMR_ASSIGN_OR_RETURN(NodePtr right, ParseAnd());
       NodePtr prev = left;
-      left = MakeNode([prev, right](const SlotVars& v) {
-        return (prev->Eval(v) != 0.0 || right->Eval(v) != 0.0) ? 1.0 : 0.0;
-      });
+      DMR_ASSIGN_OR_RETURN(
+          left, MakeNode(
+                    [prev, right](const SlotVars& v) {
+                      return (prev->Eval(v) != 0.0 || right->Eval(v) != 0.0)
+                                 ? 1.0
+                                 : 0.0;
+                    },
+                    {prev, right}));
     }
     return left;
   }
@@ -174,9 +216,14 @@ class Parser {
       ++index_;
       DMR_ASSIGN_OR_RETURN(NodePtr right, ParseCmp());
       NodePtr prev = left;
-      left = MakeNode([prev, right](const SlotVars& v) {
-        return (prev->Eval(v) != 0.0 && right->Eval(v) != 0.0) ? 1.0 : 0.0;
-      });
+      DMR_ASSIGN_OR_RETURN(
+          left, MakeNode(
+                    [prev, right](const SlotVars& v) {
+                      return (prev->Eval(v) != 0.0 && right->Eval(v) != 0.0)
+                                 ? 1.0
+                                 : 0.0;
+                    },
+                    {prev, right}));
     }
     return left;
   }
@@ -194,17 +241,19 @@ class Parser {
         DMR_ASSIGN_OR_RETURN(NodePtr right, ParseAdd());
         std::string o = op;
         NodePtr prev = left;
-        return MakeNode([prev, right, o](const SlotVars& v) {
-          double a = prev->Eval(v);
-          double b = right->Eval(v);
-          bool r = o == "<"    ? a < b
-                   : o == "<=" ? a <= b
-                   : o == ">"  ? a > b
-                   : o == ">=" ? a >= b
-                   : o == "==" ? a == b
-                                : a != b;
-          return r ? 1.0 : 0.0;
-        });
+        return MakeNode(
+            [prev, right, o](const SlotVars& v) {
+              double a = prev->Eval(v);
+              double b = right->Eval(v);
+              bool r = o == "<"    ? a < b
+                       : o == "<=" ? a <= b
+                       : o == ">"  ? a > b
+                       : o == ">=" ? a >= b
+                       : o == "==" ? a == b
+                                    : a != b;
+              return r ? 1.0 : 0.0;
+            },
+            {prev, right});
       }
     }
     return left;
@@ -221,10 +270,13 @@ class Parser {
       }
       DMR_ASSIGN_OR_RETURN(NodePtr right, ParseMul());
       NodePtr prev = left;
-      left = MakeNode([prev, right, plus](const SlotVars& v) {
-        return plus ? prev->Eval(v) + right->Eval(v)
-                    : prev->Eval(v) - right->Eval(v);
-      });
+      DMR_ASSIGN_OR_RETURN(
+          left, MakeNode(
+                    [prev, right, plus](const SlotVars& v) {
+                      return plus ? prev->Eval(v) + right->Eval(v)
+                                  : prev->Eval(v) - right->Eval(v);
+                    },
+                    {prev, right}));
     }
   }
 
@@ -239,20 +291,27 @@ class Parser {
       }
       DMR_ASSIGN_OR_RETURN(NodePtr right, ParseUnary());
       NodePtr prev = left;
-      left = MakeNode([prev, right, mul](const SlotVars& v) {
-        double b = right->Eval(v);
-        if (mul) return prev->Eval(v) * b;
-        return b == 0.0 ? std::numeric_limits<double>::infinity()
-                        : prev->Eval(v) / b;
-      });
+      DMR_ASSIGN_OR_RETURN(
+          left, MakeNode(
+                    [prev, right, mul](const SlotVars& v) {
+                      double b = right->Eval(v);
+                      if (mul) return prev->Eval(v) * b;
+                      return b == 0.0
+                                 ? std::numeric_limits<double>::infinity()
+                                 : prev->Eval(v) / b;
+                    },
+                    {prev, right}));
     }
   }
 
   Result<NodePtr> ParseUnary() {
     if (TakeOp("-")) {
+      if (++depth_ > kMaxDepth) return TooDeep();
       DMR_ASSIGN_OR_RETURN(NodePtr operand, ParseUnary());
+      --depth_;
       return MakeNode(
-          [operand](const SlotVars& v) { return -operand->Eval(v); });
+          [operand](const SlotVars& v) { return -operand->Eval(v); },
+          {operand});
     }
     return ParsePrimary();
   }
@@ -291,11 +350,13 @@ class Parser {
         if (!TakeOp(")")) {
           return Status::ParseError("expected ')' to close " + name + "()");
         }
-        return MakeNode([a, b, is_max](const SlotVars& v) {
-          double x = a->Eval(v);
-          double y = b->Eval(v);
-          return is_max ? std::max(x, y) : std::min(x, y);
-        });
+        return MakeNode(
+            [a, b, is_max](const SlotVars& v) {
+              double x = a->Eval(v);
+              double y = b->Eval(v);
+              return is_max ? std::max(x, y) : std::min(x, y);
+            },
+            {a, b});
       }
       return Status::ParseError("unknown identifier '" + name +
                                 "' (expected AS, TS, INF, max, min)");
@@ -314,6 +375,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t index_ = 0;
+  int depth_ = 0;  // open ParseTernary/unary-minus levels
 };
 
 }  // namespace

@@ -179,50 +179,6 @@ Result<LocalRunResult> LocalRuntime::Execute(
     columnar = &local_columnar;
   }
 
-  // With pruning on, stamp each split with its stats hints (DESIGN.md
-  // §16): the zone-map verdict bounds the selectivity, and a registered
-  // piggybacked index refines the scan fraction to the qualifying
-  // batches. The hints feed the provider's cost-aware mode and the
-  // simulator's cost model; the default-constructed values (1.0 / -1)
-  // leave every consumer at full-scan behaviour.
-  if (vectorized && program != nullptr && options_.zone_map_pruning) {
-    for (InputSplit& split : splits) {
-      const tpch::ColumnarPartition& part = (*columnar)[split.index];
-      if (part.num_rows() == 0) {
-        split.scan_fraction = 0.0;
-        split.hint_selectivity = 0.0;
-        continue;
-      }
-      BoundPredicate bound(program.get(), &part);
-      switch (bound.EvaluateZoneMap(part.zone_map())) {
-        case PruneVerdict::kNoMatch:
-          split.scan_fraction = 0.0;
-          split.hint_selectivity = 0.0;
-          break;
-        case PruneVerdict::kAllMatch:
-          split.scan_fraction = 0.0;
-          split.hint_selectivity = 1.0;
-          break;
-        case PruneVerdict::kMaybe:
-          if (options_.layout_catalog != nullptr) {
-            const PartitionIndex* index = options_.layout_catalog->Find(
-                static_cast<uint32_t>(split.index));
-            if (index != nullptr && index->num_rows > 0) {
-              uint64_t maybe_rows = 0;
-              for (const tpch::ZoneMap& zm : index->batches) {
-                if (bound.EvaluateZoneMap(zm) == PruneVerdict::kMaybe) {
-                  maybe_rows += zm.rows();
-                }
-              }
-              split.scan_fraction = static_cast<double>(maybe_rows) /
-                                    static_cast<double>(index->num_rows);
-            }
-          }
-          break;
-      }
-    }
-  }
-
   const uint64_t k = query.limit;
   mapred::ClusterStatus status;
   status.total_map_slots = options_.num_threads;
@@ -233,10 +189,8 @@ Result<LocalRunResult> LocalRuntime::Execute(
   std::vector<std::vector<InputSplit>> batches;
   std::unique_ptr<dynamic::SamplingInputProvider> provider;
   if (query.is_sampling()) {
-    dynamic::SamplingInputProvider::Options popts;
-    popts.use_split_hints = options_.cost_aware_grab;
     provider = std::make_unique<dynamic::SamplingInputProvider>(
-        policy, options_.seed, popts);
+        policy, options_.seed);
     DMR_RETURN_NOT_OK(provider->Initialize(splits, query.conf));
   }
 

@@ -46,12 +46,6 @@ struct LocalRunOptions {
   /// Observability scope for the exec.* pruning/indexing counters
   /// (null = off, the usual zero-overhead contract).
   obs::Scope* obs = nullptr;
-  /// Let the sampling provider consume the per-split stats hints computed
-  /// under zone_map_pruning: cheapest-first grab and per-split yield
-  /// projection instead of the uniform draw. Draws a different (still
-  /// deterministic) sample — keep it off when comparing digests against
-  /// the uniform path.
-  bool cost_aware_grab = false;
 };
 
 /// \brief Outcome of a local run.

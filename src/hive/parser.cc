@@ -1,5 +1,8 @@
 #include "hive/parser.h"
 
+#include <algorithm>
+#include <initializer_list>
+
 #include "common/strings.h"
 #include "hive/lexer.h"
 
@@ -9,6 +12,18 @@ namespace {
 
 using expr::BinaryOp;
 using expr::ExprPtr;
+
+/// Cap on both parser recursion and expression-tree height. Real queries
+/// nest a few levels; without the cap a deeply nested or very long WHERE
+/// clause overflows the stack, in the parser or later in any recursive
+/// walk (or destructor) of the tree it built.
+constexpr int kMaxDepth = 256;
+
+/// A parsed sub-expression with the height of its tree.
+struct Sub {
+  ExprPtr expr;
+  int height = 1;
+};
 
 class Parser {
  public:
@@ -63,6 +78,20 @@ class Parser {
       return true;
     }
     return false;
+  }
+
+  Status TooDeep() const {
+    return Error("expression nests deeper than " +
+                 std::to_string(kMaxDepth) + " levels");
+  }
+
+  /// Wraps a new node over children of the given heights, refusing trees
+  /// taller than kMaxDepth.
+  Result<Sub> Node(ExprPtr expr, std::initializer_list<int> child_heights) {
+    int height = 1;
+    for (int h : child_heights) height = std::max(height, h + 1);
+    if (height > kMaxDepth) return TooDeep();
+    return Sub{std::move(expr), height};
   }
 
   Result<std::string> ExpectIdent(const char* what) {
@@ -120,7 +149,8 @@ class Parser {
     if (!TakeKeyword("FROM")) return Error("expected FROM");
     DMR_ASSIGN_OR_RETURN(stmt.table, ExpectIdent("table name"));
     if (TakeKeyword("WHERE")) {
-      DMR_ASSIGN_OR_RETURN(stmt.where, ParseOr());
+      DMR_ASSIGN_OR_RETURN(Sub where, ParseOr());
+      stmt.where = std::move(where.expr);
     }
     if (TakeKeyword("LIMIT")) {
       if (Peek().kind != TokenKind::kInteger) {
@@ -133,34 +163,46 @@ class Parser {
     return stmt;
   }
 
-  Result<ExprPtr> ParseOr() {
-    DMR_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
+  // WHERE and every parenthesized sub-expression enter here, so this is
+  // where recursion is counted. An error aborts the whole parse, so only
+  // the success path unwinds depth_.
+  Result<Sub> ParseOr() {
+    if (++depth_ > kMaxDepth) return TooDeep();
+    DMR_ASSIGN_OR_RETURN(Sub left, ParseAnd());
     while (TakeKeyword("OR")) {
-      DMR_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-      left = expr::Bin(BinaryOp::kOr, std::move(left), std::move(right));
+      DMR_ASSIGN_OR_RETURN(Sub right, ParseAnd());
+      DMR_ASSIGN_OR_RETURN(
+          left, Node(expr::Bin(BinaryOp::kOr, left.expr, right.expr),
+                     {left.height, right.height}));
     }
+    --depth_;
     return left;
   }
 
-  Result<ExprPtr> ParseAnd() {
-    DMR_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
+  Result<Sub> ParseAnd() {
+    DMR_ASSIGN_OR_RETURN(Sub left, ParseNot());
     while (TakeKeyword("AND")) {
-      DMR_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-      left = expr::Bin(BinaryOp::kAnd, std::move(left), std::move(right));
+      DMR_ASSIGN_OR_RETURN(Sub right, ParseNot());
+      DMR_ASSIGN_OR_RETURN(
+          left, Node(expr::Bin(BinaryOp::kAnd, left.expr, right.expr),
+                     {left.height, right.height}));
     }
     return left;
   }
 
-  Result<ExprPtr> ParseNot() {
+  Result<Sub> ParseNot() {
     if (TakeKeyword("NOT")) {
-      DMR_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
-      return ExprPtr(std::make_shared<expr::NotExpr>(std::move(operand)));
+      if (++depth_ > kMaxDepth) return TooDeep();
+      DMR_ASSIGN_OR_RETURN(Sub operand, ParseNot());
+      --depth_;
+      return Node(std::make_shared<expr::NotExpr>(operand.expr),
+                  {operand.height});
     }
     return ParseComparison();
   }
 
-  Result<ExprPtr> ParseComparison() {
-    DMR_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
+  Result<Sub> ParseComparison() {
+    DMR_ASSIGN_OR_RETURN(Sub left, ParseAdditive());
 
     bool negated = false;
     if (Peek().IsKeyword("NOT")) {
@@ -170,34 +212,43 @@ class Parser {
     }
 
     if (TakeKeyword("BETWEEN")) {
-      DMR_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
+      DMR_ASSIGN_OR_RETURN(Sub lo, ParseAdditive());
       if (!TakeKeyword("AND")) return Error("expected AND in BETWEEN");
-      DMR_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
-      ExprPtr between = std::make_shared<expr::BetweenExpr>(
-          std::move(left), std::move(lo), std::move(hi));
-      if (negated) return ExprPtr(std::make_shared<expr::NotExpr>(between));
-      return between;
+      DMR_ASSIGN_OR_RETURN(Sub hi, ParseAdditive());
+      DMR_ASSIGN_OR_RETURN(
+          Sub between,
+          Node(std::make_shared<expr::BetweenExpr>(left.expr, lo.expr,
+                                                   hi.expr),
+               {left.height, lo.height, hi.height}));
+      if (!negated) return between;
+      return Node(std::make_shared<expr::NotExpr>(between.expr),
+                  {between.height});
     }
     if (TakeKeyword("IN")) {
       if (!TakeOp("(")) return Error("expected '(' after IN");
       std::vector<ExprPtr> candidates;
+      int height = left.height;
       do {
-        DMR_ASSIGN_OR_RETURN(ExprPtr cand, ParseAdditive());
-        candidates.push_back(std::move(cand));
+        DMR_ASSIGN_OR_RETURN(Sub cand, ParseAdditive());
+        height = std::max(height, cand.height);
+        candidates.push_back(std::move(cand.expr));
       } while (TakeOp(","));
       if (!TakeOp(")")) return Error("expected ')' to close IN list");
-      ExprPtr in = std::make_shared<expr::InExpr>(std::move(left),
-                                                  std::move(candidates));
-      if (negated) return ExprPtr(std::make_shared<expr::NotExpr>(in));
-      return in;
+      DMR_ASSIGN_OR_RETURN(
+          Sub in, Node(std::make_shared<expr::InExpr>(left.expr,
+                                                      std::move(candidates)),
+                       {height}));
+      if (!negated) return in;
+      return Node(std::make_shared<expr::NotExpr>(in.expr), {in.height});
     }
     if (TakeKeyword("LIKE")) {
       if (Peek().kind != TokenKind::kString) {
         return Error("expected a string pattern after LIKE");
       }
       std::string pattern = Take().text;
-      return ExprPtr(std::make_shared<expr::LikeExpr>(
-          std::move(left), std::move(pattern), negated));
+      return Node(std::make_shared<expr::LikeExpr>(
+                      left.expr, std::move(pattern), negated),
+                  {left.height});
     }
     if (negated) return Error("expected BETWEEN, IN or LIKE after NOT");
 
@@ -212,15 +263,16 @@ class Parser {
     };
     for (const auto& cmp : kOps) {
       if (TakeOp(cmp.text)) {
-        DMR_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-        return expr::Bin(cmp.op, std::move(left), std::move(right));
+        DMR_ASSIGN_OR_RETURN(Sub right, ParseAdditive());
+        return Node(expr::Bin(cmp.op, left.expr, right.expr),
+                    {left.height, right.height});
       }
     }
     return left;
   }
 
-  Result<ExprPtr> ParseAdditive() {
-    DMR_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
+  Result<Sub> ParseAdditive() {
+    DMR_ASSIGN_OR_RETURN(Sub left, ParseMultiplicative());
     for (;;) {
       BinaryOp op;
       if (TakeOp("+")) {
@@ -230,13 +282,14 @@ class Parser {
       } else {
         return left;
       }
-      DMR_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-      left = expr::Bin(op, std::move(left), std::move(right));
+      DMR_ASSIGN_OR_RETURN(Sub right, ParseMultiplicative());
+      DMR_ASSIGN_OR_RETURN(left, Node(expr::Bin(op, left.expr, right.expr),
+                                      {left.height, right.height}));
     }
   }
 
-  Result<ExprPtr> ParseMultiplicative() {
-    DMR_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
+  Result<Sub> ParseMultiplicative() {
+    DMR_ASSIGN_OR_RETURN(Sub left, ParseUnary());
     for (;;) {
       BinaryOp op;
       if (TakeOp("*")) {
@@ -246,42 +299,46 @@ class Parser {
       } else {
         return left;
       }
-      DMR_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-      left = expr::Bin(op, std::move(left), std::move(right));
+      DMR_ASSIGN_OR_RETURN(Sub right, ParseUnary());
+      DMR_ASSIGN_OR_RETURN(left, Node(expr::Bin(op, left.expr, right.expr),
+                                      {left.height, right.height}));
     }
   }
 
-  Result<ExprPtr> ParseUnary() {
+  Result<Sub> ParseUnary() {
     if (TakeOp("-")) {
-      DMR_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return ExprPtr(std::make_shared<expr::NegateExpr>(std::move(operand)));
+      if (++depth_ > kMaxDepth) return TooDeep();
+      DMR_ASSIGN_OR_RETURN(Sub operand, ParseUnary());
+      --depth_;
+      return Node(std::make_shared<expr::NegateExpr>(operand.expr),
+                  {operand.height});
     }
     return ParsePrimary();
   }
 
-  Result<ExprPtr> ParsePrimary() {
+  Result<Sub> ParsePrimary() {
     const Token& tok = Peek();
     switch (tok.kind) {
       case TokenKind::kInteger:
-        return expr::Lit(Take().integer);
+        return Sub{expr::Lit(Take().integer)};
       case TokenKind::kDecimal:
-        return expr::Lit(Take().decimal);
+        return Sub{expr::Lit(Take().decimal)};
       case TokenKind::kString:
-        return expr::Lit(Take().text);
+        return Sub{expr::Lit(Take().text)};
       case TokenKind::kIdent: {
         if (tok.IsKeyword("TRUE")) {
           ++index_;
-          return expr::Lit(true);
+          return Sub{expr::Lit(true)};
         }
         if (tok.IsKeyword("FALSE")) {
           ++index_;
-          return expr::Lit(false);
+          return Sub{expr::Lit(false)};
         }
-        return expr::Col(Take().text);
+        return Sub{expr::Col(Take().text)};
       }
       case TokenKind::kOperator:
         if (TakeOp("(")) {
-          DMR_ASSIGN_OR_RETURN(ExprPtr inner, ParseOr());
+          DMR_ASSIGN_OR_RETURN(Sub inner, ParseOr());
           if (!TakeOp(")")) return Error("expected ')'");
           return inner;
         }
@@ -294,6 +351,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t index_ = 0;
+  int depth_ = 0;  // open ParseOr/NOT/unary-minus levels
 };
 
 }  // namespace

@@ -387,8 +387,6 @@ std::vector<Finding> LintContentV1(const std::string& path,
       case CheckKind::kIgnoredResult:
         RunIgnoredResult(check, path, text, &findings);
         break;
-      case CheckKind::kShardOwnership:
-        break;  // v2-only: needs the scope tracker
     }
   }
   std::sort(findings.begin(), findings.end(),

@@ -20,8 +20,8 @@ namespace {
 
 /// A source file after the v2 front end: one lexer pass yields the token
 /// stream and the two blanked line views (lint/token.h), the scope tracker
-/// classifies every brace pair and collects DMR_SHARD_AFFINE symbols
-/// (lint/scope.h), and the suppression collector resolves each
+/// classifies every brace pair (lint/scope.h), and the suppression
+/// collector resolves each
 /// `dmr-lint: allow()` comment to the statement it covers.
 struct FileText {
   TokenizedFile tok;
@@ -35,12 +35,6 @@ struct FileText {
 
 bool IsPunctTok(const Tok& t, const char* text) {
   return t.kind == TokKind::kPunct && t.text == text;
-}
-
-bool IsAnnotationIdent(const Tok& t) {
-  return t.kind == TokKind::kIdent &&
-         (t.text == "DMR_CROSS_SHARD_OK" || t.text == "DMR_BARRIER_PHASE" ||
-          t.text == "DMR_SHARD_AFFINE");
 }
 
 /// First significant token whose extent covers `line` (1-based); -1 when
@@ -394,179 +388,6 @@ void RunIgnoredResult(const CheckDef& check, const std::string& path,
   }
 }
 
-// --- kShardOwnership ------------------------------------------------------
-
-/// True when the statement containing token `i` carries one of the
-/// ownership annotations (the statement-level sanction form, used for
-/// declarations and single-statement exemptions).
-bool StatementAnnotated(const FileText& text, int i) {
-  StmtRange r = StatementAround(text.tok, text.scopes, i);
-  if (r.first < 0) return false;
-  for (int k = r.first; k <= r.last; ++k) {
-    if (IsSig(text.tok.tokens[k]) && IsAnnotationIdent(text.tok.tokens[k])) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// The shard-ownership sanction test: the access is fine inside a scope
-/// annotated DMR_CROSS_SHARD_OK / DMR_BARRIER_PHASE, inside the body of a
-/// DMR_SHARD_AFFINE class (the state's own home), or in a statement that
-/// carries an annotation (declarations annotate themselves). Lambdas do
-/// not inherit sanction from their enclosing function (scope.h).
-bool OwnershipSanctioned(const FileText& text, int i) {
-  constexpr unsigned kBits =
-      kAnnCrossShardOk | kAnnBarrierPhase | kAnnShardAffine;
-  if (ScopeSanctioned(text.scopes, text.scopes.token_scope[i], kBits)) {
-    return true;
-  }
-  return StatementAnnotated(text, i);
-}
-
-void EmitOwnership(const CheckDef& check, const std::string& path,
-                   const FileText& text, int tok, const std::string& detail,
-                   std::set<std::pair<int, std::string>>* seen,
-                   std::vector<Finding>* findings) {
-  int line = text.tok.tokens[tok].line;
-  if (!seen->insert({line, detail}).second) return;
-  Emit(check, path, line, text, detail, findings);
-}
-
-void RunShardAffine(const CheckDef& check, const std::string& path,
-                    const FileText& text, std::vector<Finding>* findings) {
-  std::set<std::string> names(check.patterns.begin(), check.patterns.end());
-  for (const AffineSymbol& sym : text.scopes.affine_symbols) {
-    if (!sym.is_type) names.insert(sym.name);
-  }
-  std::set<std::pair<int, std::string>> seen;
-  for (int i = 0; i < static_cast<int>(text.tok.tokens.size()); ++i) {
-    const Tok& t = text.tok.tokens[i];
-    if (!IsSig(t) || t.kind != TokKind::kIdent) continue;
-    if (names.find(t.text) == names.end()) continue;
-    if (OwnershipSanctioned(text, i)) continue;
-    EmitOwnership(check, path, text, i, "`" + t.text + "`", &seen,
-                  findings);
-  }
-}
-
-/// Forward-matching ')' for the '(' at `open`; -1 on imbalance.
-int MatchParenFwd(const TokenizedFile& f, int open) {
-  int depth = 0;
-  for (int k = open; k >= 0; k = NextSig(f, k + 1)) {
-    if (IsPunctTok(f.tokens[k], "(")) ++depth;
-    if (IsPunctTok(f.tokens[k], ")")) {
-      if (--depth == 0) return k;
-    }
-  }
-  return -1;
-}
-
-void RunCrossShardArena(const CheckDef& check, const std::string& path,
-                        const FileText& text,
-                        std::vector<Finding>* findings) {
-  const TokenizedFile& f = text.tok;
-  std::set<std::pair<int, std::string>> seen;
-  for (int i = 0; i < static_cast<int>(f.tokens.size()); ++i) {
-    const Tok& t = f.tokens[i];
-    if (!IsSig(t) || t.kind != TokKind::kIdent) continue;
-    if (t.text == "ShardArena") {
-      int open = NextSig(f, i + 1);
-      if (open < 0 || !IsPunctTok(f.tokens[open], "(")) continue;
-      int close = MatchParenFwd(f, open);
-      int after = close >= 0 ? NextSig(f, close + 1) : -1;
-      // `Arena* ShardArena(...)` declarations/definitions are the seam
-      // itself, not a use: a body brace, or a `;` with the return type's
-      // `*`/`&` immediately before the name.
-      if (after >= 0 && IsPunctTok(f.tokens[after], "{")) continue;
-      int p = PrevSig(f, i - 1);
-      if (after >= 0 && IsPunctTok(f.tokens[after], ";") && p >= 0 &&
-          (IsPunctTok(f.tokens[p], "*") || IsPunctTok(f.tokens[p], "&"))) {
-        continue;
-      }
-      if (!OwnershipSanctioned(text, i)) {
-        EmitOwnership(check, path, text, i, "`ShardArena()`", &seen,
-                      findings);
-      }
-      continue;
-    }
-    if (t.text == "arena") {
-      int p = PrevSig(f, i - 1);
-      int n = NextSig(f, i + 1);
-      bool member_call = p >= 0 && n >= 0 &&
-                         (IsPunctTok(f.tokens[p], ".") ||
-                          IsPunctTok(f.tokens[p], "->")) &&
-                         IsPunctTok(f.tokens[n], "(");
-      if (member_call && !OwnershipSanctioned(text, i)) {
-        EmitOwnership(check, path, text, i, "`.arena()`", &seen, findings);
-      }
-      continue;
-    }
-    if (t.text == "EventCallback") {
-      // Constructing a callback with a non-null arena arms the spill box:
-      // only the sanctioned seams may do that (the nullptr form is the
-      // cross-shard-safe path).
-      int open = NextSig(f, i + 1);
-      if (open < 0 || !IsPunctTok(f.tokens[open], "(")) continue;
-      int arg = NextSig(f, open + 1);
-      if (arg < 0 || IsPunctTok(f.tokens[arg], ")")) continue;
-      if (f.tokens[arg].kind == TokKind::kIdent &&
-          f.tokens[arg].text == "nullptr") {
-        continue;
-      }
-      if (!OwnershipSanctioned(text, i)) {
-        EmitOwnership(check, path, text, i, "`EventCallback(arena, ...)`",
-                      &seen, findings);
-      }
-      continue;
-    }
-  }
-}
-
-void RunStagedEventBypass(const CheckDef& check, const std::string& path,
-                          const FileText& text,
-                          std::vector<Finding>* findings) {
-  const TokenizedFile& f = text.tok;
-  std::set<std::pair<int, std::string>> seen;
-  for (int i = 0; i < static_cast<int>(f.tokens.size()); ++i) {
-    const Tok& t = f.tokens[i];
-    if (!IsSig(t) || t.kind != TokKind::kIdent) continue;
-    if (t.text == "StagedEvent") {
-      int p = PrevSig(f, i - 1);
-      if (p >= 0 && f.tokens[p].kind == TokKind::kIdent &&
-          (f.tokens[p].text == "struct" || f.tokens[p].text == "class")) {
-        continue;  // the type's own declaration
-      }
-      int n = NextSig(f, i + 1);
-      bool construction = n >= 0 && (IsPunctTok(f.tokens[n], "{") ||
-                                     IsPunctTok(f.tokens[n], "("));
-      if (construction && !OwnershipSanctioned(text, i)) {
-        EmitOwnership(check, path, text, i, "`StagedEvent` constructed",
-                      &seen, findings);
-      }
-      continue;
-    }
-    if (t.text == "inbox") {
-      if (!OwnershipSanctioned(text, i)) {
-        EmitOwnership(check, path, text, i, "`inbox`", &seen, findings);
-      }
-    }
-  }
-}
-
-void RunShardOwnership(const CheckDef& check, const std::string& path,
-                       const FileText& text,
-                       std::vector<Finding>* findings) {
-  std::string id = check.id;
-  if (id == "shard-affine") {
-    RunShardAffine(check, path, text, findings);
-  } else if (id == "cross-shard-arena") {
-    RunCrossShardArena(check, path, text, findings);
-  } else if (id == "staged-event-bypass") {
-    RunStagedEventBypass(check, path, text, findings);
-  }
-}
-
 }  // namespace
 
 const char* SeverityName(Severity severity) {
@@ -701,46 +522,6 @@ const std::vector<CheckDef>& BuiltinChecks() {
           {R"(\b(BuildZoneMap|BuildPartitionIndex|FoldRowIntoZoneMap|MarkDict|ZoneMap)\b)"},
           {},
       },
-      {
-          "shard-affine",
-          Severity::kError,
-          CheckKind::kShardOwnership,
-          "shard-affine state touched outside a sanctioned scope; a "
-          "RunParallel worker owns exactly one shard, so cross-shard "
-          "access here would break the determinism contract silently — "
-          "annotate the seam DMR_CROSS_SHARD_OK/DMR_BARRIER_PHASE "
-          "(src/sim/affinity.h) or route the work through ScheduleOnShard",
-          // Seam identifiers enforced across files (the annotated
-          // declarations live in src/sim/simulation.h); names declared
-          // under DMR_SHARD_AFFINE in the linted file are added
-          // automatically.
-          {"shards_"},
-          {},
-      },
-      {
-          "cross-shard-arena",
-          Severity::kError,
-          CheckKind::kShardOwnership,
-          "arena access outside the owning shard's sanctioned seams; a "
-          "shard's arena must only be touched from its worker thread — "
-          "the nullptr-arena callback (spill box freed on the target "
-          "shard) is the one exemption — annotate the seam or allocate "
-          "from the caller's own shard",
-          {"ShardArena", "arena", "EventCallback"},
-          // The arena's own plumbing (allocator handles, slab internals).
-          {"sim/arena"},
-      },
-      {
-          "staged-event-bypass",
-          Severity::kError,
-          CheckKind::kShardOwnership,
-          "staged-event machinery used outside the staging seams; "
-          "cross-shard work must be staged via ScheduleOnShardDetached "
-          "and drained by MergeStagedEvents inside the barrier window, "
-          "or ties and arena ownership stop replaying",
-          {"StagedEvent", "inbox"},
-          {},
-      },
   };
   return kChecks;
 }
@@ -774,9 +555,6 @@ std::vector<Finding> LintContent(const std::string& path,
         break;
       case CheckKind::kIgnoredResult:
         RunIgnoredResult(check, path, text, &findings);
-        break;
-      case CheckKind::kShardOwnership:
-        RunShardOwnership(check, path, text, &findings);
         break;
     }
   }

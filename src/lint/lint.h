@@ -23,11 +23,9 @@ namespace dmr::lint {
 /// invocation. Since v2 the engine is token/scope-aware (lint/token.h,
 /// lint/scope.h): one lexer pass produces a token stream plus the blanked
 /// line views the regex checks run on, and a brace-scope tracker feeds the
-/// statement-scoped suppressions, the false-positive filters, and the
-/// shard-ownership checks (which read the DMR_SHARD_AFFINE /
-/// DMR_CROSS_SHARD_OK / DMR_BARRIER_PHASE annotations of
-/// src/sim/affinity.h). The remaining false-positive surface is what the
-/// suppression comment is for:
+/// statement-scoped suppressions and the false-positive filters. The
+/// remaining false-positive surface is what the suppression comment is
+/// for:
 ///
 ///     legit_hazard();  // dmr-lint: allow(check-id) why this one is fine
 ///
@@ -75,14 +73,6 @@ enum class CheckKind {
   /// Flag bare-statement calls to the named functions, whose Status/Result
   /// return value encodes failure and must be consumed.
   kIgnoredResult,
-  /// v2-only: the shard-ownership checks. Uses of shard-affine state
-  /// (names declared under DMR_SHARD_AFFINE plus the configured seam
-  /// identifiers in `patterns`) must sit inside a scope or statement
-  /// annotated DMR_CROSS_SHARD_OK / DMR_BARRIER_PHASE, or inside the body
-  /// of a DMR_SHARD_AFFINE class (the state's own home). See
-  /// src/sim/affinity.h for the vocabulary and DESIGN.md §18 for the
-  /// contract being enforced.
-  kShardOwnership,
 };
 
 /// One row of the check table. `patterns` holds regexes for kLineRegex and

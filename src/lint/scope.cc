@@ -1,7 +1,5 @@
 #include "lint/scope.h"
 
-#include <algorithm>
-
 namespace dmr::lint {
 
 namespace {
@@ -17,23 +15,6 @@ bool IsIdent(const Tok& t, const char* text) {
 bool IsBoundary(const Tok& t) {
   return t.kind == TokKind::kPunct &&
          (t.text == ";" || t.text == "{" || t.text == "}");
-}
-
-bool IsAnnotation(const Tok& t, unsigned* bit) {
-  if (t.kind != TokKind::kIdent) return false;
-  if (t.text == "DMR_CROSS_SHARD_OK") {
-    *bit = kAnnCrossShardOk;
-    return true;
-  }
-  if (t.text == "DMR_BARRIER_PHASE") {
-    *bit = kAnnBarrierPhase;
-    return true;
-  }
-  if (t.text == "DMR_SHARD_AFFINE") {
-    *bit = kAnnShardAffine;
-    return true;
-  }
-  return false;
 }
 
 /// Index of the matching '(' for the ')' at `close`, or -1.
@@ -89,7 +70,7 @@ Classified ClassifyAfterParen(const TokenizedFile& f, int close) {
 }
 
 /// Name of a struct/class/enum: the first identifier after the keyword
-/// that is not an annotation or specifier.
+/// that is not a specifier.
 std::string ClassName(const TokenizedFile& f, int keyword, int brace) {
   for (int k = NextSig(f, keyword + 1); k >= 0 && k < brace;
        k = NextSig(f, k + 1)) {
@@ -100,8 +81,6 @@ std::string ClassName(const TokenizedFile& f, int keyword, int brace) {
         t.text == "alignas") {
       continue;
     }
-    unsigned bit;
-    if (IsAnnotation(t, &bit)) continue;
     return t.text;
   }
   return "";
@@ -121,8 +100,8 @@ Classified Classify(const TokenizedFile& f, int i) {
     }
     return c;  // =, {, (, comma, ...: initializer or bare block
   }
-  // The head ends in identifiers (trailing specifiers, annotations, type
-  // names). Walk it backwards looking for the defining construct.
+  // The head ends in identifiers (trailing specifiers, type names). Walk it
+  // backwards looking for the defining construct.
   for (int j = p; j >= 0; j = PrevSig(f, j - 1)) {
     const Tok& t = f.tokens[j];
     if (t.kind == TokKind::kPunct) {
@@ -153,83 +132,11 @@ Classified Classify(const TokenizedFile& f, int i) {
   return c;
 }
 
-/// kAnn* bits in the head of the brace at `i` (tokens since the previous
-/// statement boundary).
-unsigned HeadAnnotations(const TokenizedFile& f, int i) {
-  unsigned bits = 0;
-  for (int j = PrevSig(f, i - 1); j >= 0; j = PrevSig(f, j - 1)) {
-    const Tok& t = f.tokens[j];
-    if (IsBoundary(t)) break;
-    unsigned bit;
-    if (IsAnnotation(t, &bit)) bits |= bit;
-  }
-  return bits;
-}
-
-/// Collects names declared under DMR_SHARD_AFFINE. For a type annotation
-/// (`struct DMR_SHARD_AFFINE Name`) the type name is recorded; otherwise
-/// the declarator scan walks forward to the declared variable/member name
-/// (the last depth-0 identifier before `;`, `=`, `{`, `,` or an
-/// unbalanced `)`).
-void CollectAffineSymbols(const TokenizedFile& f,
-                          const std::vector<int>& token_scope,
-                          std::vector<AffineSymbol>* out) {
-  const int n = static_cast<int>(f.tokens.size());
-  for (int i = 0; i < n; ++i) {
-    if (!IsSig(f.tokens[i]) || !IsIdent(f.tokens[i], "DMR_SHARD_AFFINE")) {
-      continue;
-    }
-    AffineSymbol sym;
-    sym.decl_token = i;
-    sym.scope = token_scope[i];
-    int p = PrevSig(f, i - 1);
-    if (p >= 0 && (IsIdent(f.tokens[p], "struct") ||
-                   IsIdent(f.tokens[p], "class") ||
-                   IsIdent(f.tokens[p], "union"))) {
-      int name = NextSig(f, i + 1);
-      if (name >= 0 && f.tokens[name].kind == TokKind::kIdent) {
-        sym.name = f.tokens[name].text;
-        sym.is_type = true;
-        out->push_back(std::move(sym));
-      }
-      continue;
-    }
-    int angle = 0, paren = 0, square = 0;
-    std::string last_ident;
-    for (int k = NextSig(f, i + 1); k >= 0; k = NextSig(f, k + 1)) {
-      const Tok& t = f.tokens[k];
-      if (t.kind == TokKind::kPunct) {
-        if (t.text == "<") ++angle;
-        if (t.text == ">") angle = std::max(0, angle - 1);
-        if (t.text == ">>") angle = std::max(0, angle - 2);
-        if (t.text == "(" ) ++paren;
-        if (t.text == "[") ++square;
-        if (t.text == "]") --square;
-        if (t.text == ")") {
-          if (--paren < 0) break;  // end of an enclosing parameter list
-        }
-        if (angle == 0 && paren == 0 && square == 0 &&
-            (t.text == ";" || t.text == "=" || t.text == "{" ||
-             t.text == ",")) {
-          break;
-        }
-      } else if (t.kind == TokKind::kIdent && angle == 0 && paren == 0 &&
-                 square == 0) {
-        last_ident = t.text;
-      }
-    }
-    if (!last_ident.empty()) {
-      sym.name = std::move(last_ident);
-      out->push_back(std::move(sym));
-    }
-  }
-}
-
 }  // namespace
 
 ScopeTree BuildScopes(const TokenizedFile& f) {
   ScopeTree tree;
-  tree.scopes.push_back(Scope{ScopeKind::kFile, -1, 0, "", -1, -1});
+  tree.scopes.push_back(Scope{ScopeKind::kFile, -1, "", -1, -1});
   tree.token_scope.assign(f.tokens.size(), 0);
   std::vector<int> stack = {0};
   const int n = static_cast<int>(f.tokens.size());
@@ -245,7 +152,6 @@ ScopeTree BuildScopes(const TokenizedFile& f) {
       s.kind = c.kind;
       s.name = std::move(c.name);
       s.parent = stack.back();
-      s.annotations = HeadAnnotations(f, i);
       s.open_token = i;
       int id = static_cast<int>(tree.scopes.size());
       tree.scopes.push_back(std::move(s));
@@ -263,18 +169,7 @@ ScopeTree BuildScopes(const TokenizedFile& f) {
     }
     tree.token_scope[i] = stack.back();
   }
-  CollectAffineSymbols(f, tree.token_scope, &tree.affine_symbols);
   return tree;
-}
-
-bool ScopeSanctioned(const ScopeTree& t, int scope, unsigned bits) {
-  for (int s = scope; s >= 0; s = t.scopes[s].parent) {
-    if (t.scopes[s].annotations & bits) return true;
-    // A lambda that does not restate the sanction blocks inheritance: the
-    // body may run on a different thread than the enclosing function.
-    if (t.scopes[s].kind == ScopeKind::kLambda) return false;
-  }
-  return false;
 }
 
 StmtRange StatementAround(const TokenizedFile& f, const ScopeTree& t,

@@ -13,61 +13,34 @@ namespace dmr::lint {
 ///
 /// BuildScopes() walks the token stream once, classifying every brace pair
 /// (namespace / class / function / lambda / plain block) from the tokens
-/// in its head, recording any DMR shard-ownership annotations it finds
-/// there, and collecting the names declared with DMR_SHARD_AFFINE. The
-/// result is deliberately approximate — dmr-lint is a lexical tool, not a
-/// C++ front end — but brace matching plus head classification is exact
-/// enough for statement-scoped suppressions and the shard-ownership
-/// checks, and it degrades safely: an unrecognized construct becomes a
-/// plain block, never a parse failure.
+/// in its head. The result is deliberately approximate — dmr-lint is a
+/// lexical tool, not a C++ front end — but brace matching plus head
+/// classification is exact enough for statement-scoped suppressions and
+/// the scope-aware false-positive filters, and it degrades safely: an
+/// unrecognized construct becomes a plain block, never a parse failure.
 enum class ScopeKind : unsigned char {
   kFile,
   kNamespace,
   kClass,     // struct/class/union/enum body
   kFunction,  // function or member-function body
-  kLambda,    // lambda body: annotations do NOT flow in from outside
+  kLambda,    // lambda body
   kBlock,     // control statement, bare block, or initializer braces
 };
-
-/// Annotation bits found in a scope's head (see src/sim/affinity.h for the
-/// vocabulary's meaning).
-inline constexpr unsigned kAnnCrossShardOk = 1u << 0;
-inline constexpr unsigned kAnnBarrierPhase = 1u << 1;
-inline constexpr unsigned kAnnShardAffine = 1u << 2;
 
 struct Scope {
   ScopeKind kind = ScopeKind::kBlock;
   int parent = -1;
-  unsigned annotations = 0;  ///< kAnn* bits from the scope head
   std::string name;          ///< namespace/class/function name when known
   int open_token = -1;       ///< index of the '{' (-1 for the file scope)
   int close_token = -1;      ///< index of the '}' (-1 when unbalanced)
 };
 
-/// A name declared under DMR_SHARD_AFFINE: either a variable/member
-/// (is_type == false) whose every use must be sanctioned, or a type
-/// (is_type == true) whose class body is its sanctioned home.
-struct AffineSymbol {
-  std::string name;
-  int decl_token = -1;
-  int scope = 0;  ///< scope the declaration appears in
-  bool is_type = false;
-};
-
 struct ScopeTree {
   std::vector<Scope> scopes;       ///< [0] is the file scope
   std::vector<int> token_scope;    ///< token index -> innermost scope id
-  std::vector<AffineSymbol> affine_symbols;
 };
 
 ScopeTree BuildScopes(const TokenizedFile& f);
-
-/// True when `scope` or an enclosing scope carries one of `bits`. The walk
-/// refuses to cross an unannotated lambda boundary: a lambda can leave the
-/// thread its enclosing function's annotation vouched for (the RunParallel
-/// worker bodies are exactly this case), so sanction must be restated on
-/// the lambda itself.
-bool ScopeSanctioned(const ScopeTree& t, int scope, unsigned bits);
 
 /// The [first, last] token range (inclusive, significant tokens) of the
 /// statement containing token `i`. A statement runs between `;`/`{`/`}`

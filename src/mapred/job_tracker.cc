@@ -402,9 +402,7 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
 
   // Task-attempt records churn once per split attempt; draw them (control
   // block included) from the simulation's arena instead of global malloc.
-  // Cross-shard OK: the tracker runs the serial engine, where one thread
-  // owns every shard (and hence the shard-0 arena).
-  DMR_CROSS_SHARD_OK auto attempt = std::allocate_shared<MapAttempt>(
+  auto attempt = std::allocate_shared<MapAttempt>(
       sim::ArenaAllocator<MapAttempt>(sim_->arena()));
   attempt->job = job;
   attempt->split = split;
@@ -425,8 +423,7 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
   attempt->startup_event = sim_->Schedule(
       config.task_startup_seconds, sim::EventClass::kTaskLifecycle,
       [this, attempt, cpu_demand, read_bytes, will_fail, source] {
-        // Cross-shard OK: serial engine, see the attempt allocation above.
-        DMR_CROSS_SHARD_OK auto remaining = std::allocate_shared<int>(
+        auto remaining = std::allocate_shared<int>(
             sim::ArenaAllocator<int>(sim_->arena()),
             attempt->local ? 2 : 3);
         auto on_part_done = [this, attempt, remaining, will_fail] {
@@ -628,8 +625,7 @@ void JobTracker::LaunchReduce(Job* job, int node_id) {
   sim_->Schedule(config.task_startup_seconds,
                  sim::EventClass::kTaskLifecycle,
                  [this, job, node_id, shuffle_bytes, cpu_demand] {
-    // Cross-shard OK: serial engine, see the map-attempt allocation.
-    DMR_CROSS_SHARD_OK auto remaining = std::allocate_shared<int>(
+    auto remaining = std::allocate_shared<int>(
         sim::ArenaAllocator<int>(sim_->arena()), 2);
     auto on_part_done = [this, job, node_id, remaining] {
       if (--(*remaining) == 0) OnReduceComplete(job, node_id);

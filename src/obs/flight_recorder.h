@@ -54,9 +54,8 @@ struct FlightEvent {
 /// a deterministic point in virtual time (DESIGN.md §15).
 ///
 /// Threading: a recorder belongs to one experiment cell and is only
-/// appended from that cell's simulation events (serial, or RunParallel
-/// shard-0 bookkeeping + lifecycle handlers of the owning shard), matching
-/// the ledger's single-writer-per-cell contract.
+/// appended from that cell's simulation events, matching the ledger's
+/// single-writer-per-cell contract.
 class FlightRecorder {
  public:
   explicit FlightRecorder(size_t capacity, sim::Arena* arena = nullptr);

@@ -99,12 +99,12 @@ namespace {
 /// One-entry thread-local cache: the registry a thread last wrote to and
 /// its shard. Registry ids are never reused, so a stale cache entry can
 /// never alias a new registry.
-struct TlsShardCache {
+struct LocalShardCache {
   uint64_t registry_id = 0;
   void* shard = nullptr;
 };
 
-thread_local TlsShardCache tls_shard_cache;
+thread_local LocalShardCache tls_shard_cache;
 
 }  // namespace
 
@@ -113,8 +113,7 @@ MetricsRegistry::MetricsRegistry()
 
 MetricsRegistry::~MetricsRegistry() = default;
 
-// Cross-shard OK: every touch of the shard list below happens under mu_.
-MetricsRegistry::Shard* MetricsRegistry::ShardSlow() DMR_CROSS_SHARD_OK {
+MetricsRegistry::Shard* MetricsRegistry::ShardSlow() {
   std::lock_guard<std::mutex> lock(mu_);
   shards_.push_back(std::make_unique<Shard>());
   Shard* shard = shards_.back().get();
@@ -186,7 +185,7 @@ void MetricsRegistry::Observe(HistogramHandle h, double value) {
   shard.histograms[h.index].Observe(value);
 }
 
-size_t MetricsRegistry::num_shards() const DMR_CROSS_SHARD_OK {
+size_t MetricsRegistry::num_shards() const {
   std::lock_guard<std::mutex> lock(mu_);
   return shards_.size();
 }
@@ -207,8 +206,7 @@ MetricsRegistry::Snapshot::FindHistogram(std::string_view name) const {
   return nullptr;
 }
 
-MetricsRegistry::Snapshot
-MetricsRegistry::TakeSnapshot() const DMR_CROSS_SHARD_OK {
+MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
 

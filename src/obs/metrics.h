@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/affinity.h"
-
 namespace dmr::obs {
 
 /// Typed, index-based metric handles. A handle is obtained once via
@@ -157,10 +155,10 @@ class MetricsRegistry {
   std::vector<std::string> gauge_names_;
   std::vector<std::string> histogram_names_;
   std::vector<std::string> histogram_units_;
-  /// Per-thread metric shards; shard-affine in the sim/affinity.h sense
-  /// (each belongs to the thread that faulted it in via LocalShard), with
-  /// mu_ guarding the list itself for the registration/snapshot seams.
-  DMR_SHARD_AFFINE std::vector<std::unique_ptr<Shard>> shards_;
+  /// Per-thread metric shards (each belongs to the thread that faulted it
+  /// in via LocalShard), with mu_ guarding the list itself for the
+  /// registration/snapshot seams.
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> gauge_version_{0};
 };
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "prof/prof.h"
-#include "sim/affinity.h"
 
 namespace dmr::sim {
 
@@ -23,7 +22,7 @@ namespace dmr::sim {
 /// memory that stays dense.
 ///
 /// An Arena is single-threaded by contract, like the Simulation that owns
-/// it (one arena per shard; see simulation.h). Freed blocks are recycled
+/// it (see simulation.h). Freed blocks are recycled
 /// into their size class, never returned to the OS before the arena dies —
 /// the steady-state working set of a simulation is bounded by its peak, so
 /// holding the high-water mark is the point, not a leak.
@@ -32,12 +31,7 @@ namespace dmr::sim {
 /// (or with stricter alignment needs) fall through to operator new; the
 /// caller passes the same byte count to Deallocate so the arena can tell
 /// the two paths apart without a per-block header.
-///
-/// An Arena is shard-affine (sim/affinity.h): it is single-threaded by
-/// construction, and under RunParallel only the owning shard's worker may
-/// allocate or free from it — the nullptr-arena EventCallback spill box is
-/// the sanctioned way to hand work across shards.
-class DMR_SHARD_AFFINE Arena {
+class Arena {
  public:
   Arena() = default;
   ~Arena() = default;

@@ -1,11 +1,8 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
-#include <barrier>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -28,18 +25,9 @@ uint64_t ShuffleKey(uint64_t seed, uint64_t key) {
   return Rng(seed ^ key).Next();
 }
 
-/// std::barrier's completion object must be nothrow-invocable;
-/// std::function is not, so wrap it.
-struct BarrierCompletion {
-  std::function<void()>* fn;
-  void operator()() const noexcept { (*fn)(); }
-};
-
 }  // namespace
 
 namespace internal {
-
-thread_local TlsShard t_shard;
 
 bool EventAfter::operator()(const Event& a, const Event& b) const {
   if (a.time != b.time) return a.time > b.time;
@@ -266,40 +254,27 @@ std::size_t EventQueue::PurgeCancelled() {
 void EventHandle::Cancel() {
   if (!slot_ || slot_->cancelled || slot_->fired) return;
   slot_->cancelled = true;
-  if (slot_->owner != nullptr) slot_->owner->OnCancelled(slot_);
+  if (slot_->owner != nullptr) slot_->owner->OnCancelled();
 }
 
 Simulation::Simulation() : Simulation(SimulationOptions{}) {}
 
-Simulation::Simulation(const SimulationOptions& options) : options_(options) {
+Simulation::Simulation(const SimulationOptions& options)
+    : options_(options), pool_(internal::EventSlotPool::Create()) {
   if (g_queue_kind.has_value()) options_.queue = *g_queue_kind;
-  sentinel_.set_enabled(AffinitySentinel::DefaultEnabled());
-  AddShard();
+  queue_.Init(options_.queue, options_.bucket_width, options_.num_buckets,
+              After(), &cancelled_in_queue_);
   if (g_tie_shuffle.has_value()) EnableTieShuffle(*g_tie_shuffle);
 }
 
-Simulation::~Simulation() = default;
-
-void Simulation::AddShard() DMR_BARRIER_PHASE {
-  auto shard = std::make_unique<internal::Shard>();
-  shard->now = now_;
-  shard->queue.Init(options_.queue, options_.bucket_width,
-                    options_.num_buckets, After(),
-                    &shard->cancelled_in_queue);
-  shards_.push_back(std::move(shard));
-  sentinel_.Resize(shards_.size());
-}
-
-void Simulation::ConfigureShards(int n) DMR_BARRIER_PHASE {
-  DMR_CHECK_GE(n, 1);
-  DMR_CHECK_LE(n, 1 << internal::kShardBits);
-  for (const auto& sh : shards_) {
-    DMR_CHECK_EQ(sh->next_seq, uint64_t{0})
-        << "ConfigureShards must precede all scheduling";
-  }
-  shards_.clear();
-  shards_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) AddShard();
+Simulation::~Simulation() {
+  queue_.Drain([](internal::Event& ev) {
+    if (ev.slot == nullptr) return;  // detached: nothing to release
+    ev.slot->cancelled = true;
+    ev.slot->owner = nullptr;
+    internal::SlotRelease(ev.slot);
+  });
+  pool_->DropOwnerRef();
 }
 
 void Simulation::SetGlobalTieShuffle(std::optional<uint64_t> seed) {
@@ -318,31 +293,29 @@ std::optional<QueueKind> Simulation::GlobalQueueKind() {
   return g_queue_kind;
 }
 
-void Simulation::EnableTieShuffle(uint64_t seed) DMR_BARRIER_PHASE {
-  for (const auto& sh : shards_) {
-    DMR_CHECK_EQ(sh->next_seq, uint64_t{0})
-        << "EnableTieShuffle must precede all scheduling";
-  }
+void Simulation::EnableTieShuffle(uint64_t seed) {
+  DMR_CHECK_EQ(next_seq_, uint64_t{0})
+      << "EnableTieShuffle must precede all scheduling";
   tie_shuffle_ = true;
   tie_shuffle_seed_ = seed;
-  for (const auto& sh : shards_) sh->queue.SetComparator(After());
+  queue_.SetComparator(After());
 }
 
-void Simulation::NoteFired(internal::Shard* sh, SimTime time, uint64_t key) {
+void Simulation::NoteFired(SimTime time, uint64_t key) {
   const uint64_t cls = key >> internal::kClassShift;
-  if (sh->events_fired > 1 && time == sh->last_fired_time &&
-      cls == sh->last_fired_class) {
-    ++sh->current_tie_group;
+  if (events_fired_ > 1 && time == last_fired_time_ &&
+      cls == last_fired_class_) {
+    ++current_tie_group_;
     // The first event of the group retroactively becomes tied too.
-    sh->ties.tied_events += sh->current_tie_group == 2 ? 2 : 1;
-    if (sh->current_tie_group == 2) ++sh->ties.groups;
-    if (sh->current_tie_group > sh->ties.max_group) {
-      sh->ties.max_group = sh->current_tie_group;
+    ties_.tied_events += current_tie_group_ == 2 ? 2 : 1;
+    if (current_tie_group_ == 2) ++ties_.groups;
+    if (current_tie_group_ > ties_.max_group) {
+      ties_.max_group = current_tie_group_;
     }
   } else {
-    sh->current_tie_group = 1;
-    sh->last_fired_time = time;
-    sh->last_fired_class = cls;
+    current_tie_group_ = 1;
+    last_fired_time_ = time;
+    last_fired_class_ = cls;
   }
 }
 
@@ -350,64 +323,25 @@ void Simulation::CheckDelay(SimTime delay) const {
   DMR_CHECK_GE(delay, 0.0) << "negative delay " << delay;
 }
 
-// The arena hand-out seam: the sentinel verifies the caller owns the shard
-// whose arena it is about to allocate from.
-Arena* Simulation::ShardArena(int shard) DMR_CROSS_SHARD_OK {
-  DMR_CHECK_GE(shard, 0);
-  DMR_CHECK_LT(shard, static_cast<int>(shards_.size()));
-  sentinel_.Check(static_cast<std::size_t>(shard), "ShardArena");
-  return &shards_[static_cast<std::size_t>(shard)]->arena;
+uint64_t Simulation::NextKey(SimTime when, EventClass cls) {
+  DMR_CHECK_GE(when, now_) << "scheduling into the past";
+  DMR_CHECK_LT(next_seq_, uint64_t{1} << internal::kClassShift)
+      << "sequence overflow";
+  return (static_cast<uint64_t>(cls) << internal::kClassShift) | next_seq_++;
 }
 
-EventHandle Simulation::ScheduleLocal(int shard, SimTime when, EventClass cls,
-                                      Callback fn) DMR_CROSS_SHARD_OK {
-  sentinel_.Check(static_cast<std::size_t>(shard), "ScheduleLocal");
-  internal::Shard* sh = shards_[static_cast<std::size_t>(shard)].get();
-  const SimTime floor_now = parallel_phase_ ? sh->now : now_;
-  DMR_CHECK_GE(when, floor_now) << "scheduling into the past";
-  DMR_CHECK_LT(sh->next_seq, uint64_t{1} << internal::kSeqBits)
-      << "sequence overflow";
-  internal::EventSlot* slot = sh->pool->Acquire();
+EventHandle Simulation::Enqueue(SimTime when, EventClass cls, Callback fn) {
+  const uint64_t key = NextKey(when, cls);
+  internal::EventSlot* slot = pool_->Acquire();
   slot->owner = this;
-  slot->shard = static_cast<uint32_t>(shard);
   internal::SlotAddRef(slot);  // the queue's reference
-  const uint64_t key =
-      (static_cast<uint64_t>(cls) << internal::kClassShift) |
-      (static_cast<uint64_t>(shard) << internal::kSeqBits) | sh->next_seq++;
-  sh->queue.Push(internal::Event{when, key, std::move(fn), slot});
+  queue_.Push(internal::Event{when, key, std::move(fn), slot});
   return EventHandle(slot);
 }
 
-void Simulation::ScheduleLocalDetached(int shard, SimTime when,
-                                       EventClass cls,
-                                       Callback fn) DMR_CROSS_SHARD_OK {
-  sentinel_.Check(static_cast<std::size_t>(shard), "ScheduleLocalDetached");
-  internal::Shard* sh = shards_[static_cast<std::size_t>(shard)].get();
-  const SimTime floor_now = parallel_phase_ ? sh->now : now_;
-  DMR_CHECK_GE(when, floor_now) << "scheduling into the past";
-  DMR_CHECK_LT(sh->next_seq, uint64_t{1} << internal::kSeqBits)
-      << "sequence overflow";
-  const uint64_t key =
-      (static_cast<uint64_t>(cls) << internal::kClassShift) |
-      (static_cast<uint64_t>(shard) << internal::kSeqBits) | sh->next_seq++;
-  sh->queue.Push(internal::Event{when, key, std::move(fn), nullptr});
-}
-
-EventHandle Simulation::StageRemote(int target, SimTime when, EventClass cls,
-                                    Callback fn) DMR_CROSS_SHARD_OK {
-  DMR_CHECK_GE(target, 0);
-  DMR_CHECK_LT(target, static_cast<int>(shards_.size()));
-  DMR_CHECK_GE(when, epoch_end_)
-      << "cross-shard schedule inside the lookahead window";
-  const int source = CurrentShardIndex();
-  // The write below goes into the TARGET's inbox, but the inbox column is
-  // the source's: inbox[source] is only ever written by the source's
-  // worker, so ownership of the caller's own shard is the invariant.
-  sentinel_.Check(static_cast<std::size_t>(source), "StageRemote");
-  shards_[static_cast<std::size_t>(target)]
-      ->inbox[static_cast<std::size_t>(source)]
-      .push_back(internal::StagedEvent{when, cls, std::move(fn)});
-  return EventHandle();  // cross-shard events cannot be cancelled
+void Simulation::EnqueueDetached(SimTime when, EventClass cls, Callback fn) {
+  const uint64_t key = NextKey(when, cls);
+  queue_.Push(internal::Event{when, key, std::move(fn), nullptr});
 }
 
 void Simulation::ReleaseQueueRef(internal::EventSlot* slot) {
@@ -415,23 +349,10 @@ void Simulation::ReleaseQueueRef(internal::EventSlot* slot) {
   internal::SlotRelease(slot);
 }
 
-void Simulation::OnCancelled(internal::EventSlot* slot) DMR_CROSS_SHARD_OK {
-  sentinel_.Check(slot->shard, "Cancel");
-  internal::Shard* sh = shards_[slot->shard].get();
-  if (parallel_phase_) {
-    // A shard's slots (and handles) must stay on its worker thread; a
-    // cross-shard Cancel would race the target queue.
-    DMR_CHECK(internal::t_shard.sim == this &&
-              internal::t_shard.shard == static_cast<int>(slot->shard))
-        << "cross-shard Cancel during a parallel phase";
-  }
-  ++sh->cancelled_in_queue;
-  MaybePurgeCancelled(sh);
-}
-
-void Simulation::MaybePurgeCancelled(internal::Shard* sh) {
+void Simulation::OnCancelled() {
   static constexpr std::size_t kMinCancelled = 64;
-  if (sh->cancelled_in_queue < kMinCancelled) return;
+  ++cancelled_in_queue_;
+  if (cancelled_in_queue_ < kMinCancelled) return;
   // Binary heap: sweep once tombstones reach 25% of the queue (every
   // skipped tombstone costs a full O(log n) pop). Calendar: wait for 50% —
   // tombstones in the near-future tier are compacted for free when their
@@ -439,39 +360,23 @@ void Simulation::MaybePurgeCancelled(internal::Shard* sh) {
   // plus overflow) pays off only at higher densities. BM_SimCancelPurge
   // covers both boundaries.
   const std::size_t mult =
-      sh->queue.kind() == QueueKind::kBinaryHeap ? 4 : 2;
-  if (sh->cancelled_in_queue * mult < sh->queue.size()) return;
-  sh->queue.PurgeCancelled();
+      queue_.kind() == QueueKind::kBinaryHeap ? 4 : 2;
+  if (cancelled_in_queue_ * mult < queue_.size()) return;
+  queue_.PurgeCancelled();
 }
 
-// Serial engine: one thread owns every shard, by definition of serial.
-bool Simulation::Step(SimTime limit) DMR_BARRIER_PHASE {
-  internal::Shard* best = nullptr;
-  int best_idx = 0;
-  internal::Event* best_ev = nullptr;
-  const internal::EventAfter after = After();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    internal::Event* ev = shards_[i]->queue.PeekLive();
-    if (ev == nullptr) continue;
-    if (best_ev == nullptr || after(*best_ev, *ev)) {
-      best = shards_[i].get();
-      best_idx = static_cast<int>(i);
-      best_ev = ev;
-    }
-  }
-  if (best == nullptr || best_ev->time > limit) return false;
-  internal::Event ev = best->queue.PopLive();
+bool Simulation::Step(SimTime limit) {
+  internal::Event* next = queue_.PeekLive();
+  if (next == nullptr || next->time > limit) return false;
+  internal::Event ev = queue_.PopLive();
   now_ = ev.time;
-  best->now = ev.time;
   if (ev.slot != nullptr) {
     ev.slot->fired = true;
     ReleaseQueueRef(ev.slot);
   }
-  ++best->events_fired;
-  NoteFired(best, ev.time, ev.key);
-  serial_current_shard_ = best_idx;
+  ++events_fired_;
+  NoteFired(ev.time, ev.key);
   ev.fn();
-  serial_current_shard_ = 0;
   return true;
 }
 
@@ -511,7 +416,7 @@ uint64_t Simulation::Run(uint64_t max_events) {
   return fired;
 }
 
-uint64_t Simulation::RunUntil(SimTime until) DMR_BARRIER_PHASE {
+uint64_t Simulation::RunUntil(SimTime until) {
   uint64_t fired = 0;
   if (prof::Enabled()) {
     static const prof::PhaseId kRunUntilPhase =
@@ -522,152 +427,7 @@ uint64_t Simulation::RunUntil(SimTime until) DMR_BARRIER_PHASE {
     while (Step(until)) ++fired;
   }
   if (now_ < until) now_ = until;
-  for (const auto& sh : shards_) {
-    if (sh->now < until) sh->now = until;
-  }
   return fired;
-}
-
-void Simulation::MergeStagedEvents() DMR_BARRIER_PHASE {
-  static const prof::PhaseId kMergePhase =
-      prof::RegisterPhase("sim", "merge_staged");
-  prof::ScopedTimer prof_frame(kMergePhase);
-  for (std::size_t target = 0; target < shards_.size(); ++target) {
-    internal::Shard* sh = shards_[target].get();
-    for (std::size_t source = 0; source < shards_.size(); ++source) {
-      for (internal::StagedEvent& staged : sh->inbox[source]) {
-        // Sequence numbers (and thus tie order) are assigned here, in
-        // deterministic (target, source, staging) order. Staged events
-        // never issued a handle, so they enqueue detached.
-        ScheduleLocalDetached(static_cast<int>(target), staged.time,
-                              staged.cls, std::move(staged.fn));
-      }
-      sh->inbox[source].clear();
-    }
-  }
-}
-
-uint64_t Simulation::RunParallel(int n_shards, SimTime until,
-                                 SimTime lookahead) DMR_BARRIER_PHASE {
-  DMR_CHECK(!parallel_phase_) << "RunParallel is not reentrant";
-  DMR_CHECK_EQ(n_shards, static_cast<int>(shards_.size()))
-      << "RunParallel(n) requires a prior ConfigureShards(n)";
-  DMR_CHECK_GT(lookahead, 0.0);
-  DMR_CHECK_GE(until, now_);
-  static const prof::PhaseId kRunParallelPhase =
-      prof::RegisterPhase("sim", "run_parallel");
-  prof::ScopedTimer prof_frame(kRunParallelPhase);
-  const uint64_t fired_before = events_fired();
-  if (n_shards == 1) {
-    // One shard has no cross-shard edges; the serial engine is the same
-    // computation without thread overhead.
-    return RunUntil(until);
-  }
-  for (const auto& sh : shards_) {
-    sh->inbox.clear();
-    sh->inbox.resize(shards_.size());
-  }
-  sentinel_.EnterParallel();
-  parallel_phase_ = true;
-  epoch_end_ = std::min(until, now_ + lookahead);
-  bool done = false;
-
-  // Runs on one worker thread while the rest are parked at the barrier, so
-  // it may touch every shard exclusively. It merges the staged cross-shard
-  // events, then either declares completion or opens the next epoch
-  // (skipping ahead over idle gaps — the next window starts at the
-  // earliest pending event).
-  // DMR_BARRIER_PHASE is restated on the lambda: sanction does not flow
-  // into lambda bodies (they may run on any worker thread), and this one
-  // really is barrier-phase — it runs while every other worker is parked.
-  std::function<void()> completion = [this, until, lookahead,
-                                      &done] DMR_BARRIER_PHASE {
-    sentinel_.OpenBarrier();
-    MergeStagedEvents();
-    SimTime tmin = std::numeric_limits<SimTime>::infinity();
-    for (const auto& sh : shards_) {
-      internal::Event* ev = sh->queue.PeekLive();
-      if (ev != nullptr) tmin = std::min(tmin, ev->time);
-    }
-    if (tmin > until) {
-      done = true;
-      now_ = until;
-      for (const auto& sh : shards_) sh->now = until;
-      sentinel_.CloseBarrier();
-      return;
-    }
-    const SimTime epoch_start = std::max(epoch_end_, tmin);
-    epoch_end_ = std::min(until, epoch_start + lookahead);
-    now_ = epoch_start;
-    for (const auto& sh : shards_) {
-      if (sh->now < epoch_start) sh->now = epoch_start;
-    }
-    sentinel_.CloseBarrier();
-  };
-  std::barrier<BarrierCompletion> barrier(n_shards,
-                                          BarrierCompletion{&completion});
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(n_shards));
-  for (int i = 0; i < n_shards; ++i) {
-    workers.emplace_back([this, i, until, &barrier, &done] {
-      internal::t_shard = internal::TlsShard{this, i};
-      // First act: claim this shard for this thread. The statement-level
-      // annotation sanctions the one direct shards_ read a worker makes —
-      // of its own entry.
-      sentinel_.BindOwner(static_cast<std::size_t>(i));
-      DMR_CROSS_SHARD_OK internal::Shard* sh =
-          shards_[static_cast<std::size_t>(i)].get();
-      // Worker frames are thread-local: each worker opens its own
-      // sim.parallel_worker root with per-epoch dispatch and barrier-wait
-      // children; Collect() merges the workers by name. `profiled` is
-      // latched once so Begin/End stay paired even if profiling is toggled
-      // mid-run from another thread.
-      static const prof::PhaseId kWorkerPhase =
-          prof::RegisterPhase("sim", "parallel_worker");
-      static const prof::PhaseId kEpochPhase =
-          prof::RegisterPhase("sim", "parallel_dispatch");
-      static const prof::PhaseId kBarrierPhase =
-          prof::RegisterPhase("sim", "barrier_wait");
-      const bool profiled = prof::Enabled();
-      if (profiled) prof::BeginPhase(kWorkerPhase);
-      for (;;) {
-        const SimTime bound = epoch_end_;
-        // The final window is inclusive so events at exactly `until` fire,
-        // matching RunUntil's boundary semantics.
-        const bool final_window = bound >= until;
-        if (profiled) prof::BeginPhase(kEpochPhase);
-        uint64_t fired_in_epoch = 0;
-        for (;;) {
-          internal::Event* next = sh->queue.PeekLive();
-          if (next == nullptr) break;
-          if (final_window ? next->time > until : next->time >= bound) break;
-          internal::Event ev = sh->queue.PopLive();
-          sh->now = ev.time;
-          if (ev.slot != nullptr) {
-            ev.slot->fired = true;
-            ReleaseQueueRef(ev.slot);
-          }
-          ++sh->events_fired;
-          ++fired_in_epoch;
-          NoteFired(sh, ev.time, ev.key);
-          ev.fn();
-        }
-        if (profiled) prof::EndPhase(fired_in_epoch);
-        if (profiled) prof::BeginPhase(kBarrierPhase);
-        barrier.arrive_and_wait();
-        if (profiled) prof::EndPhase(1);
-        if (done) break;
-      }
-      if (profiled) prof::EndPhase(1);
-      internal::t_shard = internal::TlsShard{};
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  parallel_phase_ = false;
-  sentinel_.ExitParallel();
-  epoch_end_ = 0.0;
-  return events_fired() - fired_before;
 }
 
 }  // namespace dmr::sim

@@ -1,7 +1,6 @@
 #ifndef DMR_SIM_SIMULATION_H_
 #define DMR_SIM_SIMULATION_H_
 
-#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "common/units.h"
 #include "prof/prof.h"
-#include "sim/affinity.h"
 #include "sim/arena.h"
 
 namespace dmr::sim {
@@ -47,26 +45,13 @@ namespace internal {
 /// live inside the priority-queue storage, and every extra byte here is
 /// moved on each sift.
 ///
-/// The spill allocation is drawn from the owning shard's Arena when one is
-/// supplied (the Simulation hot path), falling back to operator new for
-/// arena-less construction — e.g. cross-shard staged events, whose spill
-/// box is freed on the target shard's thread and therefore must not touch
-/// the source shard's single-threaded arena. That nullptr-arena path is
-/// the sanctioned spill-box exemption of the shard-ownership contract
-/// (sim/affinity.h), which is why the class body carries the annotation:
-/// the box remembers which arena (if any) it came from and frees itself
-/// correctly wherever it is destroyed.
-class DMR_CROSS_SHARD_OK EventCallback {
+/// The spill allocation is drawn from the owning Simulation's Arena; the
+/// box remembers that arena so it frees itself wherever it is destroyed.
+class EventCallback {
  public:
   static constexpr std::size_t kInlineBytes = 24;
 
   EventCallback() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventCallback>>>
-  EventCallback(F&& f)  // NOLINT(google-explicit-constructor)
-      : EventCallback(static_cast<Arena*>(nullptr), std::forward<F>(f)) {}
 
   template <typename F,
             typename = std::enable_if_t<
@@ -90,9 +75,8 @@ class DMR_CROSS_SHARD_OK EventCallback {
         Fn fn;
       };
       prof::AccountAlloc(prof::AllocSite::kCallbackSpill, 1, sizeof(Box));
-      void* mem = arena != nullptr ? arena->Allocate(sizeof(Box))
-                                   : ::operator new(sizeof(Box));
-      storage_.heap = ::new (mem) Box{arena, Fn(std::forward<F>(f))};
+      storage_.heap = ::new (arena->Allocate(sizeof(Box)))
+          Box{arena, Fn(std::forward<F>(f))};
       invoke_ = [](EventCallback* self) {
         static_cast<Box*>(self->storage_.heap)->fn();
       };
@@ -100,11 +84,7 @@ class DMR_CROSS_SHARD_OK EventCallback {
         Box* box = static_cast<Box*>(self->storage_.heap);
         Arena* owner = box->arena;
         box->~Box();
-        if (owner != nullptr) {
-          owner->Deallocate(box, sizeof(Box));
-        } else {
-          ::operator delete(box);
-        }
+        owner->Deallocate(box, sizeof(Box));
       };
     } else {
       // Over-aligned callables bypass the 16-byte-aligned arena entirely.
@@ -170,16 +150,9 @@ class EventSlotPool;
 /// ref-counted: the event queue holds one reference while the event is
 /// pending, and each live EventHandle holds one. Refcounts are NOT atomic —
 /// a Simulation and all handles derived from it must stay on one thread
-/// (the determinism contract; see DESIGN.md). Under RunParallel each shard
-/// has its own pool, and a shard's slots (and the handles wrapping them)
-/// must stay on that shard's worker thread for the duration of the
-/// parallel phase.
+/// (the determinism contract; see DESIGN.md).
 struct EventSlot {
   uint32_t refs = 0;
-  /// Index of the shard whose queue holds the event (0 for the default
-  /// single-shard configuration); routes Cancel() bookkeeping to the right
-  /// per-shard counters.
-  uint32_t shard = 0;
   bool cancelled = false;
   bool fired = false;
   /// Owning simulation while the event is queued; null once the event fired,
@@ -193,11 +166,11 @@ struct EventSlot {
 /// \brief A chunked free-list allocator for EventSlots.
 ///
 /// The pool itself is ref-counted: one reference is held by the owning
-/// shard and one by every live slot, so slot memory stays valid even when
-/// an EventHandle outlives the Simulation it came from. Shard-affine: the
-/// refcount is deliberately unsynchronized, so every Acquire/Release must
-/// come from the owning shard's thread.
-class DMR_SHARD_AFFINE EventSlotPool {
+/// Simulation and one by every live slot, so slot memory stays valid even
+/// when an EventHandle outlives the Simulation it came from. The refcount
+/// is deliberately unsynchronized, so every Acquire/Release must come from
+/// the owning Simulation's thread.
+class EventSlotPool {
  public:
   /// Creates a pool holding one owner reference (dropped via DropOwnerRef).
   static EventSlotPool* Create() { return new EventSlotPool(); }
@@ -210,7 +183,6 @@ class DMR_SHARD_AFFINE EventSlotPool {
     free_ = slot->next_free;
     ++refs_;
     slot->refs = 0;
-    slot->shard = 0;
     slot->cancelled = false;
     slot->fired = false;
     slot->owner = nullptr;
@@ -379,21 +351,17 @@ namespace internal {
 
 /// Bit layout of an event's packed tie-break key, compared as one u64:
 ///
-///   [class: 8][shard: 12][seq: 44]
+///   [class: 8][seq: 56]
 ///
 /// Class sits on top so same-timestamp events fire in EventClass order;
-/// the shard index below it keeps keys unique across per-shard sequence
-/// counters; the insertion sequence fills the low bits. A single-shard
-/// simulation writes zero shard bits, making its keys numerically
-/// identical to the pre-shard layout (class << 56 | seq) — which keeps
-/// shuffle-seed digests stable across the refactor.
-inline constexpr int kSeqBits = 44;
-inline constexpr int kShardBits = 12;
-inline constexpr int kClassShift = kSeqBits + kShardBits;
+/// the insertion sequence fills the low bits. The tie-shuffle hash is taken
+/// over this exact value, so changing the layout would change every
+/// shuffled firing order (tie_race_test pins them).
+inline constexpr int kClassShift = 56;
 
 struct Event {
   SimTime time;
-  /// Packed tie-break key; see kSeqBits above.
+  /// Packed tie-break key; see kClassShift above.
   uint64_t key;
   EventCallback fn;
   /// Queue's reference, released explicitly; null for detached events
@@ -428,11 +396,11 @@ struct EventAfter {
 ///
 /// Cancelled events are compacted out of a bucket when it is sorted
 /// (cheap, en route) and from the whole structure by PurgeCancelled()
-/// (the batched path driven by Simulation::MaybePurgeCancelled).
+/// (the batched path driven by Simulation::OnCancelled).
 class EventQueue {
  public:
-  /// `cancelled_counter` is the owning shard's lazily-cancelled count; the
-  /// queue decrements it whenever it releases a cancelled event.
+  /// `cancelled_counter` is the owning Simulation's lazily-cancelled count;
+  /// the queue decrements it whenever it releases a cancelled event.
   void Init(QueueKind kind, double bucket_width, int num_buckets,
             EventAfter after, std::size_t* cancelled_counter);
 
@@ -518,66 +486,6 @@ class EventQueue {
   std::size_t size_ = 0;
 };
 
-/// \brief A staged cross-shard event, parked in the target shard's inbox
-/// until the next barrier epoch assigns it a slot and sequence number.
-struct StagedEvent {
-  SimTime time;
-  EventClass cls;
-  EventCallback fn;
-};
-
-/// \brief Per-shard simulation state: queue, allocators, clocks, counters.
-///
-/// A default Simulation has exactly one shard; ConfigureShards(n) splits
-/// the event space for RunParallel. Everything an event touches at fire
-/// time lives here, so a shard worker thread runs without sharing mutable
-/// state (pools and arenas are deliberately per-shard for that reason) —
-/// the DMR_SHARD_AFFINE annotation makes that ownership machine-checkable
-/// (sim/affinity.h).
-struct DMR_SHARD_AFFINE Shard {
-  Shard() : pool(EventSlotPool::Create()) {}
-  ~Shard() {
-    queue.Drain([](Event& ev) {
-      if (ev.slot == nullptr) return;  // detached: nothing to release
-      ev.slot->cancelled = true;
-      ev.slot->owner = nullptr;
-      SlotRelease(ev.slot);
-    });
-    pool->DropOwnerRef();
-  }
-  Shard(const Shard&) = delete;
-  Shard& operator=(const Shard&) = delete;
-
-  /// Declared before `queue`: draining the queue destroys callbacks whose
-  /// spill boxes deallocate into this arena.
-  Arena arena;
-  EventSlotPool* pool;
-  EventQueue queue;
-  uint64_t next_seq = 0;
-  SimTime now = 0.0;
-  uint64_t events_fired = 0;
-  std::size_t cancelled_in_queue = 0;
-
-  // Tie-race detector state (merged across shards by tie_stats()).
-  TieStats ties;
-  SimTime last_fired_time = 0.0;
-  uint64_t last_fired_class = 0;
-  uint64_t current_tie_group = 0;
-
-  /// inbox[s] holds events staged by shard s for this shard during the
-  /// current parallel epoch; only shard s's worker writes it, and the
-  /// barrier completion merges all inboxes in (target, source) order.
-  std::vector<std::vector<StagedEvent>> inbox;
-};
-
-/// Thread-local shard binding, set by RunParallel workers so Now() and
-/// default-shard Schedule calls resolve against the firing shard.
-struct TlsShard {
-  const Simulation* sim = nullptr;
-  int shard = 0;
-};
-extern thread_local TlsShard t_shard;
-
 }  // namespace internal
 
 /// \brief A deterministic discrete-event simulation kernel.
@@ -590,13 +498,6 @@ extern thread_local TlsShard t_shard;
 /// handle operations must happen on one thread. Independent Simulations on
 /// different threads (one per experiment cell) are fully isolated — this is
 /// the determinism contract the parallel experiment harness relies on.
-///
-/// RunParallel is the one sanctioned exception: after ConfigureShards(n),
-/// it drives the n shard queues from n worker threads under a conservative
-/// lookahead bound, with all cross-shard interaction funneled through
-/// barrier epochs (see DESIGN.md §14). Serial Run()/RunUntil() over the
-/// same sharded event program produces bit-identical per-shard results and
-/// remains the oracle.
 class Simulation {
  public:
   using Callback = internal::EventCallback;
@@ -608,15 +509,8 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  /// Current virtual time in seconds. Inside a RunParallel worker this is
-  /// the firing shard's clock; otherwise the global clock (cross-shard OK:
-  /// the worker only ever reads its own thread-bound shard's clock).
-  SimTime Now() const DMR_CROSS_SHARD_OK {
-    if (parallel_phase_ && internal::t_shard.sim == this) {
-      return shards_[internal::t_shard.shard]->now;
-    }
-    return now_;
-  }
+  /// Current virtual time in seconds.
+  SimTime Now() const { return now_; }
 
   /// Schedules `fn` to run `delay` seconds from now (delay >= 0), in the
   /// kDefault phase of that instant.
@@ -631,8 +525,7 @@ class Simulation {
     requires std::invocable<std::decay_t<F>&>
   EventHandle Schedule(SimTime delay, EventClass cls, F&& fn) {
     CheckDelay(delay);
-    return ScheduleOnShard(CurrentShardIndex(), Now() + delay, cls,
-                           std::forward<F>(fn));
+    return ScheduleAt(now_ + delay, cls, std::forward<F>(fn));
   }
 
   /// Schedules `fn` at absolute virtual time `when` (>= Now()).
@@ -646,27 +539,7 @@ class Simulation {
   template <typename F>
     requires std::invocable<std::decay_t<F>&>
   EventHandle ScheduleAt(SimTime when, EventClass cls, F&& fn) {
-    return ScheduleOnShard(CurrentShardIndex(), when, cls,
-                           std::forward<F>(fn));
-  }
-
-  /// Schedules onto an explicit shard. Outside a parallel phase this is
-  /// ordinary scheduling (the serial engine interleaves all shard queues
-  /// into one total order). Inside a parallel phase, scheduling onto
-  /// another shard stages the event for delivery at the next barrier and
-  /// requires `when` to be at or past the current epoch end (the
-  /// conservative-lookahead contract); staged events return an empty
-  /// handle, as cross-shard cancellation is not supported.
-  template <typename F>
-    requires std::invocable<std::decay_t<F>&>
-  EventHandle ScheduleOnShard(int shard, SimTime when, EventClass cls,
-                              F&& fn) DMR_CROSS_SHARD_OK {
-    if (parallel_phase_ && shard != CurrentShardIndex()) {
-      return StageRemote(shard, when, cls,
-                         Callback(nullptr, std::forward<F>(fn)));
-    }
-    return ScheduleLocal(shard, when, cls,
-                         Callback(ShardArena(shard), std::forward<F>(fn)));
+    return Enqueue(when, cls, Callback(&arena_, std::forward<F>(fn)));
   }
 
   /// Fire-and-forget variants: identical ordering semantics, but no
@@ -679,27 +552,13 @@ class Simulation {
     requires std::invocable<std::decay_t<F>&>
   void ScheduleDetached(SimTime delay, EventClass cls, F&& fn) {
     CheckDelay(delay);
-    ScheduleOnShardDetached(CurrentShardIndex(), Now() + delay, cls,
-                            std::forward<F>(fn));
+    ScheduleDetachedAt(now_ + delay, cls, std::forward<F>(fn));
   }
 
   template <typename F>
     requires std::invocable<std::decay_t<F>&>
   void ScheduleDetachedAt(SimTime when, EventClass cls, F&& fn) {
-    ScheduleOnShardDetached(CurrentShardIndex(), when, cls,
-                            std::forward<F>(fn));
-  }
-
-  template <typename F>
-    requires std::invocable<std::decay_t<F>&>
-  void ScheduleOnShardDetached(int shard, SimTime when, EventClass cls,
-                               F&& fn) DMR_CROSS_SHARD_OK {
-    if (parallel_phase_ && shard != CurrentShardIndex()) {
-      StageRemote(shard, when, cls, Callback(nullptr, std::forward<F>(fn)));
-      return;
-    }
-    ScheduleLocalDetached(shard, when, cls,
-                          Callback(ShardArena(shard), std::forward<F>(fn)));
+    EnqueueDetached(when, cls, Callback(&arena_, std::forward<F>(fn)));
   }
 
   /// Runs until the event queue is empty or `max_events` fired.
@@ -711,38 +570,10 @@ class Simulation {
   /// empties earlier.
   uint64_t RunUntil(SimTime until);
 
-  /// Splits the event space into `n` shard queues (1 <= n < 4096). Must be
-  /// called before anything is scheduled. Events inherit the shard of the
-  /// callback that schedules them (shard 0 outside callbacks); use
-  /// ScheduleOnShard to cross. Serial Run()/RunUntil() interleave all
-  /// shards into one deterministic total order.
-  void ConfigureShards(int n);
-
-  int num_shards() const DMR_CROSS_SHARD_OK {
-    return static_cast<int>(shards_.size());  // fixed during an epoch
-  }
-
-  /// Runs events up to virtual time `until` on `n_shards` worker threads
-  /// (one per shard; `n_shards` must equal num_shards()), synchronizing at
-  /// conservative-lookahead barrier epochs of `lookahead` virtual seconds
-  /// (default: the 3 s cluster heartbeat interval, the natural minimum
-  /// cross-node reaction delay). During an epoch each worker fires only
-  /// its own shard's events; cross-shard schedules must target times at or
-  /// beyond the epoch end and are merged deterministically at the barrier.
-  /// Per-shard state (clocks, counters, tie stats, firing order) is
-  /// bit-identical to a serial RunUntil(until) of the same program.
-  /// Returns the number of events fired.
-  uint64_t RunParallel(int n_shards, SimTime until, SimTime lookahead = 3.0);
-
   /// Number of events currently queued, including lazily-cancelled
   /// placeholders not yet purged. Use live_size() to reason about whether
-  /// anything can still fire. Cross-shard OK as a probe: callers during a
-  /// parallel phase get a racy-by-design instantaneous sum.
-  std::size_t queue_size() const DMR_CROSS_SHARD_OK {
-    std::size_t total = 0;
-    for (const auto& sh : shards_) total += sh->queue.size();
-    return total;
-  }
+  /// anything can still fire.
+  std::size_t queue_size() const { return queue_.size(); }
 
   /// Number of queued events that can still fire (queue_size() minus the
   /// cancelled placeholders). This is the quantity to DMR_CHECK when
@@ -752,18 +583,10 @@ class Simulation {
     return queue_size() - cancelled_in_queue();
   }
 
-  uint64_t events_fired() const DMR_CROSS_SHARD_OK {
-    uint64_t total = 0;
-    for (const auto& sh : shards_) total += sh->events_fired;
-    return total;
-  }
+  uint64_t events_fired() const { return events_fired_; }
 
   /// Lazily-cancelled events still occupying the queue.
-  std::size_t cancelled_in_queue() const DMR_CROSS_SHARD_OK {
-    std::size_t total = 0;
-    for (const auto& sh : shards_) total += sh->cancelled_in_queue;
-    return total;
-  }
+  std::size_t cancelled_in_queue() const { return cancelled_in_queue_; }
 
   /// Replaces insertion-order tie-breaking with a seeded pseudo-random
   /// permutation of it: among events at one timestamp, firing order becomes
@@ -775,43 +598,17 @@ class Simulation {
   bool tie_shuffle_enabled() const { return tie_shuffle_; }
   uint64_t tie_shuffle_seed() const { return tie_shuffle_seed_; }
 
-  /// Tie-race detector counters, merged across shards (maintained
-  /// unconditionally; the cost is one timestamp compare per fired event).
-  TieStats tie_stats() const DMR_CROSS_SHARD_OK {
-    TieStats total;
-    for (const auto& sh : shards_) {
-      total.groups += sh->ties.groups;
-      total.tied_events += sh->ties.tied_events;
-      total.max_group = std::max(total.max_group, sh->ties.max_group);
-    }
-    return total;
-  }
+  /// Tie-race detector counters (maintained unconditionally; the cost is
+  /// one timestamp compare per fired event).
+  TieStats tie_stats() const { return ties_; }
 
-  /// The shard-0 arena: scratch allocator for simulation-lifetime objects
-  /// owned by single-threaded consumers (task attempts, completion
-  /// counters). Everything allocated from it must be released before the
-  /// Simulation is destroyed. Cross-shard OK only because its callers are
-  /// serial-phase by contract; the affinity sentinel still checks shard 0
-  /// ownership dynamically through ShardArena.
-  Arena* arena() DMR_CROSS_SHARD_OK { return &shards_[0]->arena; }
+  /// Scratch allocator for simulation-lifetime objects owned by
+  /// single-threaded consumers (task attempts, completion counters).
+  /// Everything allocated from it must be released before the Simulation
+  /// is destroyed.
+  Arena* arena() { return &arena_; }
 
   const SimulationOptions& options() const { return options_; }
-
-  /// Toggles the shard-affinity sentinel (sim/affinity.h) for this
-  /// simulation. The sentinel is observation-only — enabling it cannot
-  /// change any output — and defaults to AffinitySentinel::DefaultEnabled()
-  /// (env DMR_SHARD_SENTINEL, else -DDMR_SHARD_SENTINEL_DEFAULT, which the
-  /// tsan/asan presets set).
-  void EnableAffinitySentinel(bool on) { sentinel_.set_enabled(on); }
-  bool affinity_sentinel_enabled() const { return sentinel_.enabled(); }
-
-  /// Asserts the calling thread may touch `shard` right now (no-op unless
-  /// a parallel phase is live and the sentinel is enabled). Components
-  /// holding shard-affine state of their own call this from their mutation
-  /// paths; it is also the hook the sentinel death test drives.
-  void CheckShardAccess(int shard) const {
-    sentinel_.Check(static_cast<std::size_t>(shard), "CheckShardAccess");
-  }
 
   /// Process-wide default applied to every subsequently constructed
   /// Simulation (the `--shuffle-ties=SEED` bench flag sets this once at
@@ -830,70 +627,55 @@ class Simulation {
  private:
   friend class EventHandle;
 
-  /// The shard new events land on: the firing shard inside a callback
-  /// (worker-thread-local during parallel phases), shard 0 otherwise.
-  int CurrentShardIndex() const {
-    if (parallel_phase_ && internal::t_shard.sim == this) {
-      return internal::t_shard.shard;
-    }
-    return serial_current_shard_;
-  }
-
   internal::EventAfter After() const {
     return internal::EventAfter{tie_shuffle_, tie_shuffle_seed_};
   }
 
   void CheckDelay(SimTime delay) const;
-  Arena* ShardArena(int shard);
-  EventHandle ScheduleLocal(int shard, SimTime when, EventClass cls,
-                            Callback fn);
-  void ScheduleLocalDetached(int shard, SimTime when, EventClass cls,
-                             Callback fn);
-  EventHandle StageRemote(int target, SimTime when, EventClass cls,
-                          Callback fn);
 
-  /// Pops and fires the next non-cancelled event across all shard queues
-  /// (serial engine); returns false if none remains at or before `limit`.
+  /// Checks `when` is not in the past and packs the tie-break key of the
+  /// next event scheduled with class `cls`.
+  uint64_t NextKey(SimTime when, EventClass cls);
+  EventHandle Enqueue(SimTime when, EventClass cls, Callback fn);
+  void EnqueueDetached(SimTime when, EventClass cls, Callback fn);
+
+  /// Pops and fires the next non-cancelled event; returns false if none
+  /// remains at or before `limit`.
   bool Step(SimTime limit);
 
-  /// The profiled serial dispatch loop: identical Step sequence to
-  /// Run/RunUntil, with the prof frame's clock reads amortized over
-  /// ~1k-event chunks (sim.dispatch). Returns the number fired.
+  /// The profiled dispatch loop: identical Step sequence to Run/RunUntil,
+  /// with the prof frame's clock reads amortized over ~1k-event chunks
+  /// (sim.dispatch). Returns the number fired.
   uint64_t StepChunkedProf(SimTime limit, uint64_t max_events);
 
-  /// Called by EventHandle::Cancel for a still-queued event.
-  void OnCancelled(internal::EventSlot* slot);
-
-  /// Sweeps the shard's queue once cancelled events exceed a kind-specific
-  /// share of it (see simulation.cc for the thresholds and rationale).
-  void MaybePurgeCancelled(internal::Shard* sh);
+  /// Called by EventHandle::Cancel for a still-queued event; sweeps the
+  /// queue once cancelled events exceed a kind-specific share of it.
+  void OnCancelled();
 
   /// Drops the queue's reference on a slot that is leaving the queue.
   void ReleaseQueueRef(internal::EventSlot* slot);
 
-  /// Tie-race detector bookkeeping for one fired event on `sh`.
-  void NoteFired(internal::Shard* sh, SimTime time, uint64_t key);
-
-  /// Barrier-epoch completion: drains every shard's staging inboxes into
-  /// the target queues in deterministic (target, source, stage) order.
-  void MergeStagedEvents();
-
-  void AddShard();
+  /// Tie-race detector bookkeeping for one fired event.
+  void NoteFired(SimTime time, uint64_t key);
 
   SimulationOptions options_;
-  SimTime now_ = 0.0;
   bool tie_shuffle_ = false;
   uint64_t tie_shuffle_seed_ = 0;
-  /// Shard receiving default-scheduled events while the serial engine runs
-  /// a callback (events inherit the firing event's shard).
-  int serial_current_shard_ = 0;
-  bool parallel_phase_ = false;
-  /// End of the current parallel epoch; cross-shard schedules must target
-  /// times at or past it. Written only inside barrier completions.
-  SimTime epoch_end_ = 0.0;
-  DMR_SHARD_AFFINE std::vector<std::unique_ptr<internal::Shard>> shards_;
-  /// Run-time enforcement of the same contract the annotations document.
-  AffinitySentinel sentinel_;
+  /// Declared before `queue_`: draining the queue destroys callbacks whose
+  /// spill boxes deallocate into this arena.
+  Arena arena_;
+  internal::EventSlotPool* pool_;
+  internal::EventQueue queue_;
+  uint64_t next_seq_ = 0;
+  SimTime now_ = 0.0;
+  uint64_t events_fired_ = 0;
+  std::size_t cancelled_in_queue_ = 0;
+
+  // Tie-race detector state.
+  TieStats ties_;
+  SimTime last_fired_time_ = 0.0;
+  uint64_t last_fired_class_ = 0;
+  uint64_t current_tie_group_ = 0;
 };
 
 }  // namespace dmr::sim

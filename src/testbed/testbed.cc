@@ -80,9 +80,7 @@ void Testbed::SetupTimeline() {
                obs::Timeline::SeriesKind::kCounter,
                [this] { return static_cast<double>(sim_.events_fired()); });
   tl->AddProbe("sim.arena_bytes", "bytes", obs::Timeline::SeriesKind::kGauge,
-               // Cross-shard OK: the probe fires from the serial engine's
-               // telemetry phase and only reads a counter.
-               [this] DMR_CROSS_SHARD_OK {
+               [this] {
                  return static_cast<double>(sim_.arena()->bytes_reserved());
                });
   tl->AddProbe("cluster.occupied_map_slots", "slots",

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace dmr::dynamic {
 namespace {
@@ -103,6 +104,34 @@ TEST(GrabLimitExprTest, SyntaxErrors) {
   EXPECT_TRUE(GrabLimitExpr::Parse("1 2").status().IsParseError());
   EXPECT_TRUE(GrabLimitExpr::Parse("1..5").status().IsParseError());
   EXPECT_TRUE(GrabLimitExpr::Parse("@").status().IsParseError());
+}
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+TEST(GrabLimitExprTest, DeepInputIsAParseErrorNotACrash) {
+  // Policy files are outside input: nesting and tree height are capped, so
+  // none of these may overflow the stack (in parsing, evaluation or the
+  // tree's destructor), while ordinary nesting still parses.
+  EXPECT_DOUBLE_EQ(Eval(Repeat("(", 100) + "AS" + Repeat(")", 100), 7, 9),
+                   7.0);
+  EXPECT_DOUBLE_EQ(Eval(Repeat("-", 100) + "3", 0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(Eval("1" + Repeat("+1", 199), 0, 0), 200.0);
+  const std::string nested_parens =
+      Repeat("(", 10000) + "1" + Repeat(")", 10000);
+  const std::string leading_minus = Repeat("-", 50000) + "1";
+  const std::string flat_sum = "1" + Repeat("+1", 199999);
+  for (const std::string* text : {&nested_parens, &leading_minus, &flat_sum}) {
+    auto expr = GrabLimitExpr::Parse(*text);
+    EXPECT_TRUE(expr.status().IsParseError()) << text->substr(0, 20);
+    EXPECT_NE(expr.status().ToString().find("nests deeper"),
+              std::string::npos)
+        << expr.status().ToString();
+  }
 }
 
 }  // namespace

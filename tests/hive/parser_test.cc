@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hive/lexer.h"
 
 namespace dmr::hive {
@@ -151,6 +153,35 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseStatement("SELECT a FROM t WHERE a LIKE 5").ok());
   EXPECT_FALSE(ParseStatement("SELECT a FROM t WHERE a BETWEEN 1").ok());
   EXPECT_FALSE(ParseStatement("").ok());
+}
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+TEST(ParserTest, DeepWhereIsAParseErrorNotACrash) {
+  // Queries are outside input: nesting and tree height are capped, so none
+  // of these may overflow the stack (in parsing, or in any later recursive
+  // walk or destructor of the tree), while ordinary nesting still parses.
+  const std::string prefix = "SELECT a FROM t WHERE ";
+  MustSelect(prefix + Repeat("(", 100) + "a = 1" + Repeat(")", 100));
+  MustSelect(prefix + Repeat("NOT ", 100) + "a = 1");
+  MustSelect(prefix + "a = 1" + Repeat(" AND a = 1", 199));
+  MustSelect(prefix + "a = " + Repeat("- ", 100) + "1");  // "--" is a comment
+  const std::string nested_parens =
+      prefix + Repeat("(", 10000) + "a = 1" + Repeat(")", 10000);
+  const std::string many_nots = prefix + Repeat("NOT ", 100000) + "a = 1";
+  const std::string and_chain = prefix + "a = 1" + Repeat(" AND a = 1", 299999);
+  for (const std::string* sql : {&nested_parens, &many_nots, &and_chain}) {
+    auto stmt = ParseSelect(*sql);
+    EXPECT_TRUE(stmt.status().IsParseError()) << sql->substr(0, 40);
+    EXPECT_NE(stmt.status().ToString().find("nests deeper"),
+              std::string::npos)
+        << stmt.status().ToString();
+  }
 }
 
 TEST(ParserTest, ParseSelectRejectsNonSelect) {

@@ -1,8 +1,7 @@
 /// \file
-/// Tests for the v2-only behavior of the lint engine: the shard-ownership
-/// checks and their annotation vocabulary (src/sim/affinity.h), the
-/// statement-scoped suppression rules, the required-justification rule,
-/// and the baseline gate used by tier-1.
+/// Tests for the v2-only behavior of the lint engine: the statement-scoped
+/// suppression rules, the required-justification rule, token-level
+/// behavior, and the baseline gate used by tier-1.
 
 #include <gtest/gtest.h>
 
@@ -30,110 +29,6 @@ std::vector<std::pair<std::string, int>> Hits(
 }
 
 using Expected = std::vector<std::pair<std::string, int>>;
-
-// --- shard-ownership fixture triples --------------------------------------
-
-TEST(ShardOwnershipTest, ShardAffineViolating) {
-  auto findings = LintPath(FixturePath("shard_affine_violating.cc"));
-  EXPECT_EQ(Hits(findings), (Expected{{"shard-affine", 10},
-                                      {"shard-affine", 16},
-                                      {"shard-affine", 18}}));
-  for (const Finding& f : findings) {
-    EXPECT_EQ(f.severity, Severity::kError);
-  }
-}
-
-TEST(ShardOwnershipTest, ShardAffineClean) {
-  EXPECT_TRUE(LintPath(FixturePath("shard_affine_clean.cc")).empty());
-}
-
-TEST(ShardOwnershipTest, ShardAffineSuppressed) {
-  auto findings = LintPath(FixturePath("shard_affine_suppressed.cc"));
-  EXPECT_TRUE(Hits(findings).empty());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_TRUE(findings[0].suppressed);
-  EXPECT_EQ(findings[0].check, "shard-affine");
-  EXPECT_NE(findings[0].justification.find("probe"), std::string::npos);
-}
-
-TEST(ShardOwnershipTest, CrossShardArenaViolating) {
-  auto findings = LintPath(FixturePath("cross_shard_arena_violating.cc"));
-  EXPECT_EQ(Hits(findings), (Expected{{"cross-shard-arena", 9},
-                                      {"cross-shard-arena", 13},
-                                      {"cross-shard-arena", 14}}));
-}
-
-TEST(ShardOwnershipTest, CrossShardArenaClean) {
-  EXPECT_TRUE(LintPath(FixturePath("cross_shard_arena_clean.cc")).empty());
-}
-
-TEST(ShardOwnershipTest, CrossShardArenaSuppressed) {
-  auto findings = LintPath(FixturePath("cross_shard_arena_suppressed.cc"));
-  EXPECT_TRUE(Hits(findings).empty());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_TRUE(findings[0].suppressed);
-  EXPECT_EQ(findings[0].check, "cross-shard-arena");
-}
-
-TEST(ShardOwnershipTest, StagedEventViolating) {
-  auto findings = LintPath(FixturePath("staged_event_violating.cc"));
-  EXPECT_EQ(Hits(findings), (Expected{{"staged-event-bypass", 7},
-                                      {"staged-event-bypass", 8},
-                                      {"staged-event-bypass", 8}}));
-}
-
-TEST(ShardOwnershipTest, StagedEventClean) {
-  EXPECT_TRUE(LintPath(FixturePath("staged_event_clean.cc")).empty());
-}
-
-TEST(ShardOwnershipTest, StagedEventSuppressed) {
-  auto findings = LintPath(FixturePath("staged_event_suppressed.cc"));
-  EXPECT_TRUE(Hits(findings).empty());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_TRUE(findings[0].suppressed);
-  EXPECT_EQ(findings[0].check, "staged-event-bypass");
-}
-
-// --- annotation scope rules -----------------------------------------------
-
-TEST(ShardOwnershipTest, LambdaDoesNotInheritEnclosingSanction) {
-  // The enclosing function is sanctioned, but the lambda may run on any
-  // thread later — its body must carry its own annotation.
-  auto findings = LintContent(
-      "probe.cc",
-      "struct E { DMR_SHARD_AFFINE int* shards_; };\n"
-      "int F(E& e) DMR_CROSS_SHARD_OK {\n"
-      "  auto probe = [&e] { return e.shards_[0]; };\n"
-      "  return probe();\n"
-      "}\n");
-  EXPECT_EQ(Hits(findings), (Expected{{"shard-affine", 3}}));
-}
-
-TEST(ShardOwnershipTest, AnnotatedLambdaIsSanctioned) {
-  auto findings = LintContent(
-      "probe.cc",
-      "struct E { DMR_SHARD_AFFINE int* shards_; };\n"
-      "int F(E& e) {\n"
-      "  auto probe = [&e] DMR_CROSS_SHARD_OK { return e.shards_[0]; };\n"
-      "  return probe();\n"
-      "}\n");
-  EXPECT_TRUE(findings.empty());
-}
-
-TEST(ShardOwnershipTest, NestedBlockInheritsSanction) {
-  // Plain blocks (if/for bodies) inherit the enclosing annotation —
-  // only lambda boundaries reset it.
-  auto findings = LintContent(
-      "probe.cc",
-      "struct E { DMR_SHARD_AFFINE int* shards_; };\n"
-      "int F(E& e, bool go) DMR_BARRIER_PHASE {\n"
-      "  if (go) {\n"
-      "    return e.shards_[0];\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n");
-  EXPECT_TRUE(findings.empty());
-}
 
 // --- statement-scoped suppressions ----------------------------------------
 
@@ -184,7 +79,7 @@ TEST(TokenizerTest, BlockCommentsAreNotCode) {
 // --- the baseline gate ----------------------------------------------------
 
 TEST(BaselineTest, RoundTripMatchesExactly) {
-  auto findings = LintPath(FixturePath("shard_affine_violating.cc"));
+  auto findings = LintPath(FixturePath("unseeded_rng.cc"));
   std::string baseline = BaselineToJson(findings, Severity::kWarning);
   std::string error;
   EXPECT_TRUE(
@@ -194,7 +89,7 @@ TEST(BaselineTest, RoundTripMatchesExactly) {
 }
 
 TEST(BaselineTest, NewFindingsBlock) {
-  auto findings = LintPath(FixturePath("shard_affine_violating.cc"));
+  auto findings = LintPath(FixturePath("unseeded_rng.cc"));
   // An empty baseline means every current finding is new.
   std::string empty = BaselineToJson({}, Severity::kWarning);
   std::string error;
@@ -206,7 +101,7 @@ TEST(BaselineTest, NewFindingsBlock) {
 TEST(BaselineTest, DoctoredBaselineBlocks) {
   // A baseline claiming findings that no longer exist (or that never
   // existed) must fail too, so the recorded debt can only shrink.
-  auto findings = LintPath(FixturePath("shard_affine_violating.cc"));
+  auto findings = LintPath(FixturePath("unseeded_rng.cc"));
   std::string doctored = BaselineToJson(findings, Severity::kWarning);
   auto pos = doctored.find("\"count\": 3");
   ASSERT_NE(pos, std::string::npos) << doctored;
@@ -219,7 +114,7 @@ TEST(BaselineTest, DoctoredBaselineBlocks) {
 }
 
 TEST(BaselineTest, StaleEntryBlocks) {
-  auto findings = LintPath(FixturePath("shard_affine_violating.cc"));
+  auto findings = LintPath(FixturePath("unseeded_rng.cc"));
   std::string baseline = BaselineToJson(findings, Severity::kWarning);
   std::string error;
   // The code was fixed (no findings) but the baseline still records debt.
@@ -237,9 +132,9 @@ TEST(BaselineTest, MalformedBaselineReports) {
 }
 
 TEST(BaselineTest, SuppressedFindingsStayOutOfTheBaseline) {
-  auto findings = LintPath(FixturePath("shard_affine_suppressed.cc"));
-  ASSERT_EQ(findings.size(), 1u);
-  ASSERT_TRUE(findings[0].suppressed);
+  auto findings = LintPath(FixturePath("suppressed.cc"));
+  ASSERT_EQ(findings.size(), 2u);
+  for (const Finding& f : findings) ASSERT_TRUE(f.suppressed);
   std::string baseline = BaselineToJson(findings, Severity::kWarning);
   EXPECT_EQ(baseline, BaselineToJson({}, Severity::kWarning))
       << "suppressed findings are audited in-line, not banked as debt";

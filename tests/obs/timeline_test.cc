@@ -2,8 +2,8 @@
 /// Timeline + SloMonitor unit tests: probe ring semantics (points, rates,
 /// eviction-proof summaries), sliding-window percentile rolls, SLO breach
 /// instants / error-budget burn, and the determinism contract — the
-/// emitted JSON must be byte-identical across {serial, RunParallel} x
-/// {calendar, heap} x tie-shuffle seeds (DESIGN.md §15).
+/// emitted JSON must be byte-identical across {calendar, heap} x
+/// tie-shuffle seeds (DESIGN.md §15).
 
 #include "obs/timeline.h"
 
@@ -237,29 +237,24 @@ TEST(SloMonitorTest, BreachInstantsAndBudgetBurn) {
   EXPECT_DOUBLE_EQ(events[2].t, 7.0);
 }
 
-/// Runs the reference event program against one {engine, queue, seed}
+/// Runs the reference event program against one {queue, seed}
 /// combination and returns the sealed timeline + SLO JSON. The program
-/// observes from shard-0 events only (the single-writer contract) while
-/// shard 1 churns through background events, and plants same-instant
-/// bookkeeping-vs-telemetry ties at every tick to exercise the EventClass
-/// ordering that makes sampling tie-order independent.
-std::string RunTimelineProgram(bool parallel, QueueKind kind,
-                               uint64_t shuffle_seed) {
+/// interleaves observations with background events, and plants
+/// same-instant bookkeeping-vs-telemetry ties at every tick to exercise
+/// the EventClass ordering that makes sampling tie-order independent.
+std::string RunTimelineProgram(QueueKind kind, uint64_t shuffle_seed) {
   SimulationOptions options;
   options.queue = kind;
   Simulation sim(options);
   if (shuffle_seed != 0) sim.EnableTieShuffle(shuffle_seed);
-  sim.ConfigureShards(parallel ? 2 : 1);
 
   TimelineOptions tl_options;
   tl_options.windows = {2.0, 4.0};
   tl_options.max_ticks = 4;  // eviction must be identical too
   Timeline timeline(tl_options);
   Timeline::WindowedId lat = timeline.AddWindowed("task.latency", "s");
-  // Probes must read state that is deterministic *at shard-0 tick times*:
-  // a global like events_fired() would race shard 1's progress inside a
-  // lookahead epoch. Counting shard-0 observations is exactly the kind of
-  // cell-local state real drivers expose.
+  // Counting observations is exactly the kind of cell-local state real
+  // drivers expose.
   double observed = 0.0;
   timeline.AddProbe("cell.observations", "events",
                     Timeline::SeriesKind::kCounter,
@@ -274,8 +269,6 @@ std::string RunTimelineProgram(bool parallel, QueueKind kind,
   rule.budget_fraction = 0.5;
   slo.AddRule(rule);
 
-  const int observer_shard = 0;
-  const int noise_shard = parallel ? 1 : 0;
   for (int i = 0; i < 40; ++i) {
     // Observations land at tick boundaries ON PURPOSE: a kBookkeeping
     // event tied with the kTelemetry tick at the same instant must fire
@@ -283,45 +276,36 @@ std::string RunTimelineProgram(bool parallel, QueueKind kind,
     // depends on tie resolution.
     const double t = 1.0 + static_cast<double>(i % 8);
     const double value = static_cast<double>((i * 7) % 11);
-    sim.ScheduleOnShardDetached(observer_shard, t, EventClass::kBookkeeping,
-                                [&timeline, &observed, lat, value]() {
-                                  timeline.Observe(lat, value);
-                                  observed += 1.0;
-                                });
-    sim.ScheduleOnShardDetached(noise_shard, 0.25 + 0.2 * i,
-                                EventClass::kDefault, []() {});
+    sim.ScheduleDetachedAt(t, EventClass::kBookkeeping,
+                           [&timeline, &observed, lat, value]() {
+                             timeline.Observe(lat, value);
+                             observed += 1.0;
+                           });
+    sim.ScheduleDetachedAt(0.25 + 0.2 * i, EventClass::kDefault, []() {});
   }
   for (double t = 1.0; t <= 8.0; t += 1.0) {
-    sim.ScheduleOnShardDetached(observer_shard, t, EventClass::kTelemetry,
-                                [&timeline, &slo, &sim]() {
-                                  timeline.Sample(sim.Now());
-                                  slo.Evaluate(sim.Now());
-                                });
+    sim.ScheduleDetachedAt(t, EventClass::kTelemetry,
+                           [&timeline, &slo, &sim]() {
+                             timeline.Sample(sim.Now());
+                             slo.Evaluate(sim.Now());
+                           });
   }
 
-  if (parallel) {
-    sim.RunParallel(2, 9.0);
-  } else {
-    sim.RunUntil(9.0);
-  }
+  sim.RunUntil(9.0);
   timeline.Seal(9.0);
   return timeline.ToJson() + "\n" + slo.ToJson();
 }
 
-TEST(TimelineTest, JsonIsByteIdenticalAcrossEnginesQueuesAndSeeds) {
+TEST(TimelineTest, JsonIsByteIdenticalAcrossQueuesAndSeeds) {
   const std::string reference =
-      RunTimelineProgram(/*parallel=*/false, QueueKind::kBinaryHeap,
-                         /*shuffle_seed=*/0);
+      RunTimelineProgram(QueueKind::kBinaryHeap, /*shuffle_seed=*/0);
   ASSERT_NE(reference.find("task.latency"), std::string::npos);
   ASSERT_NE(reference.find("breaches"), std::string::npos);
-  for (bool parallel : {false, true}) {
-    for (QueueKind kind : {QueueKind::kCalendar, QueueKind::kBinaryHeap}) {
-      for (uint64_t seed : {uint64_t{0}, uint64_t{11}, uint64_t{23}}) {
-        EXPECT_EQ(RunTimelineProgram(parallel, kind, seed), reference)
-            << "engine=" << (parallel ? "parallel" : "serial")
-            << " queue=" << (kind == QueueKind::kCalendar ? "calendar" : "heap")
-            << " seed=" << seed;
-      }
+  for (QueueKind kind : {QueueKind::kCalendar, QueueKind::kBinaryHeap}) {
+    for (uint64_t seed : {uint64_t{0}, uint64_t{11}, uint64_t{23}}) {
+      EXPECT_EQ(RunTimelineProgram(kind, seed), reference)
+          << "queue=" << (kind == QueueKind::kCalendar ? "calendar" : "heap")
+          << " seed=" << seed;
     }
   }
 }

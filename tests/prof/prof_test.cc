@@ -1,7 +1,7 @@
 /// \file
 /// The host profiler's contract (DESIGN.md §17): profiling is
 /// determinism-invisible (every simulation digest is byte-identical with
-/// the profiler on or off, serial or sharded), the merged phase tree obeys
+/// the profiler on or off), the merged phase tree obeys
 /// self = total - sum(children) under arbitrary nesting, the collapsed
 /// flamegraph text round-trips losslessly (including through the
 /// dmr-analyze profile parser), timer-stack imbalances are detected, and
@@ -40,103 +40,66 @@ class ProfTest : public ::testing::Test {
 
 // --- determinism: digests are byte-identical with profiling on/off -------
 
-constexpr int kShards = 2;
-constexpr int kNodesPerShard = 4;
-constexpr int kNodes = kShards * kNodesPerShard;
+constexpr int kNodes = 8;
 constexpr double kPeriod = 2.0;
 constexpr double kUntil = 40.0;
 constexpr double kSlot = kPeriod / kNodes;
 
-/// One log per shard, cache-line aligned so parallel workers append
-/// without sharing.
-struct alignas(64) ShardLog {
-  std::vector<std::pair<int, double>> fired;
-};
-
-int ShardOf(int node) { return node / kNodesPerShard; }
 double TimeAt(long cell, double frac) {
   return (static_cast<double>(cell) + frac) * kSlot;
 }
 
-/// A heartbeat + cross-shard ping program with globally unique event times
-/// (no ties), mirroring the RunParallel equivalence suite: identical
-/// per-shard firing sequences are the digest under test.
+/// A heartbeat + task + far-ping program with globally unique event times
+/// (no ties): the (event, time) firing sequence is the digest under test.
 struct Digest {
-  std::vector<std::vector<std::pair<int, double>>> logs;
-  uint64_t fired = 0;
+  std::vector<std::pair<int, double>> fired;
+  uint64_t count = 0;
 };
 
-Digest RunProgram(bool parallel) {
+Digest RunProgram() {
   sim::Simulation sim;
-  sim.ConfigureShards(kShards);
-  std::vector<ShardLog> logs(kShards);
+  Digest out;
   std::function<void(int, long)> beat = [&](int node, long k) {
-    const int shard = ShardOf(node);
-    logs[shard].fired.emplace_back(1 * kNodes + node, sim.Now());
+    out.fired.emplace_back(1 * kNodes + node, sim.Now());
     const long cell = k * kNodes + node;
     sim.ScheduleDetachedAt(TimeAt(cell, 0.5), sim::EventClass::kTaskLifecycle,
-                           [&logs, &sim, node] {
-                             logs[ShardOf(node)].fired.emplace_back(
-                                 2 * kNodes + node, sim.Now());
+                           [&out, &sim, node] {
+                             out.fired.emplace_back(2 * kNodes + node,
+                                                    sim.Now());
                            });
-    const int target = (shard + 1) % kShards;
     const long ping_cells = static_cast<long>(2.5 * kPeriod / kSlot);
-    sim.ScheduleOnShardDetached(
-        parallel ? target : 0, TimeAt(cell + ping_cells, 0.75),
-        sim::EventClass::kDefault, [&logs, &sim, target, node] {
-          logs[target].fired.emplace_back(3 * kNodes + node, sim.Now());
-        });
+    sim.ScheduleDetachedAt(TimeAt(cell + ping_cells, 0.75),
+                           sim::EventClass::kDefault, [&out, &sim, node] {
+                             out.fired.emplace_back(3 * kNodes + node,
+                                                    sim.Now());
+                           });
     sim.ScheduleDetachedAt(TimeAt(cell + kNodes, 0.25),
                            sim::EventClass::kScheduling,
                            [&beat, node, k] { beat(node, k + 1); });
   };
   for (int node = 0; node < kNodes; ++node) {
-    sim.ScheduleOnShardDetached(parallel ? ShardOf(node) : 0,
-                                TimeAt(node, 0.25),
-                                sim::EventClass::kScheduling,
-                                [&beat, node] { beat(node, 0); });
+    sim.ScheduleDetachedAt(TimeAt(node, 0.25), sim::EventClass::kScheduling,
+                           [&beat, node] { beat(node, 0); });
   }
-  Digest out;
-  out.fired =
-      parallel ? sim.RunParallel(kShards, kUntil, kPeriod) : sim.RunUntil(kUntil);
-  for (ShardLog& log : logs) out.logs.push_back(std::move(log.fired));
+  out.count = sim.RunUntil(kUntil);
   return out;
 }
 
 TEST_F(ProfTest, DigestIdenticalProfilingOnAndOff) {
-  for (bool parallel : {false, true}) {
-    Digest off = RunProgram(parallel);
-    prof::Enable();
-    Digest on = RunProgram(parallel);
-    prof::Disable();
-    ASSERT_GT(off.fired, 300u) << "program degenerated";
-    ASSERT_EQ(off.fired, on.fired) << "parallel=" << parallel;
-    for (int s = 0; s < kShards; ++s) {
-      ASSERT_EQ(off.logs[s], on.logs[s])
-          << "profiling changed shard " << s << " (parallel=" << parallel
-          << ")";
-    }
-    // The profiled run actually recorded the kernel phases ("sim.dispatch"
-    // under serial Run/RunUntil, "sim.parallel_dispatch" in the workers).
-    prof::ProfReport report = prof::Collect();
-    bool saw_dispatch = false;
-    for (const prof::PhaseStat& phase : report.phases) {
-      saw_dispatch |= phase.path.find("dispatch") != std::string::npos;
-    }
-    EXPECT_TRUE(saw_dispatch) << "parallel=" << parallel;
-    prof::ResetForTest();
-  }
-}
-
-TEST_F(ProfTest, SerialAndParallelDigestsAgreeWhileProfiled) {
+  Digest off = RunProgram();
   prof::Enable();
-  Digest serial = RunProgram(/*parallel=*/false);
-  Digest parallel = RunProgram(/*parallel=*/true);
+  Digest on = RunProgram();
   prof::Disable();
-  ASSERT_EQ(serial.fired, parallel.fired);
-  for (int s = 0; s < kShards; ++s) {
-    ASSERT_EQ(serial.logs[s], parallel.logs[s]) << "shard " << s;
+  ASSERT_GT(off.count, 300u) << "program degenerated";
+  ASSERT_EQ(off.count, on.count);
+  ASSERT_EQ(off.fired, on.fired) << "profiling changed the firing sequence";
+  // The profiled run actually recorded the kernel's dispatch phase.
+  prof::ProfReport report = prof::Collect();
+  bool saw_dispatch = false;
+  for (const prof::PhaseStat& phase : report.phases) {
+    saw_dispatch |= phase.path.find("dispatch") != std::string::npos;
   }
+  EXPECT_TRUE(saw_dispatch);
 }
 
 // --- the phase-tree arithmetic -------------------------------------------

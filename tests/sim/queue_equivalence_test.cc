@@ -2,7 +2,7 @@
 /// The calendar/heap equivalence contract (DESIGN.md §14), checked as a
 /// randomized property: for hundreds of seeded random event programs —
 /// cascading schedules, deliberate virtual-time ties, cancellations,
-/// detached events, multi-shard placement — the calendar queue must fire
+/// detached events — the calendar queue must fire
 /// the exact (id, time) sequence the binary-heap oracle fires, with and
 /// without tie shuffling.
 ///
@@ -38,8 +38,7 @@ struct Firing {
 /// both queue kinds), and fired events sometimes schedule children.
 class RandomProgram {
  public:
-  RandomProgram(Simulation* sim, uint64_t seed, int shards)
-      : sim_(sim), rng_(seed), shards_(shards) {}
+  RandomProgram(Simulation* sim, uint64_t seed) : sim_(sim), rng_(seed) {}
 
   void Seed(int n) {
     for (int i = 0; i < n; ++i) ScheduleOne(/*depth=*/0);
@@ -60,9 +59,6 @@ class RandomProgram {
     const SimTime when =
         sim_->Now() + 0.25 * static_cast<double>(rng_() % 200 + 1);
     const EventClass cls = kClasses[rng_() % 5];
-    const int shard =
-        shards_ > 1 ? static_cast<int>(rng_() % static_cast<uint64_t>(shards_))
-                    : 0;
     auto fire = [this, id, depth] {
       trace.push_back({id, sim_->Now()});
       // The RNG is consumed in firing order: a single out-of-order event
@@ -70,20 +66,19 @@ class RandomProgram {
       if (depth < 2 && rng_() % 3 == 0) ScheduleOne(depth + 1);
     };
     if (rng_() % 2 == 0) {
-      handles_.push_back(sim_->ScheduleOnShard(shard, when, cls, fire));
+      handles_.push_back(sim_->ScheduleAt(when, cls, fire));
     } else {
-      sim_->ScheduleOnShardDetached(shard, when, cls, fire);
+      sim_->ScheduleDetachedAt(when, cls, fire);
     }
   }
 
   Simulation* sim_;
   std::mt19937_64 rng_;
-  int shards_;
   int next_id_ = 0;
   std::vector<EventHandle> handles_;
 };
 
-std::vector<Firing> RunProgram(uint64_t seed, QueueKind kind, int shards,
+std::vector<Firing> RunProgram(uint64_t seed, QueueKind kind,
                                std::optional<uint64_t> shuffle_seed,
                                uint64_t* fired_out = nullptr) {
   SimulationOptions options;
@@ -93,9 +88,8 @@ std::vector<Firing> RunProgram(uint64_t seed, QueueKind kind, int shards,
   options.bucket_width = 0.375;
   options.num_buckets = 64;
   Simulation sim(options);
-  if (shards > 1) sim.ConfigureShards(shards);
   if (shuffle_seed.has_value()) sim.EnableTieShuffle(*shuffle_seed);
-  RandomProgram program(&sim, seed, shards);
+  RandomProgram program(&sim, seed);
   program.Seed(/*n=*/60);
   const uint64_t fired = sim.RunUntil(1000.0);
   if (fired_out != nullptr) *fired_out = fired;
@@ -107,12 +101,10 @@ TEST(QueueEquivalenceTest, RandomProgramsFireIdenticallyOnBothQueues) {
   for (uint64_t seed = 1; seed <= 500; ++seed) {
     uint64_t fired_calendar = 0;
     uint64_t fired_heap = 0;
-    std::vector<Firing> calendar = RunProgram(
-        seed, QueueKind::kCalendar, /*shards=*/1, std::nullopt,
-        &fired_calendar);
-    std::vector<Firing> heap = RunProgram(
-        seed, QueueKind::kBinaryHeap, /*shards=*/1, std::nullopt,
-        &fired_heap);
+    std::vector<Firing> calendar =
+        RunProgram(seed, QueueKind::kCalendar, std::nullopt, &fired_calendar);
+    std::vector<Firing> heap =
+        RunProgram(seed, QueueKind::kBinaryHeap, std::nullopt, &fired_heap);
     ASSERT_EQ(calendar, heap) << "trace divergence at seed " << seed;
     ASSERT_EQ(fired_calendar, fired_heap) << "count mismatch at seed "
                                           << seed;
@@ -127,27 +119,14 @@ TEST(QueueEquivalenceTest, ShuffleSeedsPreserveEquivalence) {
   // truth for order, the queues only differ in how they realize it.
   for (uint64_t shuffle_seed : {7u, 23u, 41u, 97u, 1009u}) {
     for (uint64_t seed = 1; seed <= 25; ++seed) {
-      std::vector<Firing> calendar = RunProgram(
-          seed, QueueKind::kCalendar, /*shards=*/1, shuffle_seed);
-      std::vector<Firing> heap = RunProgram(
-          seed, QueueKind::kBinaryHeap, /*shards=*/1, shuffle_seed);
+      std::vector<Firing> calendar =
+          RunProgram(seed, QueueKind::kCalendar, shuffle_seed);
+      std::vector<Firing> heap =
+          RunProgram(seed, QueueKind::kBinaryHeap, shuffle_seed);
       ASSERT_EQ(calendar, heap)
           << "shuffled trace divergence at program seed " << seed
           << ", shuffle seed " << shuffle_seed;
     }
-  }
-}
-
-TEST(QueueEquivalenceTest, ShardedSerialFiresIdenticallyOnBothQueues) {
-  // Multi-shard serial runs interleave per-shard queues into one total
-  // order via the k-way scan; the packed keys (class | shard | seq) are
-  // identical for both kinds, so so must be the merged sequence.
-  for (uint64_t seed = 1; seed <= 100; ++seed) {
-    std::vector<Firing> calendar =
-        RunProgram(seed, QueueKind::kCalendar, /*shards=*/4, std::nullopt);
-    std::vector<Firing> heap =
-        RunProgram(seed, QueueKind::kBinaryHeap, /*shards=*/4, std::nullopt);
-    ASSERT_EQ(calendar, heap) << "sharded trace divergence at seed " << seed;
   }
 }
 
@@ -158,11 +137,11 @@ TEST(QueueEquivalenceTest, ShuffleActuallyExercisesDifferentTieOrders) {
   // (Traces may differ in content, not just order: the cascade draws its
   // RNG in firing order, so a reordered tie changes later decisions.)
   std::vector<Firing> base =
-      RunProgram(/*seed=*/3, QueueKind::kCalendar, 1, std::nullopt);
+      RunProgram(/*seed=*/3, QueueKind::kCalendar, std::nullopt);
   bool any_reorder = false;
   for (uint64_t shuffle_seed : {7u, 23u, 41u}) {
     std::vector<Firing> shuffled =
-        RunProgram(/*seed=*/3, QueueKind::kCalendar, 1, shuffle_seed);
+        RunProgram(/*seed=*/3, QueueKind::kCalendar, shuffle_seed);
     if (!(shuffled == base)) any_reorder = true;
   }
   EXPECT_TRUE(any_reorder)

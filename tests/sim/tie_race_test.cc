@@ -93,9 +93,20 @@ TEST(TieShuffleTest, PermutesWithinClassReproducibly) {
   for (int i = 0; i < n; ++i) expected[i] = i;
   EXPECT_EQ(insertion, expected);  // default: insertion order
 
+  // The shuffle hashes the packed event key (class << 56 | seq), so these
+  // permutations change if the key layout or the hash ever does — which
+  // would silently move every --shuffle-ties digest.
+  const std::vector<std::vector<int>> pinned = {
+      {1, 5, 3, 4, 2, 0, 7, 6},
+      {2, 6, 0, 7, 1, 3, 4, 5},
+      {3, 7, 1, 6, 0, 2, 5, 4},
+      {4, 0, 6, 1, 7, 5, 2, 3},
+      {5, 1, 7, 0, 6, 4, 3, 2},
+  };
   bool any_permuted = false;
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     std::vector<int> a = FiringOrder(seed, n);
+    EXPECT_EQ(a, pinned[seed - 1]) << "seed " << seed;
     EXPECT_EQ(a, FiringOrder(seed, n)) << "seed " << seed;  // reproducible
     std::vector<int> sorted = a;
     std::sort(sorted.begin(), sorted.end());
