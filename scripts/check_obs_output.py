@@ -117,7 +117,7 @@ def check_metrics(path, trace_stats):
 
     hists = {h.get("name"): h for h in doc["histograms"]}
     for name in ("mapred.task_wait", "mapred.task_run",
-                 "mapred.heartbeat_assign", "provider.decision"):
+                 "mapred.job_response"):
         if name not in hists:
             fail(f"{path}: missing histogram {name!r}")
         h = hists[name]
@@ -130,14 +130,16 @@ def check_metrics(path, trace_stats):
         fail(f"{path}: task_wait histogram is empty")
 
     # Cross-check trace against counters: one span per map attempt, one
-    # instant per provider decision.
+    # instant per provider decision (each decision is exactly one of grow,
+    # wait and end-of-input).
     if trace_stats["map_spans"] != counters["mapred.maps_launched"]:
         fail(f"map spans ({trace_stats['map_spans']}) != "
              f"mapred.maps_launched ({counters['mapred.maps_launched']})")
-    decisions = hists["provider.decision"]["count"]
+    decisions = sum(counters.get(name, 0) for name in (
+        "provider.grows", "provider.waits", "provider.end_of_input"))
     if trace_stats["provider_instants"] != decisions:
         fail(f"provider instants ({trace_stats['provider_instants']}) != "
-             f"provider.decision count ({decisions})")
+             f"provider.grows + waits + end_of_input ({decisions})")
     if trace_stats["job_spans"] != counters["mapred.jobs_submitted"]:
         fail(f"job spans ({trace_stats['job_spans']}) != "
              f"mapred.jobs_submitted ({counters['mapred.jobs_submitted']})")

@@ -6,9 +6,10 @@
 # identical JSON), the DES kernel scale smoke (calendar/heap firing-order
 # digests must agree), the tie-shuffle + queue-kind digest invariance check
 # (fig5 metrics AND the virtual-time telemetry timelines must be
-# byte-identical across shuffle seeds and queue implementations), the
-# timeline thread-count invariance + dmr-analyze timeline smoke, the
-# profiling digest-invisibility check plus dmr-analyze profile smoke and
+# byte-identical across shuffle seeds and queue implementations, at the
+# default thread count), the metrics + timeline thread-count invariance
+# (byte-identical at --threads=1 and --threads=4) + dmr-analyze timeline
+# smoke, the profiling digest-invisibility check plus dmr-analyze profile smoke and
 # count-regression gate (banded against configs/baselines/profile_smoke.json),
 # the adaptive-layout smoke (pruning must not change match counts or sample
 # digests, across thread counts, with the simulated cells banded against
@@ -111,17 +112,20 @@ for queue in calendar heap; do
 done
 echo "fig5 metrics+timeline digest identical across {calendar, heap} x {base + 5 shuffle seeds}"
 
-echo "== tier-1: timeline thread-count invariance + dmr-analyze timeline smoke =="
-# The virtual-time timelines sample simulation state only, so the document
-# must be byte-identical whether the experiment cells run serially or on a
-# worker pool.
+echo "== tier-1: metrics + timeline thread-count invariance + dmr-analyze timeline smoke =="
+# The virtual-time timelines sample simulation state only, and the metrics
+# merge per-thread shards order-independently (bucket counts, exact
+# histogram sums), so both documents must be byte-identical whether the
+# experiment cells run serially or on a worker pool.
 for threads in 1 4; do
   DMR_HOST_CLOCK=frozen ./build/bench/bench_fig5_single_user \
     --threads="${threads}" \
+    --metrics="${obs_dir}/metrics_t${threads}.json" \
     --timeline="${obs_dir}/timeline_t${threads}.json" > /dev/null
 done
+diff "${obs_dir}/metrics_t1.json" "${obs_dir}/metrics_t4.json"
 diff "${obs_dir}/timeline_t1.json" "${obs_dir}/timeline_t4.json"
-echo "fig5 timeline byte-identical at --threads=1 and --threads=4"
+echo "fig5 metrics and timeline byte-identical at --threads=1 and --threads=4"
 # Two identical runs through the timeline analyzer: the markdown must
 # render and an emitted baseline must accept the runs it was built from.
 ./build/src/obs/dmr-analyze timeline \

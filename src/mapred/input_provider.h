@@ -22,8 +22,6 @@ enum class InputResponseKind {
   kNoInputAvailable,
 };
 
-const char* InputResponseKindToString(InputResponseKind kind);
-
 /// \brief An Input Provider's answer to an evaluation.
 struct InputResponse {
   InputResponseKind kind = InputResponseKind::kNoInputAvailable;

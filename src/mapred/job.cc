@@ -28,18 +28,19 @@ Job::Job(int id, JobConf conf, int splits_total, MapOutputModel output_model,
   DMR_CHECK(output_model_ != nullptr);
 }
 
-void Job::IndexPending(const InputSplit& split) {
+InputSplit& Job::IndexPending(const InputSplit& split) {
   int id = next_pending_id_++;
-  pending_splits_[id] = split;
+  InputSplit& stored = pending_splits_[id] = split;
   for (const auto& loc : split.all_locations()) {
     pending_ids_by_node_[loc.node_id].push_back(id);
   }
+  return stored;
 }
 
-void Job::AddSplits(const std::vector<InputSplit>& splits) {
+void Job::AddSplits(const std::vector<InputSplit>& splits, double now) {
   DMR_CHECK(!input_finalized_) << "job " << id_ << ": input already final";
   for (const auto& split : splits) {
-    IndexPending(split);
+    IndexPending(split).queued_time = now;
     ++splits_added_;
     records_added_ += split.num_records;
   }

@@ -52,8 +52,9 @@ class Job {
 
   // --- input management -----------------------------------------------
 
-  /// Appends splits to the pending queue.
-  void AddSplits(const std::vector<InputSplit>& splits);
+  /// Appends splits to the pending queue, stamping each stored copy's
+  /// queued_time with `now`.
+  void AddSplits(const std::vector<InputSplit>& splits, double now);
 
   /// Marks that no further input will be added (paper: "end of input").
   void FinalizeInput() { input_finalized_ = true; }
@@ -143,11 +144,6 @@ class Job {
   bool delay_waiting = false;
   double delay_wait_start = 0.0;
 
-  // --- tracker scratch state (observability) -----------------------------
-
-  /// Virtual time the reduce task launched (feeds its trace span).
-  double reduce_launch_time = 0.0;
-
  private:
   int id_;
   JobConf conf_;
@@ -157,8 +153,9 @@ class Job {
   int splits_total_;
   MapOutputModel output_model_;
 
-  /// Inserts a split into the pending store, indexing every replica node.
-  void IndexPending(const InputSplit& split);
+  /// Inserts a split into the pending store, indexing every replica node;
+  /// returns the stored copy.
+  InputSplit& IndexPending(const InputSplit& split);
   /// Pops a pending entry by id (must exist) and returns its split.
   InputSplit TakePendingById(int id);
   /// First live pending id on `node_id`'s queue (pruning stale ids), or -1.

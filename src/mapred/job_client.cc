@@ -2,98 +2,30 @@
 
 #include <algorithm>
 
-#include "common/host_clock.h"
 #include "common/logging.h"
-#include "obs/critical_path.h"
-#include "obs/flight_recorder.h"
 #include "prof/prof.h"
 
 namespace dmr::mapred {
 
 namespace {
 
-// Host wall-clock micros at the start of a provider decision (0 when no
-// scope is attached; the paired duration is then never recorded).
-double DecisionStart(const obs::Scope* obs) {
-  return obs != nullptr ? HostClock::NowMicros() : 0.0;
-}
-
-/// Records one Input Provider decision: counters by kind, host wall-clock
-/// decision latency, gauges from well-known diagnostics, and an instant
-/// trace event on the client track carrying every diagnostic as an arg.
-void RecordProviderDecision(obs::Scope* obs, double now, int job_id,
-                            const InputResponse& response, double t0,
-                            bool initial) {
-  if (obs == nullptr) return;
-  const obs::StandardMetrics& m = obs->m();
-  obs->Observe(m.provider_decision, HostClock::ElapsedMicros(t0));
-  if (!initial) obs->Count(m.provider_evaluations);
-  switch (response.kind) {
-    case InputResponseKind::kInputAvailable:
-      obs->Count(m.provider_grows);
-      break;
-    case InputResponseKind::kNoInputAvailable:
-      obs->Count(m.provider_waits);
-      break;
-    case InputResponseKind::kEndOfInput:
-      obs->Count(m.provider_end_of_input);
-      break;
-  }
-  for (const auto& [name, value] : response.diagnostics) {
-    if (name == "selectivity_estimate") {
-      obs->SetGauge(m.selectivity_estimate, value);
-    } else if (name == "skew_cv") {
-      obs->SetGauge(m.observed_skew_cv, value);
-    }
-  }
-  if (obs::TraceStream* trace = obs->trace()) {
-    obs::TraceArgs args;
-    args.Set("job", job_id);
-    args.Set("kind", InputResponseKindToString(response.kind));
-    args.Set("splits", static_cast<int64_t>(response.splits.size()));
-    args.Set("initial", initial);
-    for (const auto& [name, value] : response.diagnostics) {
-      args.Set(name, value);
-    }
-    trace->Instant(now, trace->num_pids() - 1, 0, "provider.decision",
-                   "provider", args);
-  }
-  if (obs::EventGraph* graph = obs->graph()) {
-    graph->ProviderDecision(job_id, now,
-                            InputResponseKindToString(response.kind));
-  }
-  if (obs::FlightRecorder* flight = obs->flight()) {
-    obs::FlightEventKind kind = obs::FlightEventKind::kProviderGrow;
-    switch (response.kind) {
-      case InputResponseKind::kInputAvailable:
-        kind = obs::FlightEventKind::kProviderGrow;
-        break;
-      case InputResponseKind::kNoInputAvailable:
-        kind = obs::FlightEventKind::kProviderWait;
-        break;
-      case InputResponseKind::kEndOfInput:
-        kind = obs::FlightEventKind::kProviderEndOfInput;
-        break;
-    }
-    flight->Append(now, kind, job_id, /*node=*/-1,
-                   static_cast<int32_t>(response.splits.size()),
-                   /*value=*/initial ? 1.0 : 0.0);
-  }
+/// Reports one Input Provider decision (the initial grab or a periodic
+/// evaluation) through the tracker.
+void ReportDecision(JobTracker* tracker, int job_id,
+                    const InputResponse& response, bool initial) {
+  const InputResponseKind kind = response.kind;
+  tracker->Report({.step = LifecycleStep::kProviderDecision,
+                   .outcome = kind == InputResponseKind::kInputAvailable
+                                  ? Outcome::kGrow
+                              : kind == InputResponseKind::kEndOfInput
+                                  ? Outcome::kEndOfInput
+                                  : Outcome::kWait,
+                   .initial = initial, .job = job_id,
+                   .count = static_cast<int32_t>(response.splits.size()),
+                   .diagnostics = response.diagnostics});
 }
 
 }  // namespace
-
-const char* InputResponseKindToString(InputResponseKind kind) {
-  switch (kind) {
-    case InputResponseKind::kEndOfInput:
-      return "end-of-input";
-    case InputResponseKind::kInputAvailable:
-      return "input-available";
-    case InputResponseKind::kNoInputAvailable:
-      return "no-input-available";
-  }
-  return "?";
-}
 
 /// Per-dynamic-job evaluation-loop state, kept alive by the scheduled
 /// events that reference it.
@@ -157,8 +89,6 @@ Result<int> JobClient::Submit(JobSubmission submission,
                                  std::move(wrapped)));
   loop->job_id = job_id;
 
-  obs::Scope* obs = tracker_->obs();
-  double t0 = DecisionStart(obs);
   static const prof::PhaseId kInitialInputPhase =
       prof::RegisterPhase("mapred", "provider_initial");
   InputResponse initial;
@@ -166,8 +96,7 @@ Result<int> JobClient::Submit(JobSubmission submission,
     prof::ScopedTimer prof_frame(kInitialInputPhase);
     initial = loop->provider->GetInitialInput(tracker_->GetClusterStatus());
   }
-  RecordProviderDecision(obs, sim_->Now(), job_id, initial, t0,
-                         /*initial=*/true);
+  ReportDecision(tracker_, job_id, initial, /*initial=*/true);
   switch (initial.kind) {
     case InputResponseKind::kInputAvailable:
       DMR_RETURN_NOT_OK(tracker_->AddSplits(job_id, initial.splits));
@@ -224,8 +153,6 @@ void JobClient::RunEvaluation(std::shared_ptr<DynamicLoop> loop) {
   if (threshold_met || progress.starved()) {
     loop->completed_at_last_invoke = progress.maps_completed;
     ++loop->provider_evaluations;
-    obs::Scope* obs = tracker_->obs();
-    double t0 = DecisionStart(obs);
     static const prof::PhaseId kEvaluatePhase =
         prof::RegisterPhase("mapred", "provider_evaluate");
     InputResponse response;
@@ -233,8 +160,7 @@ void JobClient::RunEvaluation(std::shared_ptr<DynamicLoop> loop) {
       prof::ScopedTimer prof_frame(kEvaluatePhase);
       response = loop->provider->Evaluate(progress, tracker_->GetClusterStatus());
     }
-    RecordProviderDecision(obs, sim_->Now(), loop->job_id, response, t0,
-                           /*initial=*/false);
+    ReportDecision(tracker_, loop->job_id, response, /*initial=*/false);
     switch (response.kind) {
       case InputResponseKind::kEndOfInput: {
         Status st = tracker_->FinalizeInput(loop->job_id);

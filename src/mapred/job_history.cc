@@ -55,9 +55,41 @@ std::string JobHistory::ToJson(const std::vector<JobEvent>& events) {
   return out;
 }
 
-void JobHistory::Record(double time, int job_id, JobEventKind kind,
-                        int detail, int node_id) {
-  events_.push_back(JobEvent{time, job_id, kind, detail, node_id});
+void JobHistory::Record(const LifecycleRecord& rec) {
+  auto add = [&](JobEventKind kind, int detail = -1, int node_id = -1) {
+    events_.push_back(JobEvent{rec.t, rec.job, kind, detail, node_id});
+  };
+  switch (rec.step) {
+    case LifecycleStep::kSubmit:
+      add(JobEventKind::kSubmitted);
+      break;
+    case LifecycleStep::kSplitsAdded:
+      add(JobEventKind::kSplitsAdded, rec.count);
+      break;
+    case LifecycleStep::kInputFinalized:
+      add(JobEventKind::kInputFinalized);
+      break;
+    case LifecycleStep::kMapLaunch:
+      add(JobEventKind::kMapLaunched, rec.split, rec.node);
+      break;
+    case LifecycleStep::kBackupLaunch:
+      add(JobEventKind::kBackupLaunched, rec.split, rec.node);
+      break;
+    case LifecycleStep::kAttemptEnd:
+      add(rec.outcome == Outcome::kOk       ? JobEventKind::kMapCompleted
+          : rec.outcome == Outcome::kFailed ? JobEventKind::kMapFailed
+                                            : JobEventKind::kAttemptKilled,
+          rec.split, rec.node);
+      break;
+    case LifecycleStep::kReduceStart:
+      add(JobEventKind::kReduceStarted, -1, rec.node);
+      break;
+    case LifecycleStep::kJobComplete:
+      add(JobEventKind::kJobCompleted);
+      break;
+    default:
+      break;
+  }
 }
 
 std::vector<JobEvent> JobHistory::ForJob(int job_id) const {

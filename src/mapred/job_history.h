@@ -4,7 +4,15 @@
 #include <string>
 #include <vector>
 
+#include "obs/lifecycle.h"
+
 namespace dmr::mapred {
+
+// The lifecycle record vocabulary (obs/lifecycle.h).
+using obs::FreeState;
+using obs::LifecycleRecord;
+using obs::LifecycleStep;
+using obs::Outcome;
 
 /// \brief Kinds of recorded lifecycle events (the analogue of Hadoop's
 /// JobHistory log).
@@ -41,8 +49,9 @@ struct JobEvent {
 /// timelines (see RenderTimeline / examples/job_timeline).
 class JobHistory {
  public:
-  void Record(double time, int job_id, JobEventKind kind, int detail = -1,
-              int node_id = -1);
+  /// Appends a lifecycle step's event; steps with no JobEventKind (provider
+  /// decisions, demand changes, ...) are ignored.
+  void Record(const LifecycleRecord& rec);
 
   const std::vector<JobEvent>& events() const { return events_; }
   size_t size() const { return events_.size(); }

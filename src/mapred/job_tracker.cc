@@ -3,23 +3,13 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/host_clock.h"
 #include "common/logging.h"
-#include "obs/critical_path.h"
-#include "obs/ledger.h"
 #include "prof/prof.h"
 #include "sim/arena.h"
 
 namespace dmr::mapred {
 
 namespace {
-
-/// Async-span id of a split ("split" category): job id in the high word so
-/// two jobs' split 0 never correlate.
-uint64_t SplitSpanId(int job_id, int split_index) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(job_id)) << 32) |
-         static_cast<uint64_t>(static_cast<uint32_t>(split_index));
-}
 
 /// Adaptive-layout cost model (DESIGN.md §16). `scan_fraction` is the
 /// split's stats hint: the fraction of its rows a stats-aware reader must
@@ -65,23 +55,13 @@ JobTracker::JobTracker(cluster::Cluster* cluster, TaskScheduler* scheduler,
       scheduler_(scheduler),
       obs_(obs),
       fault_rng_(cluster->config().fault_seed) {
-  if (obs_ != nullptr) {
-    tl_ = obs_->timeline();
-    flight_ = obs_->flight();
-    if (tl_ != nullptr) {
-      tl_job_response_ = tl_->AddWindowed("mapred.job_response", "sim_s");
-      tl_task_wait_ = tl_->AddWindowed("mapred.task_wait", "sim_s");
-      tl_->AddProbe("mapred.pruned_splits", "splits",
-                    obs::Timeline::SeriesKind::kCounter, [this] {
-                      return static_cast<double>(total_pruned_splits_);
-                    });
-    }
-  }
+  scheduler_->set_tracker(this);
 }
 
-int JobTracker::ActiveJobsForUser(const std::string& user) const {
-  auto it = active_by_user_.find(user);
-  return it == active_by_user_.end() ? 0 : it->second;
+void JobTracker::Report(LifecycleRecord rec) {
+  rec.t = sim_->Now();
+  history_.Record(rec);
+  if (obs_ != nullptr) obs_->Record(rec);
 }
 
 void JobTracker::Start() {
@@ -128,36 +108,11 @@ Result<int> JobTracker::SubmitDynamicJob(JobConf conf, int splits_total,
   jobs_[id] = std::move(job);
   callbacks_[id] = std::move(on_complete);
   ++active_jobs_;
-  history_.Record(sim_->Now(), id, JobEventKind::kSubmitted);
-  DMR_LOG(Info) << "job " << id << " submitted (user "
-                << jobs_[id]->conf().user() << ", " << splits_total
-                << " total splits) at t=" << sim_->Now();
-  if (tl_ != nullptr) {
-    // Per-tenant inflight series: first submission registers the probe
-    // (AddProbe dedupes); the mapped count node is address-stable.
-    const std::string& user = jobs_[id]->conf().user();
-    int* count = &active_by_user_[user];
-    ++*count;
-    tl_->AddProbe("mapred.inflight_jobs." + user, "jobs",
-                  obs::Timeline::SeriesKind::kGauge,
-                  [count] { return static_cast<double>(*count); });
-  }
-  if (obs_ != nullptr) {
-    obs_->Count(obs_->m().jobs_submitted);
-    if (obs::TraceStream* trace = obs_->trace()) {
-      // The client/provider track is the last pid of the cluster's stream.
-      obs::TraceArgs args;
-      args.Set("user", jobs_[id]->conf().user());
-      trace->AsyncBegin(sim_->Now(), static_cast<uint64_t>(id),
-                        trace->num_pids() - 1,
-                        "job " + std::to_string(id), "job", args);
-    }
-    if (obs::EventGraph* graph = obs_->graph()) {
-      graph->JobSubmitted(id, sim_->Now());
-    }
-    if (obs::Ledger* ledger = obs_->ledger()) ledger->ClearQuiescent();
-    RecordDemandState();
-  }
+  const std::string& user = jobs_[id]->conf().user();
+  Report({.step = LifecycleStep::kSubmit, .job = id, .user = user});
+  DMR_LOG(Info) << "job " << id << " submitted (user " << user << ", "
+                << splits_total << " total splits) at t=" << sim_->Now();
+  ReportDemand();
   return id;
 }
 
@@ -168,33 +123,14 @@ Status JobTracker::AddSplits(int job_id,
     return Status::FailedPrecondition("job " + std::to_string(job_id) +
                                       ": input already finalized");
   }
-  if (obs_ == nullptr) {
-    job->AddSplits(splits);
-  } else {
-    // Stamp the queue time so the task-wait histogram can be fed at launch;
-    // the copy happens only with observability attached.
-    double now = sim_->Now();
-    std::vector<InputSplit> stamped = splits;
-    for (InputSplit& split : stamped) split.queued_time = now;
-    job->AddSplits(stamped);
-    obs_->Count(obs_->m().splits_added,
-                static_cast<int64_t>(stamped.size()));
-    if (obs::TraceStream* trace = obs_->trace()) {
-      for (const InputSplit& split : stamped) {
-        trace->AsyncBegin(now, SplitSpanId(job_id, split.index),
-                          split.node_id,
-                          "split " + std::to_string(split.index), "split");
-      }
-    }
-    if (obs::EventGraph* graph = obs_->graph()) {
-      for (const InputSplit& split : stamped) {
-        graph->SplitAdded(job_id, split.index, now);
-      }
-    }
-    RecordDemandState();
+  job->AddSplits(splits, sim_->Now());
+  Report({.step = LifecycleStep::kSplitsAdded, .job = job_id,
+          .count = static_cast<int32_t>(splits.size())});
+  for (const InputSplit& split : splits) {
+    Report({.step = LifecycleStep::kSplitQueued, .job = job_id,
+            .split = split.index, .home = split.node_id});
   }
-  history_.Record(sim_->Now(), job_id, JobEventKind::kSplitsAdded,
-                  static_cast<int>(splits.size()));
+  ReportDemand();
   return Status::OK();
 }
 
@@ -202,14 +138,9 @@ Status JobTracker::FinalizeInput(int job_id) {
   DMR_ASSIGN_OR_RETURN(Job * job, FindJob(job_id));
   if (job->input_finalized()) return Status::OK();
   job->FinalizeInput();
-  history_.Record(sim_->Now(), job_id, JobEventKind::kInputFinalized);
-  if (obs_ != nullptr) {
-    if (obs::EventGraph* graph = obs_->graph()) {
-      graph->InputFinalized(job_id, sim_->Now());
-    }
-  }
+  Report({.step = LifecycleStep::kInputFinalized, .job = job_id});
   CheckReduceReady(job);
-  RecordDemandState();
+  ReportDemand();
   return Status::OK();
 }
 
@@ -270,14 +201,8 @@ void JobTracker::Heartbeat(int node_id) {
 
   // Fill free map slots via the pluggable scheduler.
   PruneMappingJobs();
-  if (obs_ != nullptr) obs_->Count(obs_->m().heartbeats);
+  Report({.step = LifecycleStep::kHeartbeat, .node = node_id});
   if (node->free_map_slots() > 0 && !mapping_jobs_.empty()) {
-    // Heartbeat-to-assign latency is *host* wall time of the scheduling
-    // decision (virtual time does not advance inside the callback). Host
-    // reads go through the HostClock seam so frozen-clock runs stay
-    // byte-identical.
-    double t0 = 0.0;
-    if (obs_ != nullptr) t0 = HostClock::NowMicros();
     static const prof::PhaseId kAssignPhase =
         prof::RegisterPhase("mapred", "assign_maps");
     std::vector<MapAssignment> assignments;
@@ -285,9 +210,6 @@ void JobTracker::Heartbeat(int node_id) {
       prof::ScopedTimer assign_frame(kAssignPhase);
       assignments = scheduler_->AssignMapTasks(
           mapping_jobs_, node_id, node->free_map_slots(), sim_->Now());
-    }
-    if (obs_ != nullptr) {
-      obs_->Observe(obs_->m().heartbeat_assign, HostClock::ElapsedMicros(t0));
     }
     DMR_CHECK_LE(static_cast<int>(assignments.size()),
                  node->free_map_slots());
@@ -301,7 +223,7 @@ void JobTracker::Heartbeat(int node_id) {
     MaybeLaunchBackups(node_id);
   }
 
-  RecordDemandState();
+  ReportDemand();
   sim_->Schedule(cluster_->config().heartbeat_interval,
                  sim::EventClass::kScheduling,
                  [this, node_id] { Heartbeat(node_id); });
@@ -344,28 +266,12 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
   // Backups do not change the job's split-level accounting — the split is
   // already counted as running by its original attempt.
   if (!backup) job->OnMapLaunched(split, node_id, local);
-  if (obs_ != nullptr) {
-    obs_->Count(backup ? obs_->m().backups_launched
-                       : obs_->m().maps_launched);
-    if (!backup) {
-      const double wait = sim_->Now() - split.queued_time;
-      obs_->Observe(obs_->m().task_wait, wait);
-      if (tl_ != nullptr) tl_->Observe(tl_task_wait_, wait);
-      if (flight_ != nullptr) {
-        flight_->Append(sim_->Now(), obs::FlightEventKind::kSchedule,
-                        job->id(), node_id, split.index, wait);
-      }
-    } else if (flight_ != nullptr) {
-      flight_->Append(sim_->Now(), obs::FlightEventKind::kBackup, job->id(),
-                      node_id, split.index, 0.0);
-    }
-  }
-  if (obs_ != nullptr) {
-    if (obs::EventGraph* graph = obs_->graph()) {
-      graph->AttemptLaunched(job->id(), split.index, sim_->Now(), node_id,
-                             slot, backup);
-    }
-  }
+  const bool pruned = split.scan_fraction <= 0.0;
+  if (pruned) ++total_pruned_splits_;
+  Report({.step = backup ? LifecycleStep::kBackupLaunch
+                         : LifecycleStep::kMapLaunch,
+          .pruned = pruned, .job = job->id(), .split = split.index,
+          .node = node_id, .slot = slot, .start = split.queued_time});
   if (local) {
     ++total_local_maps_;
   } else {
@@ -384,10 +290,6 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
   const SplitLocation source = split.ReadLocationFor(node_id);
   ApplyLayoutCost(config, source.layout, split.scan_fraction, &cpu_demand,
                   &read_bytes);
-  if (split.scan_fraction <= 0.0) {
-    ++total_pruned_splits_;
-    if (obs_ != nullptr) obs_->Count(obs_->m().splits_pruned);
-  }
 
   // Fault injection: a straggler attempt demands proportionally more of
   // every resource; a failing attempt does its work and then reports
@@ -412,10 +314,6 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
   attempt->slot = slot;
   attempt->launch_time = sim_->Now();
   running_splits_[{job->id(), split.index}].push_back(attempt);
-  history_.Record(sim_->Now(), job->id(),
-                  backup ? JobEventKind::kBackupLaunched
-                         : JobEventKind::kMapLaunched,
-                  split.index, node_id);
 
   // The task holds its slot through startup, then reads its partition while
   // applying the map function. Disk (and network, when remote) and CPU are
@@ -445,27 +343,8 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
       });
 }
 
-void JobTracker::RecordAttemptEnd(const MapAttempt& attempt,
-                                  const char* outcome) {
+void JobTracker::ReportDemand() {
   if (obs_ == nullptr) return;
-  if (obs::Ledger* ledger = obs_->ledger()) {
-    obs::Ledger::AttemptKind kind =
-        outcome[0] == 'o' ? obs::Ledger::AttemptKind::kCompleted
-        : outcome[0] == 'f' ? obs::Ledger::AttemptKind::kFailed
-                            : obs::Ledger::AttemptKind::kKilled;
-    ledger->OnAttemptOutcome(attempt.node_id, attempt.slot,
-                             attempt.job->id(), kind);
-  }
-  if (obs::EventGraph* graph = obs_->graph()) {
-    graph->AttemptDone(attempt.job->id(), attempt.split.index, sim_->Now(),
-                       attempt.node_id, attempt.slot, outcome);
-  }
-}
-
-void JobTracker::RecordDemandState() {
-  if (obs_ == nullptr) return;
-  obs::Ledger* ledger = obs_->ledger();
-  if (ledger == nullptr) return;
   // A free slot right now is queueing delay if some mapping job has a
   // runnable pending split, provider-wait if the only open demand is jobs
   // whose input has not arrived yet, and idle otherwise.
@@ -479,77 +358,35 @@ void JobTracker::RecordDemandState() {
     }
     if (!job->input_finalized()) provider_starved = true;
   }
-  ledger->OnFreeState(pending ? obs::Ledger::FreeState::kQueue
-                      : provider_starved
-                          ? obs::Ledger::FreeState::kProviderWait
-                          : obs::Ledger::FreeState::kIdle,
-                      sim_->Now());
+  Report({.step = LifecycleStep::kDemand,
+          .demand = pending            ? FreeState::kQueue
+                    : provider_starved ? FreeState::kProviderWait
+                                       : FreeState::kIdle});
 }
 
-void JobTracker::MaybeRecordSatisfiable(Job* job) {
-  if (obs_ == nullptr) return;
-  uint64_t k = job->conf().sample_size();
-  if (k == 0 || job->output_records() < k) return;
-  if (obs::Ledger* ledger = obs_->ledger()) {
-    ledger->OnSampleSatisfiable(job->id(), sim_->Now());
-  }
-  if (obs::EventGraph* graph = obs_->graph()) {
-    graph->SampleSatisfiable(job->id(), sim_->Now());
-  }
-}
-
-void JobTracker::TraceAttemptSpan(const MapAttempt& attempt,
-                                  const char* outcome) {
-  obs::TraceStream* trace = obs_->trace();
-  if (trace == nullptr) return;
-  obs::TraceArgs args;
-  args.Set("job", attempt.job->id());
-  args.Set("split", attempt.split.index);
-  args.Set("local", attempt.local);
-  args.Set("backup", attempt.backup);
-  args.Set("outcome", outcome);
-  trace->Complete(attempt.launch_time, sim_->Now() - attempt.launch_time,
-                  attempt.node_id, attempt.slot,
-                  "map j" + std::to_string(attempt.job->id()) + "/s" +
-                      std::to_string(attempt.split.index),
-                  "map", args);
+void JobTracker::EndAttempt(MapAttempt& attempt, Outcome outcome) {
+  attempt.finished = true;
+  Report({.step = LifecycleStep::kAttemptEnd, .outcome = outcome,
+          .local = attempt.local, .backup = attempt.backup,
+          .job = attempt.job->id(), .split = attempt.split.index,
+          .node = attempt.node_id, .slot = attempt.slot,
+          .home = attempt.split.node_id, .start = attempt.launch_time});
+  cluster_->node(attempt.node_id)->ReleaseMapSlot(attempt.slot);
 }
 
 void JobTracker::KillAttempt(const AttemptPtr& attempt) {
   DMR_CHECK(!attempt->finished);
-  attempt->finished = true;
   attempt->startup_event.Cancel();
   for (auto& [resource, request_id] : attempt->requests) {
     resource->CancelRequest(request_id);
   }
-  RecordAttemptEnd(*attempt, "killed");
-  cluster_->node(attempt->node_id)->ReleaseMapSlot(attempt->slot);
-  history_.Record(sim_->Now(), attempt->job->id(),
-                  JobEventKind::kAttemptKilled, attempt->split.index,
-                  attempt->node_id);
-  if (obs_ != nullptr) {
-    obs_->Count(obs_->m().attempts_killed);
-    TraceAttemptSpan(*attempt, "killed");
-    if (flight_ != nullptr) {
-      flight_->Append(sim_->Now(), obs::FlightEventKind::kPreempt,
-                      attempt->job->id(), attempt->node_id,
-                      attempt->split.index,
-                      sim_->Now() - attempt->launch_time);
-    }
-  }
+  EndAttempt(*attempt, Outcome::kKilled);
 }
 
 void JobTracker::OnAttemptDone(const AttemptPtr& attempt, bool failed) {
   if (attempt->finished) return;  // lost a race with a sibling's kill
-  attempt->finished = true;
-  RecordAttemptEnd(*attempt, failed ? "failed" : "ok");
-  cluster_->node(attempt->node_id)->ReleaseMapSlot(attempt->slot);
+  EndAttempt(*attempt, failed ? Outcome::kFailed : Outcome::kOk);
   Job* job = attempt->job;
-  if (obs_ != nullptr) {
-    obs_->Count(failed ? obs_->m().maps_failed : obs_->m().maps_completed);
-    obs_->Observe(obs_->m().task_run, sim_->Now() - attempt->launch_time);
-    TraceAttemptSpan(*attempt, failed ? "failed" : "ok");
-  }
 
   SplitKey key{job->id(), attempt->split.index};
   auto group_it = running_splits_.find(key);
@@ -558,10 +395,6 @@ void JobTracker::OnAttemptDone(const AttemptPtr& attempt, bool failed) {
   attempts.erase(std::remove(attempts.begin(), attempts.end(), attempt),
                  attempts.end());
 
-  history_.Record(sim_->Now(), job->id(),
-                  failed ? JobEventKind::kMapFailed
-                         : JobEventKind::kMapCompleted,
-                  attempt->split.index, attempt->node_id);
   if (failed) {
     // A sibling backup may still succeed; only when every attempt has
     // failed does the split go back on the pending queue.
@@ -570,26 +403,24 @@ void JobTracker::OnAttemptDone(const AttemptPtr& attempt, bool failed) {
       job->OnMapFailed(attempt->split);
       job->RequeueSplit(attempt->split);
     }
-    RecordDemandState();
+    ReportDemand();
     return;
   }
 
   // First successful attempt wins; kill the rest.
   for (auto& sibling : attempts) KillAttempt(sibling);
   running_splits_.erase(group_it);
-  if (obs_ != nullptr && obs_->trace() != nullptr) {
-    obs_->trace()->AsyncEnd(sim_->Now(),
-                            SplitSpanId(job->id(), attempt->split.index),
-                            attempt->split.node_id,
-                            "split " + std::to_string(attempt->split.index),
-                            "split");
-  }
   job->RecordMapDuration(sim_->Now() - attempt->launch_time);
   job->OnMapCompleted(attempt->split,
                       job->ComputeMapOutput(attempt->split));
-  MaybeRecordSatisfiable(job);
+  // The first such instant is the boundary between useful and wasted
+  // slot time; the recorders keep only that one.
+  uint64_t k = job->conf().sample_size();
+  if (k > 0 && job->output_records() >= k) {
+    Report({.step = LifecycleStep::kSampleSatisfiable, .job = job->id()});
+  }
   CheckReduceReady(job);
-  RecordDemandState();
+  ReportDemand();
 }
 
 void JobTracker::CheckReduceReady(Job* job) {
@@ -604,15 +435,8 @@ void JobTracker::LaunchReduce(Job* job, int node_id) {
   prof::ScopedTimer prof_frame(kLaunchReducePhase);
   cluster::Node* node = cluster_->node(node_id);
   node->AcquireReduceSlot();
-  history_.Record(sim_->Now(), job->id(), JobEventKind::kReduceStarted, -1,
-                  node_id);
-  job->reduce_launch_time = sim_->Now();
-  if (obs_ != nullptr) {
-    obs_->Count(obs_->m().reduces_launched);
-    if (obs::EventGraph* graph = obs_->graph()) {
-      graph->ReduceStarted(job->id(), sim_->Now());
-    }
-  }
+  Report({.step = LifecycleStep::kReduceStart, .job = job->id(),
+          .node = node_id});
 
   const auto& config = cluster_->config();
   uint64_t output_records = job->output_records();
@@ -645,44 +469,14 @@ void JobTracker::OnReduceComplete(Job* job, int node_id) {
   job->set_finish_time(sim_->Now());
   --active_jobs_;
 
-  history_.Record(sim_->Now(), job->id(), JobEventKind::kJobCompleted);
+  Report({.step = LifecycleStep::kJobComplete, .job = job->id(),
+          .node = node_id, .start = job->submit_time(),
+          .user = job->conf().user()});
   DMR_LOG(Info) << "job " << job->id() << " completed in "
                 << sim_->Now() - job->submit_time() << " s ("
                 << job->maps_completed() << " splits processed)";
-  if (obs_ != nullptr) {
-    obs_->Count(obs_->m().jobs_completed);
-    obs_->Observe(obs_->m().job_response,
-                  sim_->Now() - job->submit_time());
-    if (tl_ != nullptr) {
-      tl_->Observe(tl_job_response_, sim_->Now() - job->submit_time());
-      auto user_it = active_by_user_.find(job->conf().user());
-      if (user_it != active_by_user_.end()) --user_it->second;
-    }
-    if (obs::TraceStream* trace = obs_->trace()) {
-      obs::TraceArgs args;
-      args.Set("job", job->id());
-      // Reduce tasks render on the lane after the node's map slots.
-      trace->Complete(job->reduce_launch_time,
-                      sim_->Now() - job->reduce_launch_time, node_id,
-                      cluster_->node(node_id)->map_slots(),
-                      "reduce j" + std::to_string(job->id()), "reduce", args);
-      trace->AsyncEnd(sim_->Now(), static_cast<uint64_t>(job->id()),
-                      trace->num_pids() - 1,
-                      "job " + std::to_string(job->id()), "job");
-    }
-  }
-  if (obs_ != nullptr) {
-    if (obs::EventGraph* graph = obs_->graph()) {
-      graph->JobCompleted(job->id(), sim_->Now());
-    }
-    if (obs::Ledger* ledger = obs_->ledger()) {
-      if (active_jobs_ == 0) ledger->MarkQuiescent(sim_->Now());
-    }
-    RecordDemandState();
-  }
+  ReportDemand();
   JobStats stats = job->GetStats();
-  stats.history = history_.ForJob(job->id());
-  completed_jobs_.push_back(stats);
   auto cb_it = callbacks_.find(job->id());
   CompletionCallback cb;
   if (cb_it != callbacks_.end()) {

@@ -15,7 +15,6 @@
 #include "mapred/task_scheduler.h"
 #include "mapred/types.h"
 #include "obs/scope.h"
-#include "obs/timeline.h"
 #include "sim/simulation.h"
 
 namespace dmr::mapred {
@@ -35,7 +34,8 @@ class JobTracker {
 
   /// \param scheduler  not owned; must outlive the tracker.
   /// \param obs        nullable observability scope (not owned). When null,
-  ///                   the tracker records nothing (zero-overhead-when-off).
+  ///                   lifecycle steps reach only the history
+  ///                   (zero-overhead-when-off).
   JobTracker(cluster::Cluster* cluster, TaskScheduler* scheduler,
              obs::Scope* obs = nullptr);
 
@@ -75,11 +75,6 @@ class JobTracker {
   cluster::Cluster* cluster() { return cluster_; }
   sim::Simulation* simulation() { return sim_; }
 
-  /// Stats of all completed jobs, in completion order.
-  const std::vector<JobStats>& completed_jobs() const {
-    return completed_jobs_;
-  }
-
   int64_t total_local_maps() const { return total_local_maps_; }
   int64_t total_remote_maps() const { return total_remote_maps_; }
 
@@ -96,17 +91,10 @@ class JobTracker {
   /// Append-only lifecycle event log (the JobHistory analogue).
   const JobHistory& history() const { return history_; }
 
-  /// The attached observability scope, or null (shared with the JobClient
-  /// for provider-decision instrumentation).
-  obs::Scope* obs() const { return obs_; }
-
-  /// Jobs submitted and not yet completed (the timeline's
-  /// "mapred.active_jobs" probe).
-  int active_jobs() const { return active_jobs_; }
-
-  /// Active jobs for one tenant; 0 for unknown users. Backs the
-  /// per-tenant "mapred.inflight_jobs.<user>" timeline probes.
-  int ActiveJobsForUser(const std::string& user) const;
+  /// Reports one lifecycle step at the current virtual time: appends it to
+  /// the history and, with a scope attached, hands it to the scope. The
+  /// JobClient's provider decisions and the scheduler's delay holds too.
+  void Report(LifecycleRecord rec);
 
  private:
   /// One running map attempt (original or speculative backup). Attempts are
@@ -137,20 +125,15 @@ class JobTracker {
   void LaunchReduce(Job* job, int node_id);
   void OnAttemptDone(const AttemptPtr& attempt, bool failed);
   void KillAttempt(const AttemptPtr& attempt);
+  /// Marks `attempt` finished, reports its end and frees its map slot. The
+  /// report comes first, so the ledger learns the outcome of the busy
+  /// interval the release closes.
+  void EndAttempt(MapAttempt& attempt, Outcome outcome);
   void OnReduceComplete(Job* job, int node_id);
   void CheckReduceReady(Job* job);
-  /// Emits the trace span of a finished (completed/failed/killed) attempt.
-  void TraceAttemptSpan(const MapAttempt& attempt, const char* outcome);
-  /// Reports a finished attempt to the slot-time ledger and the event
-  /// graph. Must run before the node releases the attempt's map slot.
-  void RecordAttemptEnd(const MapAttempt& attempt, const char* outcome);
-  /// Re-derives the cluster-wide free-slot demand state (splits pending /
-  /// starved on the provider / idle) for the ledger. Cheap no-op dedupe in
-  /// the ledger; call after any event that can change demand.
-  void RecordDemandState();
-  /// Records the first instant `job`'s cumulative map output covered its
-  /// LIMIT-k sample (the boundary between useful and wasted slot time).
-  void MaybeRecordSatisfiable(Job* job);
+  /// Reports the free-slot demand state (only to a scope: the history has
+  /// no use for it). Call after any event that can change demand.
+  void ReportDemand();
   void PruneMappingJobs();
   Result<Job*> FindJob(int job_id) const;
   int NextJobId() { return next_job_id_++; }
@@ -159,12 +142,6 @@ class JobTracker {
   sim::Simulation* sim_;
   TaskScheduler* scheduler_;
   obs::Scope* obs_;
-  /// Cached from obs_ at construction (null when no timeline cell is
-  /// attached) so hot-path sites pay one pointer test, not a Scope walk.
-  obs::Timeline* tl_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  obs::Timeline::WindowedId tl_job_response_;
-  obs::Timeline::WindowedId tl_task_wait_;
   bool started_ = false;
   Rng fault_rng_;
 
@@ -172,14 +149,9 @@ class JobTracker {
   std::vector<Job*> mapping_jobs_;           // submission order
   std::deque<Job*> reduce_ready_;            // FIFO reduce launch queue
   std::map<int, CompletionCallback> callbacks_;
-  std::vector<JobStats> completed_jobs_;
   std::map<SplitKey, std::vector<AttemptPtr>> running_splits_;
   int next_job_id_ = 1;
   int active_jobs_ = 0;
-  /// Per-tenant inflight counts; only maintained when a timeline is
-  /// attached (node pointers stay stable, so probe lambdas may capture
-  /// the mapped int directly).
-  std::map<std::string, int> active_by_user_;
   int64_t total_local_maps_ = 0;
   int64_t total_remote_maps_ = 0;
   int64_t total_speculative_maps_ = 0;

@@ -6,7 +6,6 @@
 
 #include "mapred/job.h"
 #include "mapred/types.h"
-#include "obs/scope.h"
 
 namespace dmr::mapred {
 
@@ -40,12 +39,12 @@ class TaskScheduler {
       const std::vector<Job*>& running_jobs, int node_id, int free_slots,
       double now) = 0;
 
-  /// Attaches observability (nullable; implementations count decisions and
-  /// delay-scheduling holds/skips when set).
-  void set_obs(obs::Scope* obs) { obs_ = obs; }
+  /// The JobTracker this scheduler serves (null when unit tests drive it
+  /// directly); delay-scheduling holds are reported through it.
+  void set_tracker(JobTracker* tracker) { tracker_ = tracker; }
 
  protected:
-  obs::Scope* obs_ = nullptr;
+  JobTracker* tracker_ = nullptr;
 };
 
 }  // namespace dmr::mapred

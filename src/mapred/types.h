@@ -7,7 +7,6 @@
 
 #include "dfs/file_system.h"
 #include "mapred/counters.h"
-#include "mapred/job_history.h"
 
 namespace dmr::mapred {
 
@@ -38,9 +37,9 @@ struct InputSplit {
   int disk_id = 0;
   /// All replica locations, primary first; empty means primary only.
   std::vector<SplitLocation> locations;
-  /// Virtual time the split was handed to the JobTracker. Stamped by
-  /// AddSplits only when observability is attached (feeds the task-wait
-  /// latency histogram); 0 otherwise.
+  /// Virtual time the split was handed to its job (stamped by
+  /// Job::AddSplits; a retried split keeps its first stamp). A launch's
+  /// wait is measured from it.
   double queued_time = 0.0;
   /// Adaptive-layout stats hints (DESIGN.md §16), filled by layers that can
   /// see partition stats (LocalRuntime, testbed dataset builders). Fraction
@@ -147,9 +146,6 @@ struct JobStats {
   int input_increments = 0;
   /// Hadoop-style named counters (see counters.h for the standard names).
   Counters counters;
-  /// This job's lifecycle events in time order (the JobHistory slice),
-  /// so callers can assert on ordering without reaching into the tracker.
-  std::vector<JobEvent> history;
 
   double response_time() const { return finish_time - submit_time; }
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "common/logging.h"
 
@@ -44,86 +43,166 @@ const char* EventGraph::EdgeCategoryName(EdgeCategory category) {
   return "unknown";
 }
 
-int EventGraph::InstantRank(EventType type) {
-  switch (type) {
-    case EventType::kSubmit: return 0;
-    case EventType::kAttemptDone: return 1;
-    case EventType::kSampleSatisfiable: return 2;
-    case EventType::kProviderDecision: return 3;
-    case EventType::kSplitAdded: return 4;
-    case EventType::kInputFinalized: return 5;
-    case EventType::kReduceStarted: return 6;
-    case EventType::kAttemptLaunched: return 7;
-    case EventType::kJobCompleted: return 8;
+int EventGraph::InstantRank(LifecycleStep step) {
+  switch (step) {
+    case LifecycleStep::kSubmit: return 0;
+    case LifecycleStep::kAttemptEnd: return 1;
+    case LifecycleStep::kSampleSatisfiable: return 2;
+    case LifecycleStep::kProviderDecision: return 3;
+    case LifecycleStep::kSplitQueued: return 4;
+    case LifecycleStep::kInputFinalized: return 5;
+    case LifecycleStep::kReduceStart: return 6;
+    case LifecycleStep::kMapLaunch:
+    case LifecycleStep::kBackupLaunch: return 7;
+    case LifecycleStep::kJobComplete: return 8;
+    default: return -1;
   }
-  return 9;
 }
 
-void EventGraph::Enqueue(Pending p) {
-  if (!pending_.empty() && pending_.front().t != p.t) FlushPending();
-  pending_.push_back(p);
+void EventGraph::Record(const LifecycleRecord& rec) {
+  if (InstantRank(rec.step) < 0) return;
+  if (!pending_.empty() && pending_.front().t != rec.t) FlushPending();
+  // The views only live for the report call; the graph never reads them.
+  LifecycleRecord& kept = pending_.emplace_back(rec);
+  kept.user = {};
+  kept.diagnostics = {};
 }
 
 void EventGraph::FlushPending() {
   if (pending_.empty()) return;
   std::sort(pending_.begin(), pending_.end(),
-            [](const Pending& a, const Pending& b) {
-              int ra = InstantRank(a.type);
-              int rb = InstantRank(b.type);
+            [](const LifecycleRecord& a, const LifecycleRecord& b) {
+              int ra = InstantRank(a.step);
+              int rb = InstantRank(b.step);
               if (ra != rb) return ra < rb;
               if (a.job != b.job) return a.job < b.job;
-              if (a.detail != b.detail) return a.detail < b.detail;
+              if (a.split != b.split) return a.split < b.split;
               if (a.node != b.node) return a.node < b.node;
               return a.slot < b.slot;
             });
   // Swap the batch out so an Apply can never observe a half-flushed buffer.
-  std::vector<Pending> batch;
+  std::vector<LifecycleRecord> batch;
   batch.swap(pending_);
-  for (const Pending& p : batch) Apply(p);
+  for (const LifecycleRecord& rec : batch) Apply(rec);
 }
 
-void EventGraph::Apply(const Pending& p) {
-  switch (p.type) {
-    case EventType::kSubmit:
-      ApplyJobSubmitted(p.job, p.t);
+void EventGraph::Apply(const LifecycleRecord& rec) {
+  const int job = rec.job;
+  const double t = rec.t;
+  switch (rec.step) {
+    case LifecycleStep::kSubmit:
+      submit_[job] = AddEvent(EventType::kSubmit, t, job, -1, -1, -1);
       break;
-    case EventType::kProviderDecision:
-      ApplyProviderDecision(p.job, p.t);
+    case LifecycleStep::kProviderDecision: {
+      int32_t id = AddEvent(EventType::kProviderDecision, t, job, -1, -1, -1);
+      // The decision waits on the eval timer since the previous decision
+      // (or submit) and on the map completions it evaluated.
+      AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
+      if (auto it = last_done_.find(job); it != last_done_.end()) {
+        AddParent(id, it->second, EdgeCategory::kProvider);
+      }
+      last_provider_[job] = id;
       break;
-    case EventType::kSplitAdded:
-      ApplySplitAdded(p.job, p.detail, p.t);
+    }
+    case LifecycleStep::kSplitQueued: {
+      int32_t id = AddEvent(EventType::kSplitAdded, t, job, rec.split, -1, -1);
+      AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
+      available_[{job, rec.split}] = id;
       break;
-    case EventType::kAttemptLaunched:
-      ApplyAttemptLaunched(p.job, p.detail, p.t, p.node, p.slot, p.backup);
+    }
+    case LifecycleStep::kMapLaunch:
+    case LifecycleStep::kBackupLaunch: {
+      const std::pair<int, int> slot{rec.node, rec.slot};
+      int32_t id = AddEvent(EventType::kAttemptLaunched, t, job, rec.split,
+                            rec.node, rec.slot);
+      // The launch was gated by the split existing (retry: the prior
+      // failure) and by the slot being free; whichever came later binds.
+      if (auto it = available_.find({job, rec.split});
+          it != available_.end()) {
+        AddParent(id, it->second, EdgeCategory::kQueueing);
+      } else if (rec.step == LifecycleStep::kBackupLaunch) {
+        // Backups copy an already-running split; hang them off the input.
+        AddParent(id, InputSourceOf(job), EdgeCategory::kQueueing);
+      }
+      if (auto it = slot_release_.find(slot); it != slot_release_.end()) {
+        AddParent(id, it->second, EdgeCategory::kQueueing);
+      }
+      open_launch_[slot] = id;
       break;
-    case EventType::kAttemptDone:
-      ApplyAttemptDone(p.job, p.detail, p.t, p.node, p.slot, p.outcome);
+    }
+    case LifecycleStep::kAttemptEnd: {
+      const std::pair<int, int> slot{rec.node, rec.slot};
+      int32_t id = AddEvent(EventType::kAttemptDone, t, job, rec.split,
+                            rec.node, rec.slot);
+      if (auto it = open_launch_.find(slot); it != open_launch_.end()) {
+        AddParent(id, it->second, EdgeCategory::kExecution);
+        open_launch_.erase(it);
+      }
+      slot_release_[slot] = id;
+      if (rec.outcome == Outcome::kOk) {
+        last_done_[job] = id;
+        available_.erase({job, rec.split});
+      } else if (rec.outcome == Outcome::kFailed) {
+        // The retry's launch will wait on this failure.
+        available_[{job, rec.split}] = id;
+      }
       break;
-    case EventType::kSampleSatisfiable:
-      ApplySampleSatisfiable(p.job, p.t);
+    }
+    case LifecycleStep::kSampleSatisfiable: {
+      if (satisfiable_.count(job) != 0) break;
+      int32_t id =
+          AddEvent(EventType::kSampleSatisfiable, t, job, -1, -1, -1);
+      if (auto it = last_done_.find(job); it != last_done_.end()) {
+        AddParent(id, it->second, EdgeCategory::kBarrier);
+      } else {
+        AddParent(id, InputSourceOf(job), EdgeCategory::kBarrier);
+      }
+      satisfiable_[job] = id;
       break;
-    case EventType::kInputFinalized:
-      ApplyInputFinalized(p.job, p.t);
+    }
+    case LifecycleStep::kInputFinalized: {
+      int32_t id = AddEvent(EventType::kInputFinalized, t, job, -1, -1, -1);
+      if (auto it = satisfiable_.find(job); it != satisfiable_.end()) {
+        AddParent(id, it->second, EdgeCategory::kProvider);
+      }
+      AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
+      finalized_[job] = id;
       break;
-    case EventType::kReduceStarted:
-      ApplyReduceStarted(p.job, p.t);
+    }
+    case LifecycleStep::kReduceStart: {
+      int32_t id = AddEvent(EventType::kReduceStarted, t, job, -1, -1, -1);
+      // Map-phase barrier: the reduce waits for the input set to be final
+      // and for the last map of the job to drain.
+      if (auto it = finalized_.find(job); it != finalized_.end()) {
+        AddParent(id, it->second, EdgeCategory::kBarrier);
+      }
+      if (auto it = last_done_.find(job); it != last_done_.end()) {
+        AddParent(id, it->second, EdgeCategory::kBarrier);
+      } else {
+        AddParent(id, InputSourceOf(job), EdgeCategory::kBarrier);
+      }
+      reduce_[job] = id;
       break;
-    case EventType::kJobCompleted:
-      ApplyJobCompleted(p.job, p.t);
+    }
+    case LifecycleStep::kJobComplete: {
+      int32_t id = AddEvent(EventType::kJobCompleted, t, job, -1, -1, -1);
+      if (auto it = reduce_.find(job); it != reduce_.end()) {
+        AddParent(id, it->second, EdgeCategory::kReduce);
+      } else if (auto it2 = last_done_.find(job); it2 != last_done_.end()) {
+        AddParent(id, it2->second, EdgeCategory::kExecution);
+      } else {
+        AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
+      }
+      break;
+    }
+    default:
       break;
   }
 }
 
 int32_t EventGraph::AddEvent(EventType type, double t, int job, int detail,
                              int node, int slot) {
-  Event e;
-  e.type = type;
-  e.t = t;
-  e.job = job;
-  e.detail = detail;
-  e.node = node;
-  e.slot = slot;
-  events_.push_back(std::move(e));
+  events_.push_back(Event{type, t, job, detail, node, slot, {}});
   return static_cast<int32_t>(events_.size() - 1);
 }
 
@@ -140,160 +219,6 @@ int32_t EventGraph::InputSourceOf(int job) const {
   }
   if (auto it = submit_.find(job); it != submit_.end()) return it->second;
   return -1;
-}
-
-void EventGraph::JobSubmitted(int job, double t) {
-  Enqueue({EventType::kSubmit, t, job, -1, -1, -1, Outcome::kNone, false});
-}
-
-void EventGraph::ProviderDecision(int job, double t, const char* kind) {
-  (void)kind;
-  Enqueue({EventType::kProviderDecision, t, job, -1, -1, -1, Outcome::kNone,
-           false});
-}
-
-void EventGraph::SplitAdded(int job, int split, double t) {
-  Enqueue({EventType::kSplitAdded, t, job, split, -1, -1, Outcome::kNone,
-           false});
-}
-
-void EventGraph::AttemptLaunched(int job, int split, double t, int node,
-                                 int slot, bool backup) {
-  Enqueue({EventType::kAttemptLaunched, t, job, split, node, slot,
-           Outcome::kNone, backup});
-}
-
-void EventGraph::AttemptDone(int job, int split, double t, int node, int slot,
-                             const char* outcome) {
-  Outcome oc = Outcome::kOther;
-  if (std::strcmp(outcome, "ok") == 0) {
-    oc = Outcome::kOk;
-  } else if (std::strcmp(outcome, "failed") == 0) {
-    oc = Outcome::kFailed;
-  }
-  Enqueue({EventType::kAttemptDone, t, job, split, node, slot, oc, false});
-}
-
-void EventGraph::SampleSatisfiable(int job, double t) {
-  Enqueue({EventType::kSampleSatisfiable, t, job, -1, -1, -1, Outcome::kNone,
-           false});
-}
-
-void EventGraph::InputFinalized(int job, double t) {
-  Enqueue({EventType::kInputFinalized, t, job, -1, -1, -1, Outcome::kNone,
-           false});
-}
-
-void EventGraph::ReduceStarted(int job, double t) {
-  Enqueue({EventType::kReduceStarted, t, job, -1, -1, -1, Outcome::kNone,
-           false});
-}
-
-void EventGraph::JobCompleted(int job, double t) {
-  Enqueue({EventType::kJobCompleted, t, job, -1, -1, -1, Outcome::kNone,
-           false});
-}
-
-void EventGraph::ApplyJobSubmitted(int job, double t) {
-  submit_[job] = AddEvent(EventType::kSubmit, t, job, -1, -1, -1);
-}
-
-void EventGraph::ApplyProviderDecision(int job, double t) {
-  int32_t id = AddEvent(EventType::kProviderDecision, t, job, -1, -1, -1);
-  // The decision waits on the eval timer since the previous decision (or
-  // submit) and on the map completions it evaluated.
-  AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
-  if (auto it = last_done_.find(job); it != last_done_.end()) {
-    AddParent(id, it->second, EdgeCategory::kProvider);
-  }
-  last_provider_[job] = id;
-}
-
-void EventGraph::ApplySplitAdded(int job, int split, double t) {
-  int32_t id = AddEvent(EventType::kSplitAdded, t, job, split, -1, -1);
-  AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
-  available_[{job, split}] = id;
-}
-
-void EventGraph::ApplyAttemptLaunched(int job, int split, double t, int node,
-                                      int slot, bool backup) {
-  int32_t id = AddEvent(EventType::kAttemptLaunched, t, job, split, node,
-                        slot);
-  // The launch was gated by the split existing (retry: the prior failure)
-  // and by the slot being free; whichever came later binds.
-  if (auto it = available_.find({job, split}); it != available_.end()) {
-    AddParent(id, it->second, EdgeCategory::kQueueing);
-  } else if (backup) {
-    // Backups copy an already-running split; hang them off the job's input.
-    AddParent(id, InputSourceOf(job), EdgeCategory::kQueueing);
-  }
-  if (auto it = slot_release_.find({node, slot}); it != slot_release_.end()) {
-    AddParent(id, it->second, EdgeCategory::kQueueing);
-  }
-  open_launch_[{node, slot}] = id;
-}
-
-void EventGraph::ApplyAttemptDone(int job, int split, double t, int node,
-                                  int slot, Outcome outcome) {
-  int32_t id = AddEvent(EventType::kAttemptDone, t, job, split, node, slot);
-  if (auto it = open_launch_.find({node, slot}); it != open_launch_.end()) {
-    AddParent(id, it->second, EdgeCategory::kExecution);
-    open_launch_.erase(it);
-  }
-  slot_release_[{node, slot}] = id;
-  if (outcome == Outcome::kOk) {
-    last_done_[job] = id;
-    available_.erase({job, split});
-  } else if (outcome == Outcome::kFailed) {
-    // The retry's launch will wait on this failure.
-    available_[{job, split}] = id;
-  }
-}
-
-void EventGraph::ApplySampleSatisfiable(int job, double t) {
-  if (satisfiable_.count(job) != 0) return;
-  int32_t id = AddEvent(EventType::kSampleSatisfiable, t, job, -1, -1, -1);
-  if (auto it = last_done_.find(job); it != last_done_.end()) {
-    AddParent(id, it->second, EdgeCategory::kBarrier);
-  } else {
-    AddParent(id, InputSourceOf(job), EdgeCategory::kBarrier);
-  }
-  satisfiable_[job] = id;
-}
-
-void EventGraph::ApplyInputFinalized(int job, double t) {
-  int32_t id = AddEvent(EventType::kInputFinalized, t, job, -1, -1, -1);
-  if (auto it = satisfiable_.find(job); it != satisfiable_.end()) {
-    AddParent(id, it->second, EdgeCategory::kProvider);
-  }
-  AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
-  finalized_[job] = id;
-}
-
-void EventGraph::ApplyReduceStarted(int job, double t) {
-  int32_t id = AddEvent(EventType::kReduceStarted, t, job, -1, -1, -1);
-  // Map-phase barrier: the reduce waits for the input set to be final and
-  // for the last map of the job to drain.
-  if (auto it = finalized_.find(job); it != finalized_.end()) {
-    AddParent(id, it->second, EdgeCategory::kBarrier);
-  }
-  if (auto it = last_done_.find(job); it != last_done_.end()) {
-    AddParent(id, it->second, EdgeCategory::kBarrier);
-  } else {
-    AddParent(id, InputSourceOf(job), EdgeCategory::kBarrier);
-  }
-  reduce_[job] = id;
-}
-
-void EventGraph::ApplyJobCompleted(int job, double t) {
-  int32_t id = AddEvent(EventType::kJobCompleted, t, job, -1, -1, -1);
-  if (auto it = reduce_.find(job); it != reduce_.end()) {
-    AddParent(id, it->second, EdgeCategory::kReduce);
-  } else if (auto it2 = last_done_.find(job); it2 != last_done_.end()) {
-    AddParent(id, it2->second, EdgeCategory::kExecution);
-  } else {
-    AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
-  }
 }
 
 std::vector<EventGraph::JobPath> EventGraph::AnalyzeCriticalPaths() const {

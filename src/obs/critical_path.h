@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/lifecycle.h"
+
 namespace dmr::obs {
 
 /// \brief Records the causal structure of one simulated cluster run as a
@@ -72,22 +74,12 @@ class EventGraph {
     std::vector<std::pair<int32_t, EdgeCategory>> parents;
   };
 
-  // --- recording (called by JobTracker / JobClient through obs::Scope) ----
+  // --- recording (fed by Scope::Record) ---------------------------------
 
-  void JobSubmitted(int job, double t);
-  /// `kind` is the InputResponse kind string ("input-available", ...).
-  void ProviderDecision(int job, double t, const char* kind);
-  void SplitAdded(int job, int split, double t);
-  void AttemptLaunched(int job, int split, double t, int node, int slot,
-                       bool backup);
-  /// `outcome` is "ok", "failed" or "killed". A failed attempt re-arms the
-  /// split's availability (the retry's launch will hang off this event).
-  void AttemptDone(int job, int split, double t, int node, int slot,
-                   const char* outcome);
-  void SampleSatisfiable(int job, double t);  // first call per job wins
-  void InputFinalized(int job, double t);
-  void ReduceStarted(int job, double t);
-  void JobCompleted(int job, double t);
+  /// Buffers the lifecycle steps that are graph events and ignores the
+  /// rest. A failed attempt re-arms its split (the retry's launch hangs
+  /// off it); only a job's first sample-satisfiable counts.
+  void Record(const LifecycleRecord& rec);
 
   const std::vector<Event>& events() const { return events_; }
   size_t size() const { return events_.size(); }
@@ -144,46 +136,18 @@ class EventGraph {
   static const char* EdgeCategoryName(EdgeCategory category);
 
  private:
-  enum class Outcome : uint8_t { kNone, kOk, kFailed, kOther };
-
-  /// One buffered notification, applied at instant flush.
-  struct Pending {
-    EventType type;
-    double t;
-    int job;
-    int detail;
-    int node;
-    int slot;
-    Outcome outcome;  // kAttemptDone only
-    bool backup;      // kAttemptLaunched only
-  };
-
-  /// Canonical application order for notifications sharing a timestamp,
+  /// Canonical application order for records sharing a timestamp,
   /// mirroring the simulator's semantic phases at one instant: settle
   /// finished work first, then input/provider activity, then launches, then
   /// job completion. Guarantees intra-instant parents apply before their
-  /// children.
-  static int InstantRank(EventType type);
+  /// children. -1 for steps that are not graph events.
+  static int InstantRank(LifecycleStep step);
 
-  /// Buffers `p`, flushing the previous instant's batch if `p.t` moved on.
-  void Enqueue(Pending p);
-  /// Sorts the buffered instant by (InstantRank, job, detail, node, slot)
+  /// Sorts the buffered instant by (InstantRank, job, split, node, slot)
   /// and applies it.
   void FlushPending();
-  void Apply(const Pending& p);
-
-  // The actual recording logic, run at flush time in canonical order.
-  void ApplyJobSubmitted(int job, double t);
-  void ApplyProviderDecision(int job, double t);
-  void ApplySplitAdded(int job, int split, double t);
-  void ApplyAttemptLaunched(int job, int split, double t, int node, int slot,
-                            bool backup);
-  void ApplyAttemptDone(int job, int split, double t, int node, int slot,
-                        Outcome outcome);
-  void ApplySampleSatisfiable(int job, double t);
-  void ApplyInputFinalized(int job, double t);
-  void ApplyReduceStarted(int job, double t);
-  void ApplyJobCompleted(int job, double t);
+  /// The recording logic, run at flush time in canonical order.
+  void Apply(const LifecycleRecord& rec);
 
   int32_t AddEvent(EventType type, double t, int job, int detail, int node,
                    int slot);
@@ -191,7 +155,8 @@ class EventGraph {
   /// Latest provider decision of `job`, or its submit event, or -1.
   int32_t InputSourceOf(int job) const;
 
-  std::vector<Pending> pending_;
+  /// The current instant's records (views cleared), in arrival order.
+  std::vector<LifecycleRecord> pending_;
   std::vector<Event> events_;
 
   // Recording-time registries resolving semantic ids to event indices.

@@ -31,15 +31,6 @@ const char* SlotCategoryName(SlotCategory category) {
   return "unknown";
 }
 
-const char* AttemptKindName(Ledger::AttemptKind kind) {
-  switch (kind) {
-    case Ledger::AttemptKind::kCompleted: return "completed";
-    case Ledger::AttemptKind::kKilled: return "killed";
-    case Ledger::AttemptKind::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 Ledger::Ledger(int num_nodes, int map_slots_per_node)
     : num_nodes_(num_nodes),
       map_slots_per_node_(map_slots_per_node),
@@ -70,14 +61,13 @@ void Ledger::OnSlotReleased(int node, int slot, double t) {
   last_event_time_ = std::max(last_event_time_, t);
 }
 
-void Ledger::OnAttemptOutcome(int node, int slot, int job, AttemptKind kind) {
+void Ledger::OnAttemptOutcome(int node, int slot, int job, Outcome outcome) {
   auto& intervals = busy_[SlotIndex(node, slot)];
   DMR_CHECK(!intervals.empty() && intervals.back().end < 0.0)
       << "attempt outcome on a free slot (node " << node << " slot " << slot
       << ")";
   intervals.back().job = job;
-  intervals.back().kind = kind;
-  intervals.back().outcome_known = true;
+  intervals.back().outcome = outcome;
 }
 
 void Ledger::OnSampleSatisfiable(int job, double t) {
@@ -162,7 +152,7 @@ Ledger::Totals Ledger::Resolve() const {
       cursor = std::max(cursor, end);
 
       if (end <= begin) continue;
-      if (iv.outcome_known && iv.kind != AttemptKind::kCompleted) {
+      if (iv.outcome != Outcome::kNone && iv.outcome != Outcome::kOk) {
         // Killed and failed attempts: discarded work.
         totals.seconds[static_cast<int>(SlotCategory::kSpeculative)] +=
             end - begin;

@@ -53,13 +53,14 @@ const char* SlotCategoryName(SlotCategory category);
 ///
 /// The recording API mirrors the cluster's actual lifecycle:
 ///  - Node::AcquireMapSlot/ReleaseMapSlot mark busy intervals;
-///  - JobTracker reports each attempt's outcome (completed / backup /
-///    killed / failed) just before releasing its slot, plus the instant a
-///    job's sample first became satisfiable;
-///  - JobTracker reports the cluster-wide demand state after every event
-///    that can change it (splits pending -> queueing; all mapping jobs
-///    starved on the provider -> provider-wait; no demand -> idle);
-///  - the scheduler reports delay-scheduling holds (diagnostic only).
+///  - everything else arrives as JobTracker lifecycle records through
+///    Scope::Record: each attempt's outcome (completed / backup / killed /
+///    failed) just before its slot is released, the instant a job's
+///    sample first became satisfiable, the cluster-wide demand state after
+///    every event that can change it (splits pending -> queueing; all
+///    mapping jobs starved on the provider -> provider-wait; no demand ->
+///    idle), the fair scheduler's delay-scheduling holds (diagnostic
+///    only), and quiescence (no job in flight).
 ///
 /// Attribution happens per slot with a two-pointer sweep over the busy
 /// intervals and the demand-state step function, so Resolve() is
@@ -73,14 +74,13 @@ class Ledger {
 
   void OnSlotAcquired(int node, int slot, double t);
   void OnSlotReleased(int node, int slot, double t);
-  /// Outcome of the attempt occupying (node, slot); must be called before
-  /// the matching OnSlotReleased.
-  enum class AttemptKind : uint8_t { kCompleted, kKilled, kFailed };
-  void OnAttemptOutcome(int node, int slot, int job, AttemptKind kind);
+  /// Outcome (kOk, kFailed or kKilled) of the attempt occupying
+  /// (node, slot); must be called before the matching OnSlotReleased.
+  void OnAttemptOutcome(int node, int slot, int job, Outcome outcome);
   /// First time `job`'s cumulative matching output reached its LIMIT k.
   void OnSampleSatisfiable(int job, double t);
   /// Cluster-wide demand state for free slots, as a step function of time.
-  enum class FreeState : uint8_t { kQueue, kProviderWait, kIdle };
+  using FreeState = obs::FreeState;
   void OnFreeState(FreeState state, double t);
   void OnDelayHold() { ++delay_holds_; }
   /// The tracker went quiescent (no active jobs). The last such mark wins
@@ -124,8 +124,7 @@ class Ledger {
     double begin = 0.0;
     double end = -1.0;  // open until released
     int job = -1;
-    AttemptKind kind = AttemptKind::kKilled;
-    bool outcome_known = false;
+    Outcome outcome = Outcome::kNone;  // kNone: still running
   };
   struct FreeTransition {
     double t;
@@ -148,8 +147,6 @@ class Ledger {
   bool sealed_ = false;
   double makespan_ = 0.0;
 };
-
-const char* AttemptKindName(Ledger::AttemptKind kind);
 
 /// \brief One experiment cell's observability state: a labelled Ledger plus
 /// EventGraph, with driver-provided annotations (policy, z, scale, repeat)

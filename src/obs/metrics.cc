@@ -6,6 +6,65 @@
 namespace dmr::obs {
 
 // ---------------------------------------------------------------------------
+// ExactSum
+
+void ExactSum::Add(double value) {
+  if (value == 0.0) return;
+  if (!std::isfinite(value)) {
+    special_ += value;
+    return;
+  }
+  // |value| = mantissa * 2^(exp - 53), with an integer mantissa < 2^53.
+  int exp = 0;
+  const auto mantissa = static_cast<uint64_t>(
+      std::ldexp(std::frexp(std::fabs(value), &exp), 53));
+  const int bit = exp - 53 + kBias;
+  const unsigned __int128 shifted = static_cast<unsigned __int128>(mantissa)
+                                    << (bit % 32);
+  const int64_t sign = value < 0.0 ? -1 : 1;
+  for (int i = 0; i < 3; ++i) {
+    chunks_[bit / 32 + i] +=
+        sign * static_cast<int64_t>((shifted >> (32 * i)) & 0xFFFFFFFFu);
+  }
+  // Each add moves a word by under 2^32; normalizing every 2^29 adds keeps
+  // words (and the sum of two merged ones) far from overflow.
+  if (++pending_ >= (1u << 29)) Normalize();
+}
+
+void ExactSum::Merge(const ExactSum& other) {
+  for (int i = 0; i < kChunks; ++i) chunks_[i] += other.chunks_[i];
+  special_ += other.special_;
+  pending_ += other.pending_ + 1;
+  if (pending_ >= (1u << 29)) Normalize();
+}
+
+void ExactSum::Normalize() {
+  for (int i = 0; i + 1 < kChunks; ++i) {
+    chunks_[i + 1] += chunks_[i] >> 32;  // floor division by 2^32
+    chunks_[i] &= 0xFFFFFFFF;
+  }
+  pending_ = 0;
+}
+
+double ExactSum::Value() const {
+  if (special_ != 0.0) return special_;  // true for NaN as well
+  ExactSum total = *this;
+  total.Normalize();
+  // The sign is the top chunk's; sum the magnitude from the top down.
+  const bool negative = total.chunks_[kChunks - 1] < 0;
+  if (negative) {
+    for (int64_t& chunk : total.chunks_) chunk = -chunk;
+    total.Normalize();
+  }
+  double result = 0.0;
+  for (int i = kChunks - 1; i >= 0; --i) {
+    result += std::ldexp(static_cast<double>(total.chunks_[i]),
+                         32 * i - kBias);
+  }
+  return negative ? -result : result;
+}
+
+// ---------------------------------------------------------------------------
 // HistogramData
 
 int HistogramData::BucketFor(double value) {
@@ -38,7 +97,7 @@ void HistogramData::Observe(double value) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  sum_ += value;
+  sum_.Add(value);
   ++count_;
 }
 
@@ -55,7 +114,7 @@ void HistogramData::MergeFrom(const HistogramData& other) {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
-  sum_ += other.sum_;
+  sum_.Merge(other.sum_);
   count_ += other.count_;
 }
 

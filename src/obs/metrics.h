@@ -1,6 +1,7 @@
 #ifndef DMR_OBS_METRICS_H_
 #define DMR_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -29,13 +30,35 @@ struct HistogramHandle {
   bool valid() const { return index != UINT32_MAX; }
 };
 
+/// \brief The exact sum of doubles, whatever the order they are added or
+/// merged in. Every finite double is an integer multiple of 2^-1074, so
+/// the total is one wide fixed-point integer (32-bit chunks in int64
+/// words, carries propagated lazily) and Value() rounds it to a double.
+/// Infinities and NaNs are summed apart and win over the finite part.
+class ExactSum {
+ public:
+  void Add(double value);
+  void Merge(const ExactSum& other);
+  double Value() const;
+
+ private:
+  static constexpr int kChunks = 70;   // room above 2^1024 for carries
+  static constexpr int kBias = 1126;   // chunk 0, bit 0 weighs 2^-kBias
+  void Normalize();  // every chunk but the top one into [0, 2^32)
+
+  std::array<int64_t, kChunks> chunks_{};
+  uint32_t pending_ = 0;  // adds since Normalize (bounds the words)
+  double special_ = 0.0;
+};
+
 /// \brief HDR-style log-bucketed latency histogram state, merged across
 /// shards at snapshot time.
 ///
 /// Values are bucketed by binary exponent with kSubBuckets linear
 /// sub-buckets per octave (~3 % relative precision at 32 sub-buckets),
-/// so merging shards is a commutative sum of bucket counts — snapshot
-/// results are deterministic regardless of which worker recorded what.
+/// so merging shards is a commutative sum of bucket counts, and the sum
+/// is exact (ExactSum) — snapshot results, sum and mean included, are
+/// identical regardless of which worker recorded what.
 class HistogramData {
  public:
   static constexpr int kSubBuckets = 32;
@@ -48,11 +71,11 @@ class HistogramData {
   void MergeFrom(const HistogramData& other);
 
   uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
+  double sum() const { return sum_.Value(); }
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double Mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    return count_ == 0 ? 0.0 : sum() / static_cast<double>(count_);
   }
 
   /// Nearest-rank percentile over the bucket counts, q in [0, 100].
@@ -71,7 +94,7 @@ class HistogramData {
   /// Lazily sized to kNumBuckets on the first observation.
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
-  double sum_ = 0.0;
+  ExactSum sum_;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -86,11 +109,12 @@ class HistogramData {
 ///  * **Per-worker shards.** Each writer thread lazily gets its own shard
 ///    (one pointer compare on the fast path via a thread-local cache), so
 ///    parallel experiment cells never contend on metric cache lines.
-///  * **Deterministic merge.** TakeSnapshot sums counters and histogram
-///    buckets across shards and sorts metrics by name, so the snapshot is
-///    byte-stable for a given workload regardless of thread schedule.
-///    Gauges are last-writer-wins (a global version stamp picks the most
-///    recent set) and are the one knowingly schedule-dependent exception.
+///  * **Deterministic merge.** TakeSnapshot sums counters, histogram
+///    buckets and exact histogram sums across shards and sorts metrics by
+///    name, so the snapshot is byte-stable for a given workload regardless
+///    of thread schedule. Gauges are last-writer-wins (a global version
+///    stamp picks the most recent set) and are the one knowingly
+///    schedule-dependent exception.
 ///
 /// Threading contract: Register*/Add/Set/Observe may be called from any
 /// thread; TakeSnapshot must only run at a quiescent point (no concurrent

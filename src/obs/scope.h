@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/lifecycle.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -76,15 +77,11 @@ struct StandardMetrics {
   CounterHandle sim_tie_groups;
   CounterHandle sim_tie_events;
 
-  // Latency histograms. task_wait/task_run/job_response are in simulated
-  // seconds; heartbeat_assign/provider_decision are host wall-clock
-  // microseconds (they time the *decision code*, which runs in zero
-  // simulated time).
+  // Latency histograms, in simulated seconds. Host time of the decision
+  // code (which runs in zero simulated time) is the prof phases' job.
   HistogramHandle task_wait;
   HistogramHandle task_run;
   HistogramHandle job_response;
-  HistogramHandle heartbeat_assign;
-  HistogramHandle provider_decision;
 
   // Gauges (last-writer-wins; diagnostic only).
   GaugeHandle selectivity_estimate;
@@ -92,7 +89,7 @@ struct StandardMetrics {
 };
 
 /// \brief The nullable observability context threaded through the
-/// execution layers (JobTracker, schedulers, providers, DFS, cluster).
+/// execution layers (JobTracker, providers, DFS, cluster).
 ///
 /// Components hold an `obs::Scope*` that is null by default; every
 /// instrumentation site is guarded by that null check, which preserves
@@ -103,36 +100,39 @@ struct StandardMetrics {
 /// (per-cell) TraceStream, one (per-cell) LedgerCell holding the
 /// slot-time ledger + critical-path event graph, and one (per-cell)
 /// TimelineCell holding the virtual-time sampler + SLO monitor + flight
-/// recorder; any may be absent.
+/// recorder; any may be absent. Record() is the one entry point through
+/// which job lifecycle steps reach all of them.
 class Scope {
  public:
+  /// `map_slots_per_node` places reduce spans on the trace lane after a
+  /// node's map slots.
   Scope(MetricsRegistry* metrics, TraceStream* trace,
-        LedgerCell* cell = nullptr, TimelineCell* tcell = nullptr)
-      : metrics_(metrics),
-        trace_(trace),
-        cell_(cell),
-        tcell_(tcell),
-        m_(metrics) {}
+        LedgerCell* cell = nullptr, TimelineCell* tcell = nullptr,
+        int map_slots_per_node = 0);
+  ~Scope();
 
-  MetricsRegistry* metrics() const { return metrics_; }
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
   /// Null when tracing is off — callers must check.
   TraceStream* trace() const { return trace_; }
   /// Null when no ledger book is installed — callers must check. These
   /// are defined out-of-line so this header needn't pull in ledger.h /
   /// timeline.h.
   Ledger* ledger() const;
-  EventGraph* graph() const;
   /// Null when no timeline book is installed — callers must check.
   Timeline* timeline() const;
-  FlightRecorder* flight() const;
   SloMonitor* slo() const;
-  LedgerCell* cell() const { return cell_; }
-  TimelineCell* timeline_cell() const { return tcell_; }
   /// Attaches a driver-provided (key, value) annotation to the cell (used
   /// to key cross-run joins in dmr-analyze). Mirrors into both the ledger
   /// and the timeline cell; no-op when neither is present.
   void Annotate(std::string_view key, std::string_view value);
   const StandardMetrics& m() const { return m_; }
+
+  /// Feeds one job lifecycle step to every attached recorder. An attempt's
+  /// end must arrive before its node releases the slot, so the ledger
+  /// learns the outcome of the busy interval the release closes.
+  void Record(const LifecycleRecord& rec);
 
   void Count(CounterHandle h, int64_t delta = 1) {
     if (metrics_ != nullptr) metrics_->Add(h, delta);
@@ -145,11 +145,15 @@ class Scope {
   }
 
  private:
+  /// What Record keeps between steps (defined in scope.cc).
+  struct LifecycleState;
+
   MetricsRegistry* metrics_;
   TraceStream* trace_;
   LedgerCell* cell_;
   TimelineCell* tcell_;
   StandardMetrics m_;
+  std::unique_ptr<LifecycleState> lifecycle_;
 };
 
 /// \brief A process-global observability session, installed by the bench
@@ -179,7 +183,8 @@ class Hub {
 };
 
 /// Creates a trace stream + scope for one simulated cluster: pids 0..n-1
-/// are the nodes, pid n is the client/provider track. When `book` is
+/// are the nodes (one lane per map slot, then a reduce lane), pid n is
+/// the client/provider track. When `book` is
 /// non-null, a LedgerCell (slot-time ledger + event graph, dimensioned
 /// `num_nodes x map_slots_per_node`) is opened under `label` as well;
 /// when `timelines` is non-null, a TimelineCell is opened too. Any input

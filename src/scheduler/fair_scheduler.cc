@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/ledger.h"
+#include "mapred/job_tracker.h"
 
 namespace dmr::scheduler {
 
 using mapred::Job;
+using mapred::LifecycleStep;
 using mapred::MapAssignment;
 
 namespace {
@@ -110,18 +111,17 @@ std::vector<MapAssignment> FairScheduler::AssignMapTasks(
             still_waiting = true;
           }
           if (still_waiting) {
+            if (tracker_ != nullptr) {
+              tracker_->Report({.step = options_.strict_delay
+                                            ? LifecycleStep::kDelayHold
+                                            : LifecycleStep::kDelaySkip,
+                                .job = job->id(), .node = node_id});
+            }
             if (options_.strict_delay) {
               // Strict fairness: hold the slot for the deserving job.
-              if (obs_ != nullptr) {
-                obs_->Count(obs_->m().sched_delay_holds);
-                if (obs::Ledger* ledger = obs_->ledger()) {
-                  ledger->OnDelayHold();
-                }
-              }
               held = true;
               break;
             }
-            if (obs_ != nullptr) obs_->Count(obs_->m().sched_delay_skips);
             continue;  // skip to the next job
           }
         }
@@ -137,10 +137,6 @@ std::vector<MapAssignment> FairScheduler::AssignMapTasks(
       if (assigned || held) break;
     }
     if (!assigned) break;  // slot held or nothing assignable right now
-  }
-  if (obs_ != nullptr) {
-    obs_->Count(obs_->m().sched_decisions,
-                static_cast<int64_t>(assignments.size()));
   }
   return assignments;
 }

@@ -25,10 +25,6 @@ std::vector<MapAssignment> FifoScheduler::AssignMapTasks(
     if (picked.job == nullptr) break;
     assignments.push_back(std::move(picked));
   }
-  if (obs_ != nullptr) {
-    obs_->Count(obs_->m().sched_decisions,
-                static_cast<int64_t>(assignments.size()));
-  }
   return assignments;
 }
 

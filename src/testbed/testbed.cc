@@ -23,16 +23,6 @@ Testbed::Testbed(const cluster::ClusterConfig& config, SchedulerKind kind,
                                    config_.num_nodes,
                                    config_.map_slots_per_node,
                                    obs::Hub::timeline_book());
-    if (obs::TraceStream* trace = scope_->trace()) {
-      // Label the per-slot lanes (tid = map slot; the lane after the map
-      // slots renders reduce tasks).
-      for (int n = 0; n < config_.num_nodes; ++n) {
-        for (int s = 0; s < config_.map_slots_per_node; ++s) {
-          trace->ThreadName(n, s, "slot" + std::to_string(s));
-        }
-        trace->ThreadName(n, config_.map_slots_per_node, "reduce");
-      }
-    }
   }
   obs::Scope* obs = scope_.get();
 
@@ -55,7 +45,6 @@ Testbed::Testbed(const cluster::ClusterConfig& config, SchedulerKind kind,
       break;
     }
   }
-  scheduler_->set_obs(obs);
   tracker_ = std::make_unique<mapred::JobTracker>(cluster_.get(),
                                                   scheduler_.get(), obs);
   tracker_->Start();
@@ -70,10 +59,11 @@ Testbed::Testbed(const cluster::ClusterConfig& config, SchedulerKind kind,
 void Testbed::SetupTimeline() {
   obs::Timeline* tl = scope_->timeline();
 
-  // Engine-health probes. Every callback reads state that is a pure
-  // function of virtual time (queue sizes, arena bytes, slot/job counts),
-  // which is what keeps timeline output byte-identical across --threads,
-  // --queue and --shuffle-ties (DESIGN.md §15).
+  // Engine-health probes (the scope adds the job-lifecycle ones). Every
+  // callback reads state that is a pure function of virtual time (queue
+  // sizes, arena bytes, slot counts), which is what keeps timeline output
+  // byte-identical across --threads, --queue and --shuffle-ties
+  // (DESIGN.md §15).
   tl->AddProbe("sim.live_size", "events", obs::Timeline::SeriesKind::kGauge,
                [this] { return static_cast<double>(sim_.live_size()); });
   tl->AddProbe("sim.events_fired", "events",
@@ -86,10 +76,6 @@ void Testbed::SetupTimeline() {
   tl->AddProbe("cluster.occupied_map_slots", "slots",
                obs::Timeline::SeriesKind::kGauge, [this] {
                  return static_cast<double>(cluster_->used_map_slots());
-               });
-  tl->AddProbe("mapred.active_jobs", "jobs",
-               obs::Timeline::SeriesKind::kGauge, [this] {
-                 return static_cast<double>(tracker_->active_jobs());
                });
 
   // A permissive default SLO over the windowed job-response p99: a

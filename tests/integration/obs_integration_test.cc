@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/scope.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sampling/sampling_job.h"
 #include "testbed/testbed.h"
@@ -108,11 +109,14 @@ TEST(ObsIntegrationTest, TraceSpansMatchTaskCounts) {
   EXPECT_EQ(CountEvents(events, "e", "split"),
             static_cast<int>(*completed));
   // One provider-decision instant per provider invocation (initial grab +
-  // each periodic evaluation).
-  const auto* decisions = snap.FindHistogram("provider.decision");
-  ASSERT_NE(decisions, nullptr);
+  // each periodic evaluation); each decision is exactly one of grow, wait
+  // and end-of-input.
+  const int64_t decisions = *snap.FindCounter("provider.grows") +
+                            *snap.FindCounter("provider.waits") +
+                            *snap.FindCounter("provider.end_of_input");
+  EXPECT_GT(decisions, 0);
   EXPECT_EQ(CountEvents(events, "i", "provider"),
-            static_cast<int>(decisions->count));
+            static_cast<int>(decisions));
   EXPECT_EQ(*snap.FindCounter("provider.evaluations"),
             stats.provider_evaluations);
 }
@@ -156,9 +160,11 @@ TEST(ObsIntegrationTest, TestbedAppendsSeriesAndHistory) {
   auto stats = bed.RunJobToCompletion(*std::move(submission));
   ASSERT_TRUE(stats.ok());
 
-  // Satellite: JobStats carries the history slice, and it renders as JSON.
-  EXPECT_FALSE(stats->history.empty());
-  auto history_doc = JsonParse(mapred::JobHistory::ToJson(stats->history));
+  // The tracker's history holds the job's slice, and it renders as JSON.
+  std::vector<mapred::JobEvent> job_events =
+      bed.tracker().history().ForJob(stats->job_id);
+  EXPECT_FALSE(job_events.empty());
+  auto history_doc = JsonParse(mapred::JobHistory::ToJson(job_events));
   ASSERT_TRUE(history_doc.ok()) << history_doc.status().ToString();
   EXPECT_TRUE(history_doc.ValueOrDie().is_array());
 
@@ -177,6 +183,83 @@ TEST(ObsIntegrationTest, TestbedAppendsSeriesAndHistory) {
   ASSERT_NE(history, nullptr);
   EXPECT_TRUE(history->is_array());
   EXPECT_FALSE(history->items.empty());
+}
+
+/// RAII hub session with a timeline book only.
+class TimelineHubSession {
+ public:
+  TimelineHubSession() {
+    obs::Hub::Install(nullptr, nullptr, nullptr, &timelines);
+  }
+  ~TimelineHubSession() { obs::Hub::Uninstall(); }
+  obs::TimelineBook timelines;
+};
+
+TEST(ObsIntegrationTest, TimelineFollowsPerUserJobsAndPrunedLaunches) {
+  // The per-user inflight series and the pruned-launch counter live in
+  // the obs scope and are fed only by lifecycle records; check what they
+  // say, not just that they are deterministic.
+  TimelineHubSession hub;
+  int64_t tracker_pruned = 0;
+  {
+    Testbed bed(cluster::ClusterConfig::SingleUser());
+    int completed = 0;
+    for (const char* user : {"alice", "bob"}) {
+      for (int j = 0; j < 2; ++j) {
+        mapred::JobConf conf;
+        conf.set_user(user);
+        std::vector<mapred::InputSplit> splits;
+        for (int i = 0; i < 6; ++i) {
+          mapred::InputSplit split;
+          split.file = user;
+          split.index = i;
+          split.num_records = 10000;
+          split.size_bytes = split.num_records * 132;
+          split.node_id = i % bed.config().num_nodes;
+          // Every third split's stats hint proves it empty: a stats read.
+          if (i % 3 == 0) split.scan_fraction = 0.0;
+          splits.push_back(split);
+        }
+        ASSERT_TRUE(bed.tracker()
+                        .SubmitStaticJob(
+                            conf, splits,
+                            [](const mapred::InputSplit&) { return 0u; },
+                            [&completed](const mapred::JobStats&) {
+                              ++completed;
+                            })
+                        .ok());
+      }
+    }
+    bed.sim().RunUntil(300.0);
+    ASSERT_EQ(completed, 4);
+    tracker_pruned = bed.tracker().total_pruned_splits();
+  }  // the testbed seals its timeline cell
+  EXPECT_EQ(tracker_pruned, 8);  // 2 of 6 splits in each of 4 jobs
+
+  auto doc = JsonParse(hub.timelines.ToJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* cells = doc.ValueOrDie().Find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_EQ(cells->items.size(), 1u);
+  const JsonValue* series = cells->items[0].Find("timeline")->Find("series");
+  ASSERT_NE(series, nullptr);
+  auto summary = [series](const std::string& name) -> const JsonValue* {
+    for (const JsonValue& s : series->items) {
+      if (s.StringOr("name", "") == name) return s.Find("summary");
+    }
+    return nullptr;
+  };
+  for (const char* user : {"alice", "bob"}) {
+    const JsonValue* inflight =
+        summary(std::string("mapred.inflight_jobs.") + user);
+    ASSERT_NE(inflight, nullptr) << user;
+    EXPECT_GE(inflight->NumberOr("max", 0.0), 1.0) << user;
+    EXPECT_EQ(inflight->NumberOr("last", -1.0), 0.0) << user;
+  }
+  const JsonValue* pruned = summary("mapred.pruned_splits");
+  ASSERT_NE(pruned, nullptr);
+  EXPECT_EQ(pruned->NumberOr("last", -1.0),
+            static_cast<double>(tracker_pruned));
 }
 
 TEST(ObsIntegrationTest, NoHubMeansNoScopeAndCleanRun) {

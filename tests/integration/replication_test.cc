@@ -72,7 +72,7 @@ TEST(ReplicationTest, JobServesLocalWorkFromAnyReplica) {
   split.index = 0;
   split.node_id = 2;
   split.locations = {{2, 0}, {6, 1}};
-  job.AddSplits({split});
+  job.AddSplits({split}, /*now=*/0.0);
   EXPECT_TRUE(job.HasLocalPending(2));
   EXPECT_TRUE(job.HasLocalPending(6));
   EXPECT_FALSE(job.HasLocalPending(3));

@@ -51,9 +51,12 @@ TEST(CountersTest, ToStringIsSorted) {
 
 TEST(JobHistoryTest, RecordAndFilter) {
   JobHistory history;
-  history.Record(1.0, 1, JobEventKind::kSubmitted);
-  history.Record(2.0, 2, JobEventKind::kSubmitted);
-  history.Record(3.0, 1, JobEventKind::kMapLaunched, 0, 4);
+  history.Record({.step = LifecycleStep::kSubmit, .t = 1.0, .job = 1});
+  history.Record({.step = LifecycleStep::kSubmit, .t = 2.0, .job = 2});
+  history.Record({.step = LifecycleStep::kMapLaunch, .t = 3.0, .job = 1,
+                  .split = 0, .node = 4, .slot = 1});
+  // Steps without a history event kind are not logged.
+  history.Record({.step = LifecycleStep::kHeartbeat, .t = 3.0, .node = 4});
   EXPECT_EQ(history.size(), 3u);
   auto job1 = history.ForJob(1);
   ASSERT_EQ(job1.size(), 2u);

@@ -53,7 +53,8 @@ TEST(JobConfTest, DefaultsAndAccessors) {
 
 TEST(JobTest, AddAndTakeLocalSplits) {
   Job job(1, JobConf(), 10, Identity(), 0.0);
-  job.AddSplits({MakeSplit(0, 2), MakeSplit(1, 3), MakeSplit(2, 2)});
+  job.AddSplits({MakeSplit(0, 2), MakeSplit(1, 3), MakeSplit(2, 2)},
+                /*now=*/0.0);
   EXPECT_EQ(job.pending_count(), 3);
   EXPECT_TRUE(job.HasLocalPending(2));
   EXPECT_FALSE(job.HasLocalPending(7));
@@ -69,7 +70,7 @@ TEST(JobTest, AddAndTakeLocalSplits) {
 TEST(JobTest, TakeAnyPrefersBiggestBacklog) {
   Job job(1, JobConf(), 10, Identity(), 0.0);
   job.AddSplits({MakeSplit(0, 1), MakeSplit(1, 5), MakeSplit(2, 5),
-                 MakeSplit(3, 5)});
+                 MakeSplit(3, 5)}, /*now=*/0.0);
   auto s = job.TakeAnyPending();
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->node_id, 5);  // node 5 has the deepest queue
@@ -83,7 +84,8 @@ TEST(JobTest, TakeAnyFromEmptyIsNull) {
 
 TEST(JobTest, ProgressCountersTrackLifecycle) {
   Job job(1, JobConf(), 4, Identity(), 5.0);
-  job.AddSplits({MakeSplit(0, 0, 1000, 3), MakeSplit(1, 1, 2000, 7)});
+  job.AddSplits({MakeSplit(0, 0, 1000, 3), MakeSplit(1, 1, 2000, 7)},
+                /*now=*/0.0);
   JobProgress p0 = job.GetProgress(10.0);
   EXPECT_EQ(p0.splits_added, 2);
   EXPECT_EQ(p0.splits_total, 4);
@@ -108,7 +110,7 @@ TEST(JobTest, ProgressCountersTrackLifecycle) {
 TEST(JobTest, StarvedWhenNothingPendingOrRunning) {
   Job job(1, JobConf(), 2, Identity(), 0.0);
   EXPECT_TRUE(job.GetProgress(0).starved());
-  job.AddSplits({MakeSplit(0, 0)});
+  job.AddSplits({MakeSplit(0, 0)}, /*now=*/0.0);
   EXPECT_FALSE(job.GetProgress(0).starved());
   auto s = *job.TakeAnyPending();
   job.OnMapLaunched(s, 0, true);
@@ -119,7 +121,7 @@ TEST(JobTest, StarvedWhenNothingPendingOrRunning) {
 
 TEST(JobTest, ReduceReadinessRequiresFinalizedAndDrained) {
   Job job(1, JobConf(), 2, Identity(), 0.0);
-  job.AddSplits({MakeSplit(0, 0)});
+  job.AddSplits({MakeSplit(0, 0)}, /*now=*/0.0);
   EXPECT_FALSE(job.ReadyForReduce());  // not finalized
   auto s = *job.TakeAnyPending();
   job.OnMapLaunched(s, 0, true);
@@ -131,7 +133,8 @@ TEST(JobTest, ReduceReadinessRequiresFinalizedAndDrained) {
 
 TEST(JobTest, LocalityCountersInStats) {
   Job job(9, JobConf(), 3, Identity(), 1.0);
-  job.AddSplits({MakeSplit(0, 0), MakeSplit(1, 1), MakeSplit(2, 2)});
+  job.AddSplits({MakeSplit(0, 0), MakeSplit(1, 1), MakeSplit(2, 2)},
+                /*now=*/0.0);
   for (int i = 0; i < 3; ++i) {
     auto s = *job.TakeAnyPending();
     job.OnMapLaunched(s, 0, /*local=*/i == 0);

@@ -208,7 +208,6 @@ TEST_F(JobTrackerTest, TwoJobsBothComplete) {
   sim_.RunUntil(3600);
   EXPECT_TRUE(first.has_value());
   EXPECT_TRUE(second.has_value());
-  EXPECT_EQ(tracker_.completed_jobs().size(), 2u);
 }
 
 TEST_F(JobTrackerTest, RemoteReadsCountedWhenDataIsElsewhere) {

@@ -31,6 +31,40 @@ double Category(const Ledger::Totals& totals, SlotCategory category) {
   return totals.seconds[static_cast<int>(category)];
 }
 
+/// A job-level lifecycle record at virtual time `t`, as
+/// JobTracker::Report would stamp it.
+LifecycleRecord At(double t, LifecycleStep step, int job) {
+  LifecycleRecord rec;
+  rec.step = step;
+  rec.t = t;
+  rec.job = job;
+  return rec;
+}
+
+LifecycleRecord Queued(double t, int job, int split) {
+  LifecycleRecord rec = At(t, LifecycleStep::kSplitQueued, job);
+  rec.split = split;
+  return rec;
+}
+
+LifecycleRecord Launched(double t, int job, int split, int node, int slot) {
+  LifecycleRecord rec = At(t, LifecycleStep::kMapLaunch, job);
+  rec.split = split;
+  rec.node = node;
+  rec.slot = slot;
+  return rec;
+}
+
+LifecycleRecord Ended(double t, int job, int split, int node, int slot,
+                      Outcome outcome) {
+  LifecycleRecord rec = At(t, LifecycleStep::kAttemptEnd, job);
+  rec.split = split;
+  rec.node = node;
+  rec.slot = slot;
+  rec.outcome = outcome;
+  return rec;
+}
+
 TEST(LedgerTest, AttributesBusyFreeAndWastedTime) {
   // One node, one slot, makespan 10. An attempt runs [2, 6); the sample
   // became satisfiable at t=4, so half the attempt is wasted. The cluster
@@ -39,7 +73,7 @@ TEST(LedgerTest, AttributesBusyFreeAndWastedTime) {
   ledger.OnFreeState(Ledger::FreeState::kQueue, 0.0);
   ledger.OnSlotAcquired(0, 0, 2.0);
   ledger.OnSampleSatisfiable(/*job=*/1, 4.0);
-  ledger.OnAttemptOutcome(0, 0, /*job=*/1, Ledger::AttemptKind::kCompleted);
+  ledger.OnAttemptOutcome(0, 0, /*job=*/1, Outcome::kOk);
   ledger.OnSlotReleased(0, 0, 6.0);
   ledger.OnFreeState(Ledger::FreeState::kProviderWait, 6.0);
   ledger.OnFreeState(Ledger::FreeState::kIdle, 8.0);
@@ -60,10 +94,10 @@ TEST(LedgerTest, AttributesBusyFreeAndWastedTime) {
 TEST(LedgerTest, KilledAndFailedAttemptsAreSpeculative) {
   Ledger ledger(1, 2);
   ledger.OnSlotAcquired(0, 0, 0.0);
-  ledger.OnAttemptOutcome(0, 0, 1, Ledger::AttemptKind::kKilled);
+  ledger.OnAttemptOutcome(0, 0, 1, Outcome::kKilled);
   ledger.OnSlotReleased(0, 0, 3.0);
   ledger.OnSlotAcquired(0, 1, 1.0);
-  ledger.OnAttemptOutcome(0, 1, 1, Ledger::AttemptKind::kFailed);
+  ledger.OnAttemptOutcome(0, 1, 1, Outcome::kFailed);
   ledger.OnSlotReleased(0, 1, 5.0);
   ledger.Seal(5.0);
 
@@ -79,7 +113,7 @@ TEST(LedgerTest, JobWithoutSatisfiabilityIsAllUseful) {
   // whole attempt counts as useful work.
   Ledger ledger(1, 1);
   ledger.OnSlotAcquired(0, 0, 0.0);
-  ledger.OnAttemptOutcome(0, 0, 7, Ledger::AttemptKind::kCompleted);
+  ledger.OnAttemptOutcome(0, 0, 7, Outcome::kOk);
   ledger.OnSlotReleased(0, 0, 4.0);
   ledger.Seal(4.0);
   Ledger::Totals totals = ledger.Resolve();
@@ -127,9 +161,9 @@ TEST(LedgerTest, RandomizedLedgerIsAlwaysExhaustive) {
           int slot = static_cast<int>(rng() % slots);
           ledger.OnSlotAcquired(node, slot, clock);
           int job = static_cast<int>(rng() % 5);
-          ledger.OnAttemptOutcome(
-              node, slot, job,
-              static_cast<Ledger::AttemptKind>(rng() % 3));
+          constexpr Outcome kOutcomes[] = {Outcome::kOk, Outcome::kKilled,
+                                           Outcome::kFailed};
+          ledger.OnAttemptOutcome(node, slot, job, kOutcomes[rng() % 3]);
           clock += dt(rng);
           ledger.OnSlotReleased(node, slot, clock);
           break;
@@ -154,17 +188,17 @@ TEST(EventGraphTest, ExtractsTheBindingChain) {
   // submit(0) -> provider(1) -> split(2); the attempt at t=5 was gated by
   // the slot release at t=4 (binding), not the split at t=2.
   EventGraph graph;
-  graph.JobSubmitted(1, 0.0);
-  graph.ProviderDecision(1, 1.0, "input-available");
-  graph.SplitAdded(1, 0, 2.0);
-  graph.AttemptLaunched(2, 9, 0.5, 0, 0, false);  // another job holds slot
-  graph.AttemptDone(2, 9, 4.0, 0, 0, "ok");
-  graph.AttemptLaunched(1, 0, 5.0, 0, 0, false);
-  graph.AttemptDone(1, 0, 8.0, 0, 0, "ok");
-  graph.SampleSatisfiable(1, 8.0);
-  graph.InputFinalized(1, 8.5);
-  graph.ReduceStarted(1, 9.0);
-  graph.JobCompleted(1, 10.0);
+  graph.Record(At(0.0, LifecycleStep::kSubmit, 1));
+  graph.Record(At(1.0, LifecycleStep::kProviderDecision, 1));
+  graph.Record(Queued(2.0, 1, 0));
+  graph.Record(Launched(0.5, 2, 9, 0, 0));  // another job holds slot
+  graph.Record(Ended(4.0, 2, 9, 0, 0, Outcome::kOk));
+  graph.Record(Launched(5.0, 1, 0, 0, 0));
+  graph.Record(Ended(8.0, 1, 0, 0, 0, Outcome::kOk));
+  graph.Record(At(8.0, LifecycleStep::kSampleSatisfiable, 1));
+  graph.Record(At(8.5, LifecycleStep::kInputFinalized, 1));
+  graph.Record(At(9.0, LifecycleStep::kReduceStart, 1));
+  graph.Record(At(10.0, LifecycleStep::kJobComplete, 1));
 
   std::vector<EventGraph::JobPath> paths = graph.AnalyzeCriticalPaths();
   ASSERT_EQ(paths.size(), 1u);
@@ -209,13 +243,13 @@ TEST(EventGraphTest, ExtractsTheBindingChain) {
 
 TEST(EventGraphTest, FailedAttemptRearmsTheSplit) {
   EventGraph graph;
-  graph.JobSubmitted(1, 0.0);
-  graph.SplitAdded(1, 0, 0.0);
-  graph.AttemptLaunched(1, 0, 1.0, 0, 0, false);
-  graph.AttemptDone(1, 0, 2.0, 0, 0, "failed");
-  graph.AttemptLaunched(1, 0, 3.0, 1, 0, false);
-  graph.AttemptDone(1, 0, 5.0, 1, 0, "ok");
-  graph.JobCompleted(1, 5.0);
+  graph.Record(At(0.0, LifecycleStep::kSubmit, 1));
+  graph.Record(Queued(0.0, 1, 0));
+  graph.Record(Launched(1.0, 1, 0, 0, 0));
+  graph.Record(Ended(2.0, 1, 0, 0, 0, Outcome::kFailed));
+  graph.Record(Launched(3.0, 1, 0, 1, 0));
+  graph.Record(Ended(5.0, 1, 0, 1, 0, Outcome::kOk));
+  graph.Record(At(5.0, LifecycleStep::kJobComplete, 1));
 
   std::vector<EventGraph::JobPath> paths = graph.AnalyzeCriticalPaths();
   ASSERT_EQ(paths.size(), 1u);

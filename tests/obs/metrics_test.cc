@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,6 +92,38 @@ TEST(HistogramDataTest, HandlesDegenerateValues) {
   EXPECT_DOUBLE_EQ(hist.max(), 1e30);
 }
 
+TEST(HistogramDataTest, SumIsExactInAnyOrder) {
+  // In floating point, 1e16 + 1 - 1e16 is 0 or 2 depending on the order;
+  // the exact sum is 1 (the 1e-300 rounds away) in every order, and
+  // merging two halves agrees.
+  const std::vector<double> values = {1e16, 1.0, -1e16, 0.1, -0.1, 1e-300};
+  std::vector<double> order = values;
+  std::sort(order.begin(), order.end());
+  do {
+    HistogramData hist;
+    for (double v : order) hist.Observe(v);
+    EXPECT_EQ(hist.sum(), 1.0);
+    HistogramData left;
+    HistogramData right;
+    for (size_t i = 0; i < order.size(); ++i) {
+      (i % 2 == 0 ? left : right).Observe(order[i]);
+    }
+    right.MergeFrom(left);
+    EXPECT_EQ(right.sum(), hist.sum());
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  HistogramData negative;
+  negative.Observe(-2.5);
+  negative.Observe(-0.25);
+  EXPECT_EQ(negative.sum(), -2.75);
+  EXPECT_EQ(negative.Mean(), -1.375);
+
+  HistogramData special;
+  special.Observe(1.0);
+  special.Observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(special.sum(), std::numeric_limits<double>::infinity());
+}
+
 /// The tentpole determinism property: histogram state merged across
 /// per-thread shards must match a serial run observing the same multiset
 /// of values, bit for bit, regardless of which worker recorded what.
@@ -143,9 +177,9 @@ TEST(MetricsRegistryTest, ShardMergeIsDeterministicUnderParallelFor) {
   EXPECT_DOUBLE_EQ(got_hist->p50, want_hist->p50);
   EXPECT_DOUBLE_EQ(got_hist->p95, want_hist->p95);
   EXPECT_DOUBLE_EQ(got_hist->p99, want_hist->p99);
-  // Sums of the same doubles in a different order can differ in the last
-  // ulp; the merge adds per-shard sums, so demand near-equality only.
-  EXPECT_NEAR(got_hist->sum, want_hist->sum, 1e-9 * want_hist->sum);
+  // The sum is exact, so the shard split and merge order cannot move it.
+  EXPECT_EQ(got_hist->sum, want_hist->sum);
+  EXPECT_EQ(got_hist->mean, want_hist->mean);
 }
 
 TEST(MetricsRegistryTest, TwoRegistriesDoNotShareShards) {

@@ -30,7 +30,7 @@ std::unique_ptr<Job> MakeJob(int id, const std::string& user,
   auto job = std::make_unique<Job>(
       id, conf, static_cast<int>(splits.size()),
       [](const InputSplit&) { return uint64_t{0}; }, 0.0);
-  job->AddSplits(splits);
+  job->AddSplits(splits, /*now=*/0.0);
   return job;
 }
 
