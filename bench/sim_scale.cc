@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/host_clock.h"
 #include "common/table_printer.h"
 #include "obs/flight_recorder.h"
 #include "obs/timeline.h"
@@ -220,9 +220,12 @@ CellResult RunCell(QueueKind kind, int nodes, double until,
 
   // dmr-lint: allow(wall-clock) measuring real kernel throughput is the
   // point; timings feed the printed table and JSON only, never a digest.
-  double t0 = dmr::HostClock::NowMicros();
+  auto t0 = std::chrono::steady_clock::now();
   uint64_t fired = sim.RunUntil(until);
-  double wall_us = dmr::HostClock::NowMicros() - t0;
+  // dmr-lint: allow(wall-clock) see above
+  double wall_us = std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
 
   CellResult result;
   result.queue = sim.options().queue == QueueKind::kCalendar ? "calendar"

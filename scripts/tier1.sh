@@ -1,20 +1,26 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, the dmr-lint gate
 # (scripts/lint_all.sh: tree lint against configs/lint_baseline.json plus
-# gate self-tests and a wall-clock budget), a bench smoke run (micro
-# benchmarks + the Table III driver on both predicate engines, asserting
-# identical JSON), the DES kernel scale smoke (calendar/heap firing-order
-# digests must agree), the tie-shuffle + queue-kind digest invariance check
-# (fig5 metrics AND the virtual-time telemetry timelines must be
-# byte-identical across shuffle seeds and queue implementations, at the
-# default thread count), the metrics + timeline thread-count invariance
-# (byte-identical at --threads=1 and --threads=4) + dmr-analyze timeline
-# smoke, the profiling digest-invisibility check plus dmr-analyze profile smoke and
+# gate self-tests and a wall-clock budget), `dmr-analyze validate` over a
+# fig5 run's trace + metrics + timeline (and its refusal of a doctored,
+# non-exhaustive ledger), the ledger/critical-path baseline gate on
+# configs/baselines/smoke.json (and its refusal of a clean run followed by
+# a slowed copy), a bench smoke run (micro benchmarks + the Table III
+# driver on both predicate engines, asserting identical JSON), the DES
+# kernel scale smoke (calendar/heap firing-order digests must agree), the
+# tie-shuffle + queue-kind digest invariance check (fig5 metrics AND the
+# virtual-time telemetry timelines must be byte-identical across shuffle
+# seeds and queue implementations, at the default thread count), the
+# metrics + timeline thread-count invariance (byte-identical at
+# --threads=1 and --threads=4) + dmr-analyze timeline smoke (both runs
+# checked against a baseline emitted from them), the profiling
+# digest-invisibility check plus dmr-analyze profile smoke and
 # count-regression gate (banded against configs/baselines/profile_smoke.json),
-# the adaptive-layout smoke (pruning must not change match counts or sample
-# digests, across thread counts, with the simulated cells banded against
-# configs/baselines/), then the concurrency-sensitive tests under
-# ThreadSanitizer and the sim/mapred/obs/parser tests under ASan+UBSan.
+# the adaptive-layout smoke (the driver asserts pruning changes no match
+# count or sample digest; the JSON must not change across thread counts,
+# and the simulated cells are banded against configs/baselines/), then the
+# concurrency-sensitive tests under ThreadSanitizer and the
+# sim/mapred/obs/parser tests under ASan+UBSan.
 #
 # Usage: scripts/tier1.sh [--no-tsan] [--no-asan]
 set -euo pipefail
@@ -42,7 +48,7 @@ ctest --preset default -j "${jobs}"
 echo "== tier-1: dmr-lint gate (baseline + self-tests + wall-clock budget) =="
 scripts/lint_all.sh
 
-echo "== tier-1: observability outputs (--trace/--metrics/--profile schema check) =="
+echo "== tier-1: observability outputs (dmr-analyze validate) =="
 obs_dir=$(mktemp -d)
 trap 'rm -rf "${obs_dir}"' EXIT
 ./build/bench/bench_fig5_single_user \
@@ -50,16 +56,44 @@ trap 'rm -rf "${obs_dir}"' EXIT
   --timeline="${obs_dir}/timeline.json" \
   --profile="${obs_dir}/profile.collapsed" \
   > "${obs_dir}/stdout.txt"
-./build/src/obs/dmr-analyze --json="${obs_dir}/comparison.json" \
-  "${obs_dir}/metrics.json" > /dev/null
-python3 scripts/check_obs_output.py --timeline="${obs_dir}/timeline.json" \
-  --profile="${obs_dir}/profile.collapsed" \
-  "${obs_dir}/trace.json" "${obs_dir}/metrics.json" \
-  "${obs_dir}/comparison.json"
+./build/src/obs/dmr-analyze validate "${obs_dir}/trace.json" \
+  "${obs_dir}/metrics.json" "${obs_dir}/timeline.json"
+# Doctored inputs: one ledger category moved off its cell's total (the
+# ledger is no longer exhaustive), and a copy of the run with every job's
+# response time slowed 10x.
+python3 - "${obs_dir}/metrics.json" "${obs_dir}/ledger_doctored.json" \
+  "${obs_dir}/metrics_slow.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["ledger"]["cells"][0]["categories"]["idle"] += 5.0
+json.dump(doc, open(sys.argv[2], "w"))
+doc = json.load(open(sys.argv[1]))
+for cell in doc["critical_path"]["cells"]:
+    for job in cell["analysis"]["jobs"]:
+        job["response_time"] *= 10
+json.dump(doc, open(sys.argv[3], "w"))
+PY
+if ./build/src/obs/dmr-analyze validate "${obs_dir}/trace.json" \
+     "${obs_dir}/ledger_doctored.json" > /dev/null 2>&1; then
+  echo "dmr-analyze validate accepted a non-exhaustive ledger" >&2
+  exit 1
+fi
+echo "dmr-analyze validate refuses a non-exhaustive ledger"
 
 echo "== tier-1: ledger/critical-path baseline (dmr-analyze --baseline) =="
 ./build/src/obs/dmr-analyze \
   --baseline=configs/baselines/smoke.json "${obs_dir}/metrics.json"
+# Every input run is checked: a clean run first must not hide a slow one.
+rc=0
+./build/src/obs/dmr-analyze --baseline=configs/baselines/smoke.json \
+  "${obs_dir}/metrics.json" "${obs_dir}/metrics_slow.json" \
+  > /dev/null 2>&1 || rc=$?
+if [[ "${rc}" != "1" ]]; then
+  echo "baseline gate exited ${rc}, not 1, on a clean run followed by a" \
+       "10x-slowed copy" >&2
+  exit 1
+fi
+echo "baseline gate refuses a slowed second run"
 
 echo "== tier-1: bench smoke (micro benchmarks + engine-parity diff) =="
 ./build/bench/bench_micro --benchmark_min_time=0.01 \
@@ -80,7 +114,7 @@ echo "== tier-1: DES kernel scale smoke (calendar vs heap digest diff) =="
   --json="${obs_dir}/sim_scale_smoke.json" > /dev/null
 echo "sim_scale digests identical across queue kinds"
 
-echo "== tier-1: tie-shuffle + queue-kind digest invariance (frozen host clock) =="
+echo "== tier-1: tie-shuffle + queue-kind digest invariance =="
 # The determinism contract (DESIGN.md §13/§14): among events tied on
 # (timestamp, EventClass) the handlers must commute, and the calendar
 # queue must realize exactly the heap oracle's order — so the full
@@ -91,7 +125,7 @@ for queue in calendar heap; do
   for seed in base 11 23 37 41 53; do
     args=("--queue=${queue}")
     if [[ "${seed}" != "base" ]]; then args+=("--shuffle-ties=${seed}"); fi
-    DMR_HOST_CLOCK=frozen ./build/bench/bench_fig5_single_user "${args[@]}" \
+    ./build/bench/bench_fig5_single_user "${args[@]}" \
       --metrics="${obs_dir}/shuffle_${queue}_${seed}.json" \
       --timeline="${obs_dir}/shuffle_tl_${queue}_${seed}.json" > /dev/null
     # One digest over metrics + timeline: the telemetry timelines (probe
@@ -118,7 +152,7 @@ echo "== tier-1: metrics + timeline thread-count invariance + dmr-analyze timeli
 # histogram sums), so both documents must be byte-identical whether the
 # experiment cells run serially or on a worker pool.
 for threads in 1 4; do
-  DMR_HOST_CLOCK=frozen ./build/bench/bench_fig5_single_user \
+  ./build/bench/bench_fig5_single_user \
     --threads="${threads}" \
     --metrics="${obs_dir}/metrics_t${threads}.json" \
     --timeline="${obs_dir}/timeline_t${threads}.json" > /dev/null
@@ -127,14 +161,14 @@ diff "${obs_dir}/metrics_t1.json" "${obs_dir}/metrics_t4.json"
 diff "${obs_dir}/timeline_t1.json" "${obs_dir}/timeline_t4.json"
 echo "fig5 metrics and timeline byte-identical at --threads=1 and --threads=4"
 # Two identical runs through the timeline analyzer: the markdown must
-# render and an emitted baseline must accept the runs it was built from.
+# render and an emitted baseline must accept both runs it was built from.
 ./build/src/obs/dmr-analyze timeline \
   --markdown="${obs_dir}/timeline.md" \
   --emit-baseline="${obs_dir}/timeline_baseline.json" \
   "${obs_dir}/timeline_t1.json" "${obs_dir}/timeline_t4.json" > /dev/null
 ./build/src/obs/dmr-analyze timeline \
   --baseline="${obs_dir}/timeline_baseline.json" \
-  "${obs_dir}/timeline_t1.json" > /dev/null
+  "${obs_dir}/timeline_t1.json" "${obs_dir}/timeline_t4.json" > /dev/null
 echo "dmr-analyze timeline markdown + baseline round-trip OK"
 
 echo "== tier-1: profiling digest invisibility (prof on/off x threads x seeds) =="
@@ -145,9 +179,9 @@ while read -r threads seed; do
   args=("--threads=${threads}")
   if [[ "${seed}" != "base" ]]; then args+=("--shuffle-ties=${seed}"); fi
   tag="t${threads}_${seed}"
-  DMR_HOST_CLOCK=frozen ./build/bench/bench_fig5_single_user "${args[@]}" \
+  ./build/bench/bench_fig5_single_user "${args[@]}" \
     --timeline="${obs_dir}/prof_off_${tag}.json" > /dev/null
-  DMR_HOST_CLOCK=frozen ./build/bench/bench_fig5_single_user "${args[@]}" \
+  ./build/bench/bench_fig5_single_user "${args[@]}" \
     --timeline="${obs_dir}/prof_on_${tag}.json" \
     --profile="${obs_dir}/prof_${tag}.collapsed" > /dev/null
   diff "${obs_dir}/prof_off_${tag}.json" "${obs_dir}/prof_on_${tag}.json"
@@ -164,7 +198,7 @@ echo "== tier-1: dmr-analyze profile smoke + regression gate =="
 # top-phase table renders, the re-emitted collapsed stacks are byte-equal
 # to the driver's own, the checked-in count baseline accepts a fresh run,
 # and a seeded 10x count regression is refused with a nonzero exit.
-DMR_HOST_CLOCK=frozen ./build/bench/bench_fig5_single_user \
+./build/bench/bench_fig5_single_user \
   --metrics="${obs_dir}/prof_metrics.json" \
   --profile="${obs_dir}/prof_fig5.collapsed" > /dev/null
 ./build/src/obs/dmr-analyze profile --top=10 \
@@ -196,12 +230,12 @@ echo "dmr-analyze profile markdown + collapsed round-trip + baseline gate OK"
 echo "== tier-1: adaptive-layout smoke (pruning invisibility + thread invariance + baseline) =="
 # DESIGN.md §16: zone-map pruning and piggybacked indexing must be
 # invisible to everything except physical cost. The driver itself asserts
-# per-cell digest agreement across its pruned/unpruned variants; here the
-# checker re-asserts it from the JSON and diffs the two thread counts on
-# every field except host wall time. The simulated cells are then banded
-# against the checked-in baseline.
+# digest, match and row-count agreement across its pruned/unpruned
+# variants in every repetition (exit 1 otherwise); here the checker diffs
+# the two thread counts on every field except host wall time. The
+# simulated cells are then banded against the checked-in baseline.
 for threads in 1 4; do
-  DMR_HOST_CLOCK=frozen ./build/bench/bench_layout_pruning \
+  ./build/bench/bench_layout_pruning \
     --threads="${threads}" --reps=3 \
     --json="${obs_dir}/layout_t${threads}.json" \
     --metrics="${obs_dir}/layout_metrics_t${threads}.json" > /dev/null

@@ -407,24 +407,24 @@ const std::vector<CheckDef>& BuiltinChecks() {
           "wall-clock",
           Severity::kError,
           CheckKind::kLineRegex,
-          "host wall-clock API; route host timing through common/host_clock "
-          "so DMR_HOST_CLOCK=frozen keeps reports reproducible",
+          "host wall-clock API; host timing belongs to prof/prof.h, or to a "
+          "bench driver's own allow()-justified measurement that never "
+          "feeds a digest-checked output",
           {
               R"(std::chrono::(system|steady|high_resolution)_clock)",
               R"(\btime\s*\(\s*(nullptr|NULL|0|&))",
               R"(\bclock\s*\(\s*\))",
               R"(\b(gettimeofday|clock_gettime|localtime|gmtime)\s*\()",
           },
-          {"common/host_clock", "prof/prof"},
+          {"prof/prof"},
       },
       {
           "raw-host-timer",
           Severity::kWarning,
           CheckKind::kLineRegex,
           "raw monotonic-clock read outside the sanctioned seams; host "
-          "timing belongs to common/host_clock (frozen-clock reports) or "
-          "prof/prof.h (calibrated scoped phase timers) so there is one "
-          "place to audit for determinism leaks",
+          "timing belongs to prof/prof.h (calibrated scoped phase timers) "
+          "so there is one place to audit for determinism leaks",
           {
               // Unqualified uses (typically behind `using namespace
               // std::chrono`); the fully qualified spelling is already an
@@ -433,7 +433,7 @@ const std::vector<CheckDef>& BuiltinChecks() {
               R"((^|[^:])\b(steady_clock|high_resolution_clock)\s*::\s*now\b)",
               R"(\busing\s+namespace\s+std::chrono\b)",
           },
-          {"common/host_clock", "prof/prof"},
+          {"prof/prof"},
       },
       {
           "unseeded-rng",

@@ -86,7 +86,7 @@ struct CheckDef {
   const char* message;
   std::vector<const char*> patterns;
   /// Path substrings exempt from this check (sanctioned seams, e.g. the
-  /// HostClock implementation for wall-clock).
+  /// prof seam for wall-clock).
   std::vector<const char*> path_allow;
   /// kLineRegex only: keep string-literal contents when matching (for
   /// hazards that live inside format strings, like "%p").

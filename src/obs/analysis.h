@@ -9,293 +9,156 @@
 
 #include "common/json.h"
 #include "common/result.h"
-#include "obs/ledger.h"
 
 namespace dmr::obs::analysis {
 
-/// \brief Cross-run analysis of Report::ToJson() files: parse the `ledger`
-/// and `critical_path` sections, aggregate repeats, join cells across runs
-/// by (driver, cell, policy, z), render comparison matrices and diff
-/// against checked-in baselines. This is the library behind `dmr-analyze`;
-/// it is also linked into tests directly.
+/// \brief The library behind `dmr-analyze`, also linked into tests.
+///
+/// Every document a bench driver writes is read into one keyed-metric
+/// table: rows of key fields -> metric -> value, repeats of a key
+/// aggregated. One engine joins tables across runs, checks them against a
+/// baseline and emits baselines; only the markdown views know the kind.
+/// A kind's reader is also its schema checker: it refuses, with
+/// InvalidArgument, any document that breaks an invariant its writer keeps
+/// (an exhaustive ledger, ordered percentiles, gap-free tick times,
+/// self = total - children in the phase tree, ...).
 
-/// Join key of one experiment cell. `cell` / `policy` / `z` come from the
-/// driver's Testbed::Annotate calls ("cell" falls back to the auto label);
-/// repeats of the same key are aggregated, not distinguished.
-struct CellKey {
+/// The document kinds and their keys.
+///  - kReport: the `ledger` + `critical_path` sections of a --metrics
+///    report, by (cell, policy, z). A report without them (fig4 simulates
+///    no cluster) reads as an empty table.
+///  - kTimeline: a --timeline document, by (cell, policy, z, series,
+///    window). Probe series have window ""; the series "" row holds the
+///    cell's tick and SLO-breach totals.
+///  - kProfile: the `prof` section of a --profile run's --metrics report,
+///    by collapsed phase path ("sim.run_until;sim.dispatch").
+enum class Kind { kReport, kTimeline, kProfile };
+
+using Key = std::vector<std::string>;
+using Metrics = std::map<std::string, double>;
+
+/// A default band of emitted baselines: relative, plus `abs` when nonzero.
+struct Band {
+  const char* metric;
+  double abs;
+};
+
+/// What the engine knows about a kind, as data.
+struct KindSpec {
+  const char* name;
+  std::vector<std::string> fields;  // key field names, in key order
+  /// Default bands; an emitted entry carries exactly these metrics (so a
+  /// profile emits only the machine-independent call count).
+  std::vector<Band> bands;
+  bool require_balanced;  // emitted baselines demand zero imbalances
+};
+const KindSpec& SpecOf(Kind kind);
+
+struct Row {
+  Key key;          // one value per KindSpec::fields entry
+  int repeats = 0;  // document entries aggregated into this row
+  Metrics metrics;  // banded: what baselines check, emit and order
+  // For the markdown views only: raw sums and counts, a label (probe kind,
+  // critical-path composition) and sparkline values of the first repeat.
+  Metrics view;
+  std::string text;
+  std::vector<double> spark;
+};
+
+/// The keyed-metric table of one input document.
+struct Table {
+  std::string source;
   std::string driver;
-  std::string cell;
-  std::string policy;
-  std::string z;
+  std::vector<Row> rows;   // sorted by key, keys unique
+  Metrics info;            // run-level numbers (interval, threads, ...)
+  std::vector<Row> alloc;  // profile allocation sites, for the view only
 
-  bool operator<(const CellKey& other) const;
-  bool operator==(const CellKey& other) const;
-  std::string ToString() const;
+  const Row* Find(const Key& key) const;
 };
 
-/// Aggregated metrics of one join key within one run (repeats summed).
-struct CellAggregate {
-  CellKey key;
-  int repeats = 0;  // number of ledger cells merged into this aggregate
+/// `obj[key]` as an integer a uint64_t holds; a missing, non-numeric,
+/// negative, fractional, non-finite or out-of-range value is
+/// InvalidArgument naming `where`. Readers take every integer through it.
+Result<uint64_t> ReadInt(const json::JsonValue& obj, std::string_view key,
+                         const std::string& where);
 
-  // Slot-time ledger side.
-  double makespan_sum = 0.0;
-  double total_slot_seconds = 0.0;
-  double category_seconds[kNumSlotCategories] = {};
-  int64_t delay_holds = 0;
+/// Reads and parses file `path` (IoError when unreadable).
+Result<json::JsonValue> LoadJson(const std::string& path);
 
-  // Critical-path side.
-  int jobs = 0;
-  double response_time_sum = 0.0;
-  double path_time_sum = 0.0;
-  /// Edge-category name -> summed seconds along the jobs' critical paths.
-  std::map<std::string, double> path_breakdown;
+/// The readers: `doc` flattened into the kind's table, or refused.
+Result<Table> ReadTable(Kind kind, const json::JsonValue& doc,
+                        std::string source);
+Result<Table> LoadTable(Kind kind, const std::string& path);
 
-  // Derived metrics (the baseline-checked set).
-  double response_time() const;   // mean over jobs, seconds
-  double wasted_pct() const;      // wasted / (useful+wasted+speculative)
-  double utilization_pct() const; // busy slot time / total slot time
-  double makespan() const;        // mean over repeats
-
-  /// Metric by name ("response_time", "wasted_pct", "utilization_pct",
-  /// "makespan"); false when the name is unknown.
-  bool MetricByName(std::string_view name, double* out) const;
-};
-
-/// One parsed report file.
-struct RunData {
-  std::string source;  // file path (or caller-provided tag)
-  std::string driver;
-  std::vector<CellAggregate> cells;  // sorted by key
-
-  const CellAggregate* FindCell(const CellKey& key) const;
-};
-
-/// Parses one Report::ToJson() document. Reports without ledger /
-/// critical_path sections yield an empty cell list (valid: drivers without
-/// a simulated cluster, e.g. fig4's skew model, emit empty sections).
-Result<RunData> ParseReport(std::string_view json, std::string source);
-Result<RunData> LoadReportFile(const std::string& path);
-
-/// Markdown comparison matrix over N runs: one row per join key, per-run
-/// metric columns (response time, wasted-work %, slot utilization,
-/// makespan) plus the critical-path composition.
-std::string RenderComparisonMarkdown(const std::vector<RunData>& runs);
-
-/// The same join as a machine-readable JSON document (consumed by
-/// scripts/check_obs_output.py).
-std::string RenderComparisonJson(const std::vector<RunData>& runs);
-
-/// \brief Result of diffing runs against a baseline file.
 struct BaselineReport {
-  /// Out-of-tolerance metrics and violated orderings (regression => exit 1).
+  /// Out-of-band metrics, violated orderings, missing rows, unknown
+  /// metrics (exit 1).
   std::vector<std::string> failures;
-  /// In-tolerance deviations and informational notes.
-  std::vector<std::string> notes;
+  std::vector<std::string> notes;  // in-band drift
   int entries_checked = 0;
   int orderings_checked = 0;
   bool ok() const { return failures.empty(); }
 };
 
-/// Diffs `runs` against a baseline document:
+/// Checks every run whose driver matches the baseline's against it:
 /// {
-///   "driver": "fig5_single_user",
-///   "tolerances": {"response_time": 0.1,               // relative
+///   "driver": "fig5_single_user",            // optional run filter
+///   "tolerances": {"response_time": 0.1,     // a number is rel
 ///                  "wasted_pct": {"rel": 0.1, "abs": 1.0}},
-///   "entries": [{"cell": ..., "policy": ..., "z": ...,
+///   "entries": [{"cell": ..., "policy": ..., "z": ...,   // key fields
 ///                "metrics": {"response_time": 123.4, ...}}, ...],
-///   "orderings": [{"metric": "wasted_pct", "comment": ...,
-///                  "cells": [{"policy": "HA", ...}, ...]}]   // nondecreasing
+///   "orderings": [{"metric": "wasted_pct",
+///                  "cells": [{"policy": "HA", ...}, ...]}],
+///   "require_balanced": true                 // profile imbalances == 0
 /// }
-/// A metric fails when |value - base| > abs + rel * |base|; an ordering
-/// fails when the listed cells' metric values are not nondecreasing.
-/// Missing cells fail; unknown driver mismatch fails.
-Result<BaselineReport> CheckBaseline(const json::JsonValue& baseline,
-                                     const std::vector<RunData>& runs);
+/// A metric fails when |actual - base| > abs + rel * |base| (defaults rel
+/// 0.05, abs 1e-9); an ordering when its cells' values decrease (1e-9
+/// slack). A missing row, an unknown metric or no run with the driver
+/// fails. A malformed baseline, or one that checks nothing, is
+/// InvalidArgument. Top-level `comment` and `kind` are ignored.
+Result<BaselineReport> CheckBaseline(Kind kind,
+                                     const json::JsonValue& baseline,
+                                     const std::vector<Table>& runs);
 
-/// Renders a fresh baseline document from `runs` with the given default
-/// relative tolerance (orderings are meant to be curated by hand on top).
-std::string EmitBaseline(const std::vector<RunData>& runs,
-                         double default_rel_tolerance);
+/// A fresh baseline over `runs` (the first run holding a key wins) with
+/// the kind's default bands at relative tolerance `rel`; orderings are
+/// curated by hand.
+std::string EmitBaseline(Kind kind, const std::vector<Table>& runs,
+                         double rel);
 
-// ---------------------------------------------------------------------------
-// `dmr-analyze timeline`: cross-run analysis of the standalone --timeline
-// documents ({"driver": ..., "timeline": TimelineBook::ToJson()}). Cells are
-// joined by the same (driver, cell, policy, z) key as reports; repeats are
-// aggregated (sums for counts/ticks, extrema for value stats).
-// ---------------------------------------------------------------------------
+/// The markdown view of `runs`, joined by key: the report matrix with
+/// critical-path composition; per timeline cell, probe extrema and
+/// windowed-percentile tables with sparklines; per profile, a top-`top_n`
+/// self-time table and the allocation sites, plus a cross-run matrix.
+std::string RenderMarkdown(Kind kind, const std::vector<Table>& runs,
+                           size_t top_n);
 
-/// Per-window digest of one windowed (sliding-percentile) series.
-struct TimelineWindowStat {
-  double window = 0.0;   // window length, simulated seconds
-  uint64_t count = 0;    // peak observations in any closed window (max
-                         // across ticks and repeats)
-  double p50_max = 0.0;  // maxima over all closed ticks (and repeats)
-  double p90_max = 0.0;
-  double p99_max = 0.0;
-  std::vector<double> spark;  // p99 per tick (first repeat) for sparklines
+/// A profile table as collapsed stacks, byte-identical to the driver's
+/// own --profile file.
+std::string RenderCollapsed(const Table& run);
 
-  /// "count", "p50_max", "p90_max", "p99_max"; false when unknown.
-  bool MetricByName(std::string_view name, double* out) const;
+/// The span counts `validate` checks against the metrics counters.
+struct TraceCounts {
+  uint64_t map_spans = 0;
+  uint64_t provider_instants = 0;
+  uint64_t job_spans = 0;
 };
 
-/// Digest of one timeline series (probe or windowed) within one cell.
-struct TimelineSeriesStat {
-  std::string name;
-  std::string unit;
-  std::string kind;  // "gauge" | "counter" | "windowed"
-  size_t points = 0;       // total points across repeats
-  double min = 0.0;        // over point *values* (not rates)
-  double max = 0.0;
-  double sum = 0.0;
-  double last = 0.0;       // final tick's value (last repeat parsed wins)
-  double t_at_max = 0.0;   // virtual time of the first occurrence of `max`
-  std::vector<double> spark;  // value per tick (first repeat)
-  std::vector<TimelineWindowStat> windows;  // windowed series only
+/// Reads a --trace document, refusing unknown phases, events without
+/// ts/pid/name, complete spans without tid or with a negative dur, async
+/// ends before their begins and job spans that never end.
+Result<TraceCounts> ReadTrace(const json::JsonValue& doc,
+                              const std::string& source);
 
-  double mean() const { return points > 0 ? sum / points : 0.0; }
-  /// "min", "max", "mean", "last"; false when unknown.
-  bool MetricByName(std::string_view name, double* out) const;
-  const TimelineWindowStat* FindWindow(double window) const;
-};
-
-/// Aggregated timeline of one join key within one run.
-struct TimelineCellData {
-  CellKey key;
-  int repeats = 0;
-  size_t ticks = 0;           // summed over repeats
-  uint64_t dropped_ticks = 0; // summed over repeats
-  int slo_breaches = 0;       // summed over repeats
-  std::map<std::string, TimelineSeriesStat> series;
-};
-
-/// One parsed --timeline document.
-struct TimelineRunData {
-  std::string source;
-  std::string driver;
-  double interval = 1.0;
-  std::vector<double> windows;
-  std::vector<TimelineCellData> cells;  // sorted by key
-
-  const TimelineCellData* FindCell(const CellKey& key) const;
-};
-
-Result<TimelineRunData> ParseTimeline(std::string_view json,
-                                      std::string source);
-Result<TimelineRunData> LoadTimelineFile(const std::string& path);
-
-/// Markdown digest over N timeline runs: per join key, a probe-series
-/// extrema table and a windowed-percentile table, both with unicode
-/// sparklines, plus the SLO breach summary.
-std::string RenderTimelineMarkdown(const std::vector<TimelineRunData>& runs);
-
-/// Diffs timeline runs against a baseline document:
-/// {
-///   "kind": "timeline",
-///   "driver": "fig5_single_user",
-///   "tolerances": {"p99_max": 0.1, "mean": {"rel": 0.1, "abs": 0.5}},
-///   "entries": [{"cell": ..., "policy": ..., "z": ...,
-///                "series": [{"name": "mapred.job_response", "window": 60,
-///                            "metrics": {"p99_max": 12.5, ...}},
-///                           {"name": "sim.live_size",
-///                            "metrics": {"max": 400, "mean": 210}}]}]
-/// }
-/// Windowed series carry a "window" field (the per-window regression
-/// band); probe series omit it. The tolerance rule is the same as
-/// CheckBaseline: fail when |value - base| > abs + rel * |base|. Missing
-/// cells, series or windows fail.
-Result<BaselineReport> CheckTimelineBaseline(
-    const json::JsonValue& baseline,
-    const std::vector<TimelineRunData>& runs);
-
-/// Renders a fresh timeline baseline from `runs` (first run that has a
-/// cell wins, matching EmitBaseline).
-std::string EmitTimelineBaseline(const std::vector<TimelineRunData>& runs,
-                                 double default_rel_tolerance);
-
-// ---------------------------------------------------------------------------
-// `dmr-analyze profile`: the host-side profile sections ("prof", written by
-// bench drivers under --profile=FILE) of Report::ToJson() metrics files.
-// Phases join across runs by collapsed path ("sim.run_until;sim.dispatch");
-// regression bands are per (path, metric), with the same tolerance rule as
-// CheckBaseline. Raw nanosecond fields are kept as integers so the
-// collapsed-stack re-emission is byte-identical to the driver's --profile
-// file (the round-trip tier-1 check).
-// ---------------------------------------------------------------------------
-
-/// One phase node of a parsed profile (see prof::PhaseStat for semantics).
-struct ProfilePhaseStat {
-  std::string path;
-  uint64_t count = 0;
-  uint64_t total_ns = 0;
-  uint64_t self_ns = 0;
-  uint64_t min_ns = 0;
-  uint64_t max_ns = 0;
-
-  double total_ms() const { return static_cast<double>(total_ns) / 1e6; }
-  double self_ms() const { return static_cast<double>(self_ns) / 1e6; }
-
-  /// "count", "total_ms", "self_ms", "min_us", "max_us"; false when unknown.
-  bool MetricByName(std::string_view name, double* out) const;
-};
-
-struct ProfileAllocStat {
-  std::string site;
-  uint64_t count = 0;
-  uint64_t bytes = 0;
-};
-
-/// One parsed metrics file's "prof" section.
-struct ProfileRunData {
-  std::string source;
-  std::string driver;
-  double calibration_ns = 0.0;
-  int threads = 0;
-  int imbalances = 0;
-  std::vector<ProfilePhaseStat> phases;  // sorted by path, as emitted
-  std::vector<ProfileAllocStat> alloc;
-
-  const ProfilePhaseStat* FindPhase(std::string_view path) const;
-};
-
-/// Parses one Report::ToJson() document carrying a "prof" section (a
-/// metrics file from a --profile run). A report without the section is an
-/// error: profiling was not enabled for that run.
-Result<ProfileRunData> ParseProfile(std::string_view json, std::string source);
-Result<ProfileRunData> LoadProfileFile(const std::string& path);
-
-/// Markdown digest over N profile runs: per run, a top-`top_n` self-time
-/// attribution table plus the allocation-accounting table; with two or
-/// more runs, a cross-run self-time comparison matrix over the union of
-/// phase paths.
-std::string RenderProfileMarkdown(const std::vector<ProfileRunData>& runs,
-                                  size_t top_n);
-
-/// Re-emits the run as Brendan-Gregg collapsed-stack text — byte-identical
-/// to the prof::ToCollapsed output the driver wrote, for round-trip checks
-/// and for feeding flamegraph.pl from an archived metrics file.
-std::string RenderProfileCollapsed(const ProfileRunData& run);
-
-/// Diffs profile runs against a baseline document:
-/// {
-///   "kind": "profile",
-///   "driver": "fig5_single_user",
-///   "require_balanced": true,            // fail when imbalances != 0
-///   "tolerances": {"count": 0.05, "self_ms": {"rel": 0.25, "abs": 1.0}},
-///   "entries": [{"path": "sim.run_until;sim.dispatch",
-///                "metrics": {"count": 123456}}, ...]
-/// }
-/// Fail when |value - base| > abs + rel * |base|; missing phases fail.
-/// Checked-in baselines should band call counts (deterministic across
-/// machines); time bands are for same-host A/B comparisons.
-Result<BaselineReport> CheckProfileBaseline(
-    const json::JsonValue& baseline, const std::vector<ProfileRunData>& runs);
-
-/// Renders a fresh profile baseline from `runs` (first run with the phase
-/// wins). Only the deterministic "count" metric is emitted; time bands are
-/// meant to be curated by hand where a stable host can be assumed.
-std::string EmitProfileBaseline(const std::vector<ProfileRunData>& runs,
-                                double default_rel_tolerance);
+/// `dmr-analyze validate`: reads a run's trace, metrics report and
+/// optional timeline (empty path: none), one document at a time. Beyond
+/// the readers' checks it requires the standard counters and histograms
+/// (percentiles ordered), one map span per launched map, one provider
+/// instant per decision, one job span per submitted job and, in a
+/// profiled run, recorded phases and zero imbalances. Returns a summary.
+Result<std::string> Validate(const std::string& trace_path,
+                             const std::string& metrics_path,
+                             const std::string& timeline_path);
 
 }  // namespace dmr::obs::analysis
 

@@ -1,352 +1,176 @@
-// dmr-analyze: cross-run analysis of obs::Report JSON files.
+// dmr-analyze: cross-run analysis and validation of the bench drivers'
+// observability documents. Every input becomes a keyed-metric table
+// (obs/analysis.h), and one path renders, emits and checks it.
 //
-// Ingests N reports produced by the bench drivers' --metrics flag, joins
-// their ledger / critical-path cells by (driver, cell, policy, z) and
-// renders a comparison matrix; with --baseline it diffs the join against a
-// checked-in configs/baselines/*.json and exits nonzero on regression.
+//   dmr-analyze [timeline|profile] [flags] doc.json [doc2.json ...]
+//     Reads --metrics reports (ledger + critical path), --timeline
+//     documents, or the "prof" section of --profile runs' metrics.
+//     --markdown[=FILE] view (default), --baseline=FILE check (exit 1 on
+//     regression), --emit-baseline=FILE with --rel-tolerance=X; profile
+//     only: --top=N table rows, --collapsed=FILE re-emits the first run's
+//     collapsed stacks byte-identical to the driver's file.
+//   dmr-analyze validate TRACE.json METRICS.json [TIMELINE.json]
+//     Checks one run's documents against each other and their writers'
+//     invariants (exit 1 on a violation).
 //
-// Usage:
-//   dmr-analyze [flags] report.json [report2.json ...]
-//     --markdown[=FILE]    comparison matrix as markdown (default: stdout)
-//     --json=FILE          comparison matrix as JSON
-//     --baseline=FILE      diff against a baseline; exit 1 on regression
-//     --emit-baseline=FILE write a fresh baseline from these reports
-//     --rel-tolerance=X    default relative tolerance for --emit-baseline
-//
-//   dmr-analyze timeline [flags] timeline.json [timeline2.json ...]
-//     Joins the bench drivers' --timeline documents instead: markdown
-//     sparkline/extrema tables per cell, and --baseline diffs per-window
-//     percentile regression bands (p50/p90/p99 maxima, counts) plus probe
-//     extrema. Same flags as above except --json.
-//
-//   dmr-analyze profile [flags] metrics.json [metrics2.json ...]
-//     Reads the "prof" section of --profile runs' metrics files: top-N
-//     self-time tables (--top=N), cross-run self-time matrices, collapsed
-//     flamegraph re-emission (--collapsed=FILE) and per-phase regression
-//     bands (--baseline / --emit-baseline). Same flags as above except
-//     --json, plus --top and --collapsed.
+// Exit 2 on usage errors and unreadable input.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/json.h"
 #include "obs/analysis.h"
 
 namespace {
 
-using dmr::Result;
-using dmr::Status;
-using dmr::obs::analysis::BaselineReport;
-using dmr::obs::analysis::ProfileRunData;
-using dmr::obs::analysis::RunData;
-using dmr::obs::analysis::TimelineRunData;
+namespace analysis = dmr::obs::analysis;
+using analysis::Kind;
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [timeline|profile] [--markdown[=FILE]] "
-               "[--json=FILE] [--baseline=FILE] [--emit-baseline=FILE] "
-               "[--rel-tolerance=X] [--top=N] [--collapsed=FILE] "
-               "report.json [report2.json ...]\n",
-               argv0);
+               "[--baseline=FILE] [--emit-baseline=FILE] [--rel-tolerance=X] "
+               "[--top=N] [--collapsed=FILE] doc.json [doc2.json ...]\n"
+               "       %s validate TRACE.json METRICS.json [TIMELINE.json]\n",
+               argv0, argv0);
   std::exit(2);
 }
 
-void DieOn(const Status& status, const char* what) {
+void DieOn(const dmr::Status& status, const std::string& what) {
   if (status.ok()) return;
-  std::fprintf(stderr, "dmr-analyze: %s: %s\n", what,
+  std::fprintf(stderr, "dmr-analyze: %s: %s\n", what.c_str(),
                status.ToString().c_str());
   std::exit(2);
 }
 
-Status WriteFile(const std::string& path, const std::string& text) {
+void WriteFile(const std::string& path, const std::string& text,
+               const char* what) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) return Status::IoError("short write " + path);
-  return Status::OK();
-}
-
-Result<std::string> Slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::string text;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return Status::IoError("read error on " + path);
-  return text;
-}
-
-/// The `dmr-analyze timeline` subcommand: same flag surface as the report
-/// mode (minus --json), over --timeline documents.
-int TimelineMain(const char* argv0, const std::vector<std::string>& paths,
-                 const std::string& markdown_path, bool want_markdown,
-                 const std::string& baseline_path,
-                 const std::string& emit_baseline_path,
-                 double rel_tolerance) {
-  if (paths.empty()) Usage(argv0);
-  std::vector<TimelineRunData> runs;
-  runs.reserve(paths.size());
-  for (const std::string& path : paths) {
-    Result<TimelineRunData> run =
-        dmr::obs::analysis::LoadTimelineFile(path);
-    DieOn(run.status(), path.c_str());
-    runs.push_back(std::move(run).ValueUnsafe());
-  }
-
-  bool render_markdown = want_markdown ||
-                         (baseline_path.empty() && emit_baseline_path.empty());
-  if (render_markdown) {
-    std::string markdown =
-        dmr::obs::analysis::RenderTimelineMarkdown(runs);
-    if (markdown_path.empty()) {
-      std::fputs(markdown.c_str(), stdout);
-    } else {
-      DieOn(WriteFile(markdown_path, markdown), markdown_path.c_str());
-      std::printf("timeline markdown written to %s\n",
-                  markdown_path.c_str());
-    }
-  }
-  if (!emit_baseline_path.empty()) {
-    DieOn(WriteFile(
-              emit_baseline_path,
-              dmr::obs::analysis::EmitTimelineBaseline(runs, rel_tolerance)),
-          emit_baseline_path.c_str());
-    std::printf("timeline baseline written to %s\n",
-                emit_baseline_path.c_str());
-  }
-  if (!baseline_path.empty()) {
-    Result<std::string> text = Slurp(baseline_path);
-    DieOn(text.status(), baseline_path.c_str());
-    Result<dmr::json::JsonValue> baseline = dmr::json::JsonParse(*text);
-    DieOn(baseline.status(), baseline_path.c_str());
-    Result<BaselineReport> checked =
-        dmr::obs::analysis::CheckTimelineBaseline(*baseline, runs);
-    DieOn(checked.status(), baseline_path.c_str());
-    for (const std::string& note : checked->notes) {
-      std::printf("note: %s\n", note.c_str());
-    }
-    if (!checked->ok()) {
-      for (const std::string& failure : checked->failures) {
-        std::fprintf(stderr, "REGRESSION: %s\n", failure.c_str());
-      }
-      std::fprintf(stderr, "dmr-analyze: %zu timeline regression(s) vs %s\n",
-                   checked->failures.size(), baseline_path.c_str());
-      return 1;
-    }
-    std::printf("timeline baseline OK: %d metric(s) checked vs %s\n",
-                checked->entries_checked, baseline_path.c_str());
-  }
-  return 0;
-}
-
-/// The `dmr-analyze profile` subcommand: host-profile attribution tables,
-/// collapsed-stack re-emission and per-phase regression bands.
-int ProfileMain(const char* argv0, const std::vector<std::string>& paths,
-                const std::string& markdown_path, bool want_markdown,
-                const std::string& baseline_path,
-                const std::string& emit_baseline_path,
-                const std::string& collapsed_path, size_t top_n,
-                double rel_tolerance) {
-  if (paths.empty()) Usage(argv0);
-  std::vector<ProfileRunData> runs;
-  runs.reserve(paths.size());
-  for (const std::string& path : paths) {
-    Result<ProfileRunData> run = dmr::obs::analysis::LoadProfileFile(path);
-    DieOn(run.status(), path.c_str());
-    runs.push_back(std::move(run).ValueUnsafe());
-  }
-
-  bool render_markdown =
-      want_markdown || (baseline_path.empty() && emit_baseline_path.empty() &&
-                        collapsed_path.empty());
-  if (render_markdown) {
-    std::string markdown =
-        dmr::obs::analysis::RenderProfileMarkdown(runs, top_n);
-    if (markdown_path.empty()) {
-      std::fputs(markdown.c_str(), stdout);
-    } else {
-      DieOn(WriteFile(markdown_path, markdown), markdown_path.c_str());
-      std::printf("profile markdown written to %s\n", markdown_path.c_str());
-    }
-  }
-  if (!collapsed_path.empty()) {
-    DieOn(WriteFile(collapsed_path,
-                    dmr::obs::analysis::RenderProfileCollapsed(runs.front())),
-          collapsed_path.c_str());
-    std::printf("collapsed stacks written to %s\n", collapsed_path.c_str());
-  }
-  if (!emit_baseline_path.empty()) {
-    DieOn(WriteFile(
-              emit_baseline_path,
-              dmr::obs::analysis::EmitProfileBaseline(runs, rel_tolerance)),
-          emit_baseline_path.c_str());
-    std::printf("profile baseline written to %s\n",
-                emit_baseline_path.c_str());
-  }
-  if (!baseline_path.empty()) {
-    Result<std::string> text = Slurp(baseline_path);
-    DieOn(text.status(), baseline_path.c_str());
-    Result<dmr::json::JsonValue> baseline = dmr::json::JsonParse(*text);
-    DieOn(baseline.status(), baseline_path.c_str());
-    Result<BaselineReport> checked =
-        dmr::obs::analysis::CheckProfileBaseline(*baseline, runs);
-    DieOn(checked.status(), baseline_path.c_str());
-    for (const std::string& note : checked->notes) {
-      std::printf("note: %s\n", note.c_str());
-    }
-    if (!checked->ok()) {
-      for (const std::string& failure : checked->failures) {
-        std::fprintf(stderr, "REGRESSION: %s\n", failure.c_str());
-      }
-      std::fprintf(stderr, "dmr-analyze: %zu profile regression(s) vs %s\n",
-                   checked->failures.size(), baseline_path.c_str());
-      return 1;
-    }
-    std::printf("profile baseline OK: %d metric(s) checked vs %s\n",
-                checked->entries_checked, baseline_path.c_str());
-  }
-  return 0;
+  bool ok = f != nullptr &&
+            std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (!ok) DieOn(dmr::Status::IoError("cannot write " + path), path);
+  std::printf("%s written to %s\n", what, path.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  std::string json_path;
-  std::string markdown_path;
-  std::string emit_baseline_path;
-  std::string collapsed_path;
-  double rel_tolerance = 0.05;
-  long top_n = 30;
-  bool want_markdown = false;
-  bool timeline_mode = false;
-  bool profile_mode = false;
-  std::vector<std::string> report_paths;
-
+  Kind kind = Kind::kReport;
+  bool validate = false;
   int first_arg = 1;
-  if (argc > 1 && std::strcmp(argv[1], "timeline") == 0) {
-    timeline_mode = true;
+  if (argc > 1) {
+    std::string sub = argv[1];
     first_arg = 2;
-  } else if (argc > 1 && std::strcmp(argv[1], "profile") == 0) {
-    profile_mode = true;
-    first_arg = 2;
-  }
-  for (int i = first_arg; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      baseline_path = arg + 11;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strcmp(arg, "--markdown") == 0) {
-      want_markdown = true;
-    } else if (std::strncmp(arg, "--markdown=", 11) == 0) {
-      want_markdown = true;
-      markdown_path = arg + 11;
-    } else if (std::strncmp(arg, "--emit-baseline=", 16) == 0) {
-      emit_baseline_path = arg + 16;
-    } else if (std::strncmp(arg, "--collapsed=", 12) == 0) {
-      collapsed_path = arg + 12;
-    } else if (std::strncmp(arg, "--top=", 6) == 0) {
-      char* end = nullptr;
-      top_n = std::strtol(arg + 6, &end, 10);
-      if (end == arg + 6 || *end != '\0' || top_n <= 0) Usage(argv[0]);
-    } else if (std::strncmp(arg, "--rel-tolerance=", 16) == 0) {
-      char* end = nullptr;
-      rel_tolerance = std::strtod(arg + 16, &end);
-      if (end == arg + 16 || *end != '\0' || rel_tolerance < 0) {
-        Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      Usage(argv[0]);
+    if (sub == "timeline") {
+      kind = Kind::kTimeline;
+    } else if (sub == "profile") {
+      kind = Kind::kProfile;
+    } else if (sub == "validate") {
+      validate = true;
     } else {
-      report_paths.push_back(arg);
+      first_arg = 1;
     }
   }
-  if (report_paths.empty()) Usage(argv[0]);
 
-  if (timeline_mode) {
-    if (!json_path.empty()) Usage(argv[0]);
-    return TimelineMain(argv[0], report_paths, markdown_path, want_markdown,
-                        baseline_path, emit_baseline_path, rel_tolerance);
+  std::string markdown_path, baseline_path, emit_path, collapsed_path;
+  std::string top_text = "30", rel_text = "0.05";
+  const std::pair<const char*, std::string*> kValued[] = {
+      {"--markdown=", &markdown_path}, {"--baseline=", &baseline_path},
+      {"--emit-baseline=", &emit_path}, {"--rel-tolerance=", &rel_text},
+      {"--collapsed=", &collapsed_path}, {"--top=", &top_text}};
+  bool want_markdown = false;
+  bool any_flag = false;
+  bool profile_only = false;  // --collapsed and --top
+  std::vector<std::string> paths;
+  for (int i = first_arg; i < argc; ++i) {
+    std::string arg = argv[i];
+    bool flag = arg.rfind("--", 0) == 0;
+    bool known = arg == "--markdown";
+    for (const auto& [name, value] : kValued) {
+      if (arg.rfind(name, 0) != 0) continue;
+      *value = arg.substr(std::strlen(name));
+      known = true;
+      profile_only |= value == &collapsed_path || value == &top_text;
+    }
+    if (flag && !known) Usage(argv[0]);
+    if (!flag) paths.push_back(arg);
+    any_flag |= flag;
+    want_markdown |= arg.rfind("--markdown", 0) == 0;
   }
-  if (profile_mode) {
-    if (!json_path.empty()) Usage(argv[0]);
-    return ProfileMain(argv[0], report_paths, markdown_path, want_markdown,
-                       baseline_path, emit_baseline_path, collapsed_path,
-                       static_cast<size_t>(top_n), rel_tolerance);
+  char* top_end = nullptr;
+  char* rel_end = nullptr;
+  long top_n = std::strtol(top_text.c_str(), &top_end, 10);
+  double rel_tolerance = std::strtod(rel_text.c_str(), &rel_end);
+  if (top_text.empty() || *top_end != '\0' || top_n <= 0 ||
+      rel_text.empty() || *rel_end != '\0' || !(rel_tolerance >= 0) ||
+      (profile_only && kind != Kind::kProfile)) {
+    Usage(argv[0]);
   }
-  if (!collapsed_path.empty()) Usage(argv[0]);
 
-  std::vector<RunData> runs;
-  runs.reserve(report_paths.size());
-  for (const std::string& path : report_paths) {
-    Result<RunData> run = dmr::obs::analysis::LoadReportFile(path);
-    DieOn(run.status(), path.c_str());
+  if (validate) {
+    if (any_flag || paths.size() < 2 || paths.size() > 3) Usage(argv[0]);
+    dmr::Result<std::string> summary = analysis::Validate(
+        paths[0], paths[1], paths.size() == 3 ? paths[2] : "");
+    if (!summary.ok()) {
+      std::fprintf(stderr, "dmr-analyze validate: %s\n",
+                   summary.status().ToString().c_str());
+      return summary.status().IsIoError() ? 2 : 1;
+    }
+    std::printf("%s\n", summary->c_str());
+    return 0;
+  }
+  if (paths.empty()) Usage(argv[0]);
+
+  std::vector<analysis::Table> runs;
+  for (const std::string& path : paths) {
+    dmr::Result<analysis::Table> run = analysis::LoadTable(kind, path);
+    DieOn(run.status(), path);
     runs.push_back(std::move(run).ValueUnsafe());
   }
 
-  // Default action: markdown matrix on stdout (unless another output or a
-  // baseline check was requested explicitly).
-  if (!want_markdown && json_path.empty() && baseline_path.empty() &&
-      emit_baseline_path.empty()) {
-    want_markdown = true;
-  }
-
-  if (want_markdown) {
+  if (want_markdown || (baseline_path.empty() && emit_path.empty() &&
+                        collapsed_path.empty())) {
     std::string markdown =
-        dmr::obs::analysis::RenderComparisonMarkdown(runs);
+        analysis::RenderMarkdown(kind, runs, static_cast<size_t>(top_n));
     if (markdown_path.empty()) {
       std::fputs(markdown.c_str(), stdout);
     } else {
-      DieOn(WriteFile(markdown_path, markdown), markdown_path.c_str());
-      std::printf("comparison markdown written to %s\n",
-                  markdown_path.c_str());
+      WriteFile(markdown_path, markdown, "markdown");
     }
   }
-  if (!json_path.empty()) {
-    DieOn(WriteFile(json_path,
-                    dmr::obs::analysis::RenderComparisonJson(runs)),
-          json_path.c_str());
-    std::printf("comparison JSON written to %s\n", json_path.c_str());
+  if (!collapsed_path.empty()) {
+    WriteFile(collapsed_path, analysis::RenderCollapsed(runs.front()),
+              "collapsed stacks");
   }
-  if (!emit_baseline_path.empty()) {
-    DieOn(WriteFile(emit_baseline_path,
-                    dmr::obs::analysis::EmitBaseline(runs, rel_tolerance)),
-          emit_baseline_path.c_str());
-    std::printf("baseline written to %s (curate orderings by hand)\n",
-                emit_baseline_path.c_str());
+  if (!emit_path.empty()) {
+    WriteFile(emit_path, analysis::EmitBaseline(kind, runs, rel_tolerance),
+              "baseline (curate orderings by hand)");
   }
+  if (baseline_path.empty()) return 0;
 
-  if (!baseline_path.empty()) {
-    Result<std::string> text = Slurp(baseline_path);
-    DieOn(text.status(), baseline_path.c_str());
-    Result<dmr::json::JsonValue> baseline =
-        dmr::json::JsonParse(*text);
-    DieOn(baseline.status(), baseline_path.c_str());
-    Result<BaselineReport> checked =
-        dmr::obs::analysis::CheckBaseline(*baseline, runs);
-    DieOn(checked.status(), baseline_path.c_str());
-    for (const std::string& note : checked->notes) {
-      std::printf("note: %s\n", note.c_str());
-    }
-    if (!checked->ok()) {
-      for (const std::string& failure : checked->failures) {
-        std::fprintf(stderr, "REGRESSION: %s\n", failure.c_str());
-      }
-      std::fprintf(stderr, "dmr-analyze: %zu regression(s) vs %s\n",
-                   checked->failures.size(), baseline_path.c_str());
-      return 1;
-    }
-    std::printf("baseline OK: %d metric(s), %d ordering(s) checked vs %s\n",
-                checked->entries_checked, checked->orderings_checked,
-                baseline_path.c_str());
+  dmr::Result<dmr::json::JsonValue> baseline =
+      analysis::LoadJson(baseline_path);
+  DieOn(baseline.status(), baseline_path);
+  dmr::Result<analysis::BaselineReport> checked =
+      analysis::CheckBaseline(kind, *baseline, runs);
+  DieOn(checked.status(), baseline_path);
+  for (const std::string& note : checked->notes) {
+    std::printf("note: %s\n", note.c_str());
   }
+  for (const std::string& failure : checked->failures) {
+    std::fprintf(stderr, "REGRESSION: %s\n", failure.c_str());
+  }
+  if (!checked->ok()) {
+    std::fprintf(stderr, "dmr-analyze: %zu regression(s) vs %s\n",
+                 checked->failures.size(), baseline_path.c_str());
+    return 1;
+  }
+  std::printf("baseline OK: %d metric(s), %d ordering(s) checked vs %s\n",
+              checked->entries_checked, checked->orderings_checked,
+              baseline_path.c_str());
   return 0;
 }

@@ -7,10 +7,8 @@
 #include <memory>
 #include <mutex>
 
-// The prof seam is, with common/host_clock, one of the two sanctioned homes
-// for raw monotonic-clock reads (DESIGN.md §17). It deliberately bypasses
-// HostClock: profiles must stay useful under DMR_HOST_CLOCK=frozen, and prof
-// timings never feed a digest-checked output.
+// The prof seam is the sanctioned home for raw monotonic-clock reads
+// (DESIGN.md §17): prof timings never feed a digest-checked output.
 // dmr-lint: allow(wall-clock) prof seam wraps the raw clock (DESIGN.md §17)
 #include <chrono>
 

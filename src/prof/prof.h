@@ -28,13 +28,12 @@ namespace dmr::prof {
 ///  2. **Determinism-invisible.** Profiling only *observes*: it never
 ///     reads results back into simulation decisions, so every simulation
 ///     digest is byte-identical with profiling on or off, across thread
-///     counts and tie-shuffle seeds (tier-1 gates this). This is why the
-///     seam reads `std::chrono::steady_clock` directly instead of
-///     `HostClock`: profiles stay useful under `DMR_HOST_CLOCK=frozen`
-///     precisely because prof timings never feed a digest-checked output.
-///     prof and `common/host_clock` are the only two sanctioned homes for
-///     raw host-clock reads (`wall-clock` / `raw-host-timer` dmr-lint
-///     checks).
+///     counts and tie-shuffle seeds (tier-1 gates this). The seam reads
+///     `std::chrono::steady_clock` directly because prof timings never
+///     feed a digest-checked output; it is the sanctioned home for raw
+///     host-clock reads (`wall-clock` / `raw-host-timer` dmr-lint
+///     checks), and bench drivers that time real engines justify each
+///     read with an allow() comment.
 ///  3. **Attributed, not aggregate.** Scopes nest into a per-thread timer
 ///     tree keyed by (subsystem, phase); `Collect()` merges the threads
 ///     into one deterministic-by-name tree with call counts, total/self

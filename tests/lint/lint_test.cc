@@ -60,8 +60,7 @@ TEST(LintFixtureTest, RawHostTimerSuppressedPair) {
 }
 
 TEST(LintFixtureTest, RawHostTimerExemptsTheProfSeam) {
-  // prof/prof.cc is one of the two sanctioned homes for raw monotonic
-  // reads (the other is common/host_clock).
+  // prof/prof.cc is the sanctioned home for raw monotonic reads.
   auto findings = LintContent(
       "src/prof/prof.cc",
       "#include <chrono>\n"

@@ -1,8 +1,11 @@
 /// \file
-/// Tests for the dmr-analyze library: report parsing + repeat aggregation,
-/// cross-run rendering, and baseline checking (tolerance bands, ordering
-/// assertions, regression detection with an injected slowdown).
+/// Tests for the dmr-analyze library: the readers (repeat aggregation,
+/// schema invariants, checked integers), the join the views render, the
+/// one baseline engine (tolerance bands, orderings, refusal of baselines
+/// that check nothing or name unknown metrics, every matching run
+/// checked), and seeded mutational fuzzing of every document it reads.
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -10,16 +13,38 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/random.h"
 #include "obs/analysis.h"
 
 namespace dmr::obs::analysis {
 namespace {
 
+Result<Table> Parse(Kind kind, const std::string& text) {
+  DMR_ASSIGN_OR_RETURN(json::JsonValue doc, json::JsonParse(text));
+  return ReadTable(kind, doc, "mem");
+}
+
+Result<BaselineReport> Check(Kind kind, const std::string& baseline,
+                             const std::vector<Table>& runs) {
+  DMR_ASSIGN_OR_RETURN(json::JsonValue doc, json::JsonParse(baseline));
+  return CheckBaseline(kind, doc, runs);
+}
+
+/// Replaces every "$" in `text` with `value`.
+std::string Fill(std::string text, double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  for (size_t at; (at = text.find('$')) != std::string::npos;) {
+    text.replace(at, 1, buf);
+  }
+  return text;
+}
+
 /// A minimal Report::ToJson()-shaped document: two repeats of one cell
 /// (policy HA) and one cell of policy Hadoop, each with one job.
 /// HA: useful 40+60, wasted 10+10; Hadoop: useful 20, wasted 80.
 std::string TwoPolicyReport(double hadoop_response) {
-  std::string out = R"({
+  return Fill(R"({
   "info": {"driver": "unit_driver"},
   "ledger": {"cells": [
     {"label": "cell-0000",
@@ -54,105 +79,105 @@ std::string TwoPolicyReport(double hadoop_response) {
        {"job": 1, "finish_time": 50, "response_time": 20, "path_time": 20,
         "root_job": 1, "root_type": "submit",
         "breakdown": {"execution": 15, "queueing": 5},
-        "path_truncated": false, "path": []}]}},
+        "path_truncated": false,
+        "path": [{"event": "submit", "t": 30, "job": 1},
+                 {"event": "job_completed", "t": 50, "job": 1}]}]}},
     {"label": "cell-0001",
      "annotations": {"cell": "c1", "policy": "HA", "z": "1", "repeat": "1"},
      "analysis": {"jobs": [
        {"job": 1, "finish_time": 50, "response_time": 30, "path_time": 30,
         "root_job": 1, "root_type": "submit",
         "breakdown": {"execution": 25, "queueing": 5},
-        "path_truncated": false, "path": []}]}},
+        "path_truncated": false,
+        "path": [{"event": "job_completed", "t": 50, "job": 1}]}]}},
     {"label": "cell-0002",
      "annotations": {"cell": "c1", "policy": "Hadoop", "z": "1"},
      "analysis": {"jobs": [
-       {"job": 1, "finish_time": 100, "response_time": )";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", hadoop_response);
-  out += buf;
-  out += R"(, "path_time": 90,
+       {"job": 1, "finish_time": 100, "response_time": $, "path_time": 90,
         "root_job": 1, "root_type": "submit",
         "breakdown": {"execution": 80, "queueing": 10},
-        "path_truncated": false, "path": []}]}}
+        "path_truncated": false,
+        "path": [{"event": "job_completed", "t": 100, "job": 1}]}]}}
   ]}
-})";
-  return out;
+})",
+              hadoop_response);
 }
 
-TEST(AnalysisParseTest, AggregatesRepeatsByJoinKey) {
-  auto run = ParseReport(TwoPolicyReport(90.0), "mem");
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->driver, "unit_driver");
-  ASSERT_EQ(run->cells.size(), 2u);  // HA repeats merged, Hadoop separate
-
-  CellKey ha{"unit_driver", "c1", "HA", "1"};
-  const CellAggregate* agg = run->FindCell(ha);
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->repeats, 2);
-  EXPECT_EQ(agg->jobs, 2);
-  EXPECT_DOUBLE_EQ(agg->makespan(), 50.0);
-  EXPECT_DOUBLE_EQ(agg->response_time(), 25.0);  // (20 + 30) / 2
-  // wasted = 20 of busy 120 (useful 100, wasted 20, speculative 10 -> 130).
-  EXPECT_NEAR(agg->wasted_pct(), 100.0 * 20 / 130, 1e-9);
-  EXPECT_NEAR(agg->utilization_pct(), 100.0 * 130 / 400, 1e-9);
-  EXPECT_EQ(agg->delay_holds, 3);
-  EXPECT_DOUBLE_EQ(agg->path_breakdown.at("execution"), 40.0);
-
-  CellKey hadoop{"unit_driver", "c1", "Hadoop", "1"};
-  const CellAggregate* h = run->FindCell(hadoop);
-  ASSERT_NE(h, nullptr);
-  EXPECT_NEAR(h->wasted_pct(), 80.0, 1e-9);
-}
-
-TEST(AnalysisParseTest, MissingCategoryIsAnError) {
-  std::string bad = R"({
-    "info": {"driver": "d"},
-    "ledger": {"cells": [
-      {"label": "x", "annotations": {}, "nodes": 1, "map_slots_per_node": 1,
-       "makespan": 1, "total_slot_seconds": 1,
-       "categories": {"useful": 1}}]}})";
-  auto run = ParseReport(bad, "mem");
-  EXPECT_FALSE(run.ok());
-}
-
-TEST(AnalysisParseTest, ReportsWithoutSectionsAreEmptyButValid) {
-  auto run = ParseReport(R"({"info": {"driver": "fig4_skew"}})", "mem");
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(run->cells.empty());
-}
-
-TEST(AnalysisRenderTest, MarkdownAndJsonCarryTheJoin) {
-  auto run = ParseReport(TwoPolicyReport(90.0), "mem");
-  ASSERT_TRUE(run.ok());
-  std::vector<RunData> runs = {*std::move(run)};
-
-  std::string markdown = RenderComparisonMarkdown(runs);
-  EXPECT_NE(markdown.find("| c1 | HA | 1 |"), std::string::npos);
-  EXPECT_NE(markdown.find("| c1 | Hadoop | 1 |"), std::string::npos);
-
-  auto doc = json::JsonParse(RenderComparisonJson(runs));
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const json::JsonValue* cells = doc.ValueOrDie().Find("cells");
-  ASSERT_NE(cells, nullptr);
-  ASSERT_EQ(cells->items.size(), 2u);
-  const json::JsonValue* entry = cells->items[0].Find("runs");
-  ASSERT_NE(entry, nullptr);
-  ASSERT_EQ(entry->items.size(), 1u);
-  EXPECT_DOUBLE_EQ(entry->items[0].NumberOr("response_time", -1), 25.0);
-}
-
-std::vector<RunData> RunsFor(double hadoop_response) {
-  auto run = ParseReport(TwoPolicyReport(hadoop_response), "mem");
-  EXPECT_TRUE(run.ok());
-  std::vector<RunData> runs;
+std::vector<Table> RunsFor(double hadoop_response) {
+  auto run = Parse(Kind::kReport, TwoPolicyReport(hadoop_response));
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<Table> runs;
   runs.push_back(*std::move(run));
   return runs;
 }
 
+TEST(AnalysisParseTest, AggregatesRepeatsByJoinKey) {
+  auto run = Parse(Kind::kReport, TwoPolicyReport(90.0));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->driver, "unit_driver");
+  ASSERT_EQ(run->rows.size(), 2u);  // HA repeats merged, Hadoop separate
+
+  const Row* ha = run->Find({"c1", "HA", "1"});
+  ASSERT_NE(ha, nullptr);
+  EXPECT_EQ(ha->repeats, 2);
+  EXPECT_EQ(ha->view.at("jobs"), 2);
+  EXPECT_DOUBLE_EQ(ha->metrics.at("makespan"), 50.0);
+  EXPECT_DOUBLE_EQ(ha->metrics.at("response_time"), 25.0);  // (20+30)/2
+  // wasted = 20 of busy 130 (useful 100, wasted 20, speculative 10).
+  EXPECT_NEAR(ha->metrics.at("wasted_pct"), 100.0 * 20 / 130, 1e-9);
+  EXPECT_NEAR(ha->metrics.at("utilization_pct"), 100.0 * 130 / 400, 1e-9);
+  // Critical-path seconds: execution 40 and queueing 10 of 50.
+  EXPECT_EQ(ha->text, "execution 80% / queueing 20%");
+
+  const Row* hadoop = run->Find({"c1", "Hadoop", "1"});
+  ASSERT_NE(hadoop, nullptr);
+  EXPECT_NEAR(hadoop->metrics.at("wasted_pct"), 80.0, 1e-9);
+}
+
+TEST(AnalysisParseTest, MissingCategoryIsAnError) {
+  auto run = Parse(Kind::kReport, R"({
+    "info": {"driver": "d"},
+    "ledger": {"cells": [
+      {"label": "x", "annotations": {}, "nodes": 1, "map_slots_per_node": 1,
+       "makespan": 1, "total_slot_seconds": 1, "wasted_pct": 0,
+       "utilization_pct": 100, "categories": {"useful": 1}}]}})");
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.status().message().find("categories"), std::string::npos);
+}
+
+TEST(AnalysisParseTest, ReportsWithoutSectionsAreEmptyButValid) {
+  auto run = Parse(Kind::kReport, R"({"info": {"driver": "fig4_skew"}})");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run->rows.empty());
+}
+
+TEST(AnalysisRenderTest, MarkdownAndJsonCarryTheJoin) {
+  std::vector<Table> runs = RunsFor(90.0);
+  std::string markdown = RenderMarkdown(Kind::kReport, runs, 30);
+  EXPECT_NE(markdown.find("| c1 | HA | 1 | 1 | 2 | 25 |"), std::string::npos);
+  EXPECT_NE(markdown.find("| c1 | Hadoop | 1 |"), std::string::npos);
+
+  // Every ledger cell lands in exactly one row's repeats.
+  int joined = 0;
+  for (const Row& row : runs[0].rows) joined += row.repeats;
+  EXPECT_EQ(joined, 3);
+
+  // The emitted baseline is the table's machine-readable form.
+  auto doc = json::JsonParse(EmitBaseline(Kind::kReport, runs, 0.05));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const json::JsonValue* entries = doc->Find("entries");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_EQ(entries->items.size(), 2u);
+  EXPECT_EQ(entries->items[0].StringOr("policy", ""), "HA");
+  const json::JsonValue* metrics = entries->items[0].Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_DOUBLE_EQ(metrics->NumberOr("response_time", -1), 25.0);
+}
+
 TEST(BaselineTest, EmittedBaselineChecksClean) {
-  std::vector<RunData> runs = RunsFor(90.0);
-  auto baseline = json::JsonParse(EmitBaseline(runs, 0.05));
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  auto report = CheckBaseline(baseline.ValueOrDie(), runs);
+  std::vector<Table> runs = RunsFor(90.0);
+  auto report = Check(Kind::kReport, EmitBaseline(Kind::kReport, runs, 0.05),
+                      runs);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->failures.front();
   EXPECT_EQ(report->entries_checked, 8);  // 2 cells x 4 metrics
@@ -161,94 +186,138 @@ TEST(BaselineTest, EmittedBaselineChecksClean) {
 TEST(BaselineTest, InjectedSlowdownIsARegression) {
   // Baseline from the healthy run; check a run where the Hadoop cell's
   // response time regressed 2x.
-  std::vector<RunData> healthy = RunsFor(90.0);
-  auto baseline = json::JsonParse(EmitBaseline(healthy, 0.05));
-  ASSERT_TRUE(baseline.ok());
-
-  std::vector<RunData> slow = RunsFor(180.0);
-  auto report = CheckBaseline(baseline.ValueOrDie(), slow);
+  std::string baseline = EmitBaseline(Kind::kReport, RunsFor(90.0), 0.05);
+  auto report = Check(Kind::kReport, baseline, RunsFor(180.0));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report->ok());
   ASSERT_EQ(report->failures.size(), 1u);
   EXPECT_NE(report->failures[0].find("response_time"), std::string::npos);
   EXPECT_NE(report->failures[0].find("Hadoop"), std::string::npos);
 }
 
+TEST(BaselineTest, EveryMatchingRunIsChecked) {
+  // A clean run first must not hide a slow second run with the same keys.
+  std::string baseline = EmitBaseline(Kind::kReport, RunsFor(90.0), 0.05);
+  std::vector<Table> runs = RunsFor(90.0);
+  runs.push_back(RunsFor(180.0).front());
+  runs.back().source = "slow.json";
+  auto report = Check(Kind::kReport, baseline, runs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->failures.size(), 1u);
+  EXPECT_EQ(report->failures[0].rfind("slow.json: ", 0), 0u);
+  EXPECT_EQ(report->entries_checked, 16);
+}
+
 TEST(BaselineTest, OrderingViolationsAreDetected) {
-  std::vector<RunData> runs = RunsFor(90.0);
+  std::vector<Table> runs = RunsFor(90.0);
   // HA (25s) must not be slower than Hadoop (90s): holds -> no failure.
-  std::string good = R"({
+  auto good = Check(Kind::kReport, R"({
     "driver": "unit_driver",
     "orderings": [{"metric": "response_time", "cells": [
       {"cell": "c1", "policy": "HA", "z": "1"},
-      {"cell": "c1", "policy": "Hadoop", "z": "1"}]}]})";
-  auto good_doc = json::JsonParse(good);
-  ASSERT_TRUE(good_doc.ok());
-  auto good_report = CheckBaseline(good_doc.ValueOrDie(), runs);
-  ASSERT_TRUE(good_report.ok());
-  EXPECT_TRUE(good_report->ok());
-  EXPECT_EQ(good_report->orderings_checked, 1);
+      {"cell": "c1", "policy": "Hadoop", "z": "1"}]}]})",
+                    runs);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(good->ok());
+  EXPECT_EQ(good->orderings_checked, 1);
 
   // The reverse ordering is violated.
-  std::string bad = R"({
+  auto bad = Check(Kind::kReport, R"({
     "driver": "unit_driver",
     "orderings": [{"metric": "response_time", "cells": [
       {"cell": "c1", "policy": "Hadoop", "z": "1"},
-      {"cell": "c1", "policy": "HA", "z": "1"}]}]})";
-  auto bad_doc = json::JsonParse(bad);
-  ASSERT_TRUE(bad_doc.ok());
-  auto bad_report = CheckBaseline(bad_doc.ValueOrDie(), runs);
-  ASSERT_TRUE(bad_report.ok());
-  EXPECT_FALSE(bad_report->ok());
-  EXPECT_NE(bad_report->failures[0].find("ordering violated"),
-            std::string::npos);
+      {"cell": "c1", "policy": "HA", "z": "1"}]}]})",
+                   runs);
+  ASSERT_TRUE(bad.ok());
+  ASSERT_FALSE(bad->ok());
+  EXPECT_NE(bad->failures[0].find("ordering violated"), std::string::npos);
 }
 
 TEST(BaselineTest, MissingCellAndWrongDriverFail) {
-  std::vector<RunData> runs = RunsFor(90.0);
-  std::string missing = R"({
+  std::vector<Table> runs = RunsFor(90.0);
+  auto missing = Check(Kind::kReport, R"({
     "driver": "unit_driver",
     "entries": [{"cell": "nope", "policy": "HA", "z": "1",
-                 "metrics": {"response_time": 1}}]})";
-  auto doc = json::JsonParse(missing);
-  ASSERT_TRUE(doc.ok());
-  auto report = CheckBaseline(doc.ValueOrDie(), runs);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->ok());
+                 "metrics": {"response_time": 1}}]})",
+                       runs);
+  ASSERT_TRUE(missing.ok());
+  EXPECT_FALSE(missing->ok());
 
-  auto wrong = json::JsonParse(R"({"driver": "other_driver"})");
+  auto wrong = Check(Kind::kReport, R"({
+    "driver": "other_driver",
+    "entries": [{"cell": "c1", "policy": "HA", "z": "1",
+                 "metrics": {"response_time": 25}}]})",
+                     runs);
   ASSERT_TRUE(wrong.ok());
-  auto wrong_report = CheckBaseline(wrong.ValueOrDie(), runs);
-  ASSERT_TRUE(wrong_report.ok());
-  EXPECT_FALSE(wrong_report->ok());
+  ASSERT_FALSE(wrong->ok());
+  EXPECT_NE(wrong->failures[0].find("other_driver"), std::string::npos);
 }
 
 TEST(BaselineTest, ToleranceBandsAreRespected) {
-  std::vector<RunData> runs = RunsFor(90.0);
+  std::vector<Table> runs = RunsFor(90.0);
   // Baseline response_time 85 vs actual 90: within rel 0.1 (8.5), noted
   // as drift; with rel 0.01 (0.85) it fails.
-  std::string tight = R"({
-    "driver": "unit_driver",
-    "tolerances": {"response_time": 0.01},
+  const char* kBaseline = R"({
+    "driver": "unit_driver", "tolerances": {"response_time": $},
     "entries": [{"cell": "c1", "policy": "Hadoop", "z": "1",
                  "metrics": {"response_time": 85}}]})";
-  auto tight_doc = json::JsonParse(tight);
-  ASSERT_TRUE(tight_doc.ok());
-  auto tight_report = CheckBaseline(tight_doc.ValueOrDie(), runs);
-  ASSERT_TRUE(tight_report.ok());
-  EXPECT_FALSE(tight_report->ok());
+  auto tight = Check(Kind::kReport, Fill(kBaseline, 0.01), runs);
+  ASSERT_TRUE(tight.ok());
+  EXPECT_FALSE(tight->ok());
 
-  std::string loose = R"({
-    "driver": "unit_driver",
-    "tolerances": {"response_time": 0.1},
-    "entries": [{"cell": "c1", "policy": "Hadoop", "z": "1",
-                 "metrics": {"response_time": 85}}]})";
-  auto loose_doc = json::JsonParse(loose);
-  ASSERT_TRUE(loose_doc.ok());
-  auto loose_report = CheckBaseline(loose_doc.ValueOrDie(), runs);
-  ASSERT_TRUE(loose_report.ok());
-  EXPECT_TRUE(loose_report->ok());
-  EXPECT_FALSE(loose_report->notes.empty());  // drift is surfaced
+  auto loose = Check(Kind::kReport, Fill(kBaseline, 0.1), runs);
+  ASSERT_TRUE(loose.ok());
+  EXPECT_TRUE(loose->ok());
+  EXPECT_FALSE(loose->notes.empty());  // drift is surfaced
+}
+
+TEST(BaselineTest, BaselinesThatCheckNothingAreRefused) {
+  std::vector<Table> runs = RunsFor(90.0);
+  for (const char* baseline :
+       {"{}", R"({"driver": "unit_driver", "entries": []})",
+        R"({"entries": {"cell": "c1"}})", R"({"orderings": {}})", "[]"}) {
+    EXPECT_FALSE(Check(Kind::kReport, baseline, runs).ok()) << baseline;
+  }
+}
+
+TEST(BaselineTest, UnknownMetricsAndMalformedEntriesFail) {
+  std::vector<Table> runs = RunsFor(90.0);
+  auto misspelled = Check(Kind::kReport, R"({"entries": [
+    {"cell": "c1", "policy": "HA", "z": "1",
+     "metrics": {"respons_time": 25}}]})",
+                          runs);
+  ASSERT_TRUE(misspelled.ok());
+  ASSERT_FALSE(misspelled->ok());
+  EXPECT_NE(misspelled->failures[0].find("respons_time"), std::string::npos);
+
+  for (const char* entry :
+       {R"("c1")", R"({"cell": "c1", "policy": "HA", "z": "1"})",
+        R"({"cell": "c1", "policy": "HA", "z": "1", "metrics": {}})",
+        R"({"cell": 1, "metrics": {"response_time": 25}})",
+        R"({"cell": "c1", "policy": "HA", "z": "1",
+            "metrics": {"response_time": "25"}})"}) {
+    std::string baseline = std::string("{\"entries\": [") + entry + "]}";
+    EXPECT_FALSE(Check(Kind::kReport, baseline, runs).ok()) << entry;
+  }
+}
+
+TEST(BaselineTest, MalformedOrderingsAreRefused) {
+  std::vector<Table> runs = RunsFor(90.0);
+  for (const char* ordering :
+       {R"({"metric": "response_time",
+            "cells": [{"cell": "c1", "policy": "HA", "z": "1"}]})",
+        R"({"cells": [{"cell": "c1", "policy": "HA", "z": "1"},
+                      {"cell": "c1", "policy": "Hadoop", "z": "1"}]})",
+        R"({"metric": "response_time", "cells": {}})"}) {
+    std::string baseline = std::string("{\"orderings\": [") + ordering + "]}";
+    EXPECT_FALSE(Check(Kind::kReport, baseline, runs).ok()) << ordering;
+  }
+  auto unknown = Check(Kind::kReport, R"({"orderings": [
+    {"metric": "respons_time", "cells": [
+      {"cell": "c1", "policy": "HA", "z": "1"},
+      {"cell": "c1", "policy": "Hadoop", "z": "1"}]}]})",
+                       runs);
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_FALSE(unknown->ok());
 }
 
 /// A minimal --timeline document: one cell with one probe series and one
@@ -256,9 +325,7 @@ TEST(BaselineTest, ToleranceBandsAreRespected) {
 /// the 10 s window's whole-run p99 maximum so tests can inject a latency
 /// regression.
 std::string TimelineDoc(double p99) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", p99);
-  std::string out = R"({
+  return Fill(R"({
   "driver": "unit_driver",
   "timeline": {
     "interval": 1,
@@ -278,69 +345,279 @@ std::string TimelineDoc(double p99) {
             "windows": [
               {"window": 10,
                "summary": {"count_max": 4, "p50_max": 2.0,
-                           "p90_max": 3.0, "p99_max": )";
-  out += buf;
-  out += R"(},
-               "points": [[1, 2, 1, 1, 2], [2, 4, 2, 3, )";
-  out += buf;
-  out += R"(], [3, 4, 2, 3, 3]]}]}]},
+                           "p90_max": 3.0, "p99_max": $},
+               "points": [[1, 2, 1, 1, 2], [2, 4, 2, 3, $],
+                          [3, 4, 2, 3, 3]]}]}]},
        "slo": {"rules": [], "breaches": []},
        "flight_recorder": {"capacity": 8, "appended": 0, "dropped": 0,
                            "events": []}}
     ]
   }
-})";
-  return out;
+})",
+              p99);
 }
 
 TEST(TimelineBaselineTest, EmittedBaselineChecksCleanAndCatchesRegression) {
-  auto healthy = ParseTimeline(TimelineDoc(4.0), "healthy.json");
+  auto healthy = Parse(Kind::kTimeline, TimelineDoc(4.0));
   ASSERT_TRUE(healthy.ok()) << healthy.status().message();
-  std::vector<TimelineRunData> healthy_runs{healthy.ValueOrDie()};
-
-  auto baseline = json::JsonParse(EmitTimelineBaseline(healthy_runs, 0.05));
-  ASSERT_TRUE(baseline.ok()) << baseline.status().message();
-  auto clean = CheckTimelineBaseline(baseline.ValueOrDie(), healthy_runs);
+  std::vector<Table> healthy_runs{*healthy};
+  std::string baseline = EmitBaseline(Kind::kTimeline, healthy_runs, 0.05);
+  auto clean = Check(Kind::kTimeline, baseline, healthy_runs);
   ASSERT_TRUE(clean.ok()) << clean.status().message();
-  EXPECT_TRUE(clean->ok()) << (clean->failures.empty()
-                                   ? ""
-                                   : clean->failures.front());
-  EXPECT_GT(clean->entries_checked, 0);
+  EXPECT_TRUE(clean->ok()) << clean->failures.front();
+  EXPECT_EQ(clean->entries_checked, 8);  // 4 probe + 4 windowed metrics
 
   // A 3x windowed p99 regression must fail the band.
-  auto slow = ParseTimeline(TimelineDoc(12.0), "slow.json");
+  auto slow = Parse(Kind::kTimeline, TimelineDoc(12.0));
   ASSERT_TRUE(slow.ok()) << slow.status().message();
-  std::vector<TimelineRunData> slow_runs{slow.ValueOrDie()};
-  auto report = CheckTimelineBaseline(baseline.ValueOrDie(), slow_runs);
+  auto report = Check(Kind::kTimeline, baseline, {*slow});
   ASSERT_TRUE(report.ok()) << report.status().message();
-  EXPECT_FALSE(report->ok());
-  bool mentions_p99 = false;
-  for (const std::string& failure : report->failures) {
-    if (failure.find("p99") != std::string::npos) mentions_p99 = true;
-  }
-  EXPECT_TRUE(mentions_p99);
+  ASSERT_EQ(report->failures.size(), 1u);
+  EXPECT_NE(report->failures[0].find("p99_max"), std::string::npos);
 
   // A missing cell is a failure, not a silent skip.
-  auto empty = ParseTimeline(R"({"driver": "unit_driver",
-    "timeline": {"interval": 1, "windows": [10], "cells": []}})",
-                             "empty.json");
+  auto empty = Parse(Kind::kTimeline, R"({"driver": "unit_driver",
+    "timeline": {"interval": 1, "windows": [10], "cells": []}})");
   ASSERT_TRUE(empty.ok()) << empty.status().message();
-  std::vector<TimelineRunData> empty_runs{empty.ValueOrDie()};
-  auto missing = CheckTimelineBaseline(baseline.ValueOrDie(), empty_runs);
+  auto missing = Check(Kind::kTimeline, baseline, {*empty});
   ASSERT_TRUE(missing.ok());
   EXPECT_FALSE(missing->ok());
 }
 
 TEST(TimelineBaselineTest, MarkdownRendersSeriesAndSparklines) {
-  auto run = ParseTimeline(TimelineDoc(4.0), "run.json");
+  auto run = Parse(Kind::kTimeline, TimelineDoc(4.0));
   ASSERT_TRUE(run.ok()) << run.status().message();
-  const std::string markdown =
-      RenderTimelineMarkdown({run.ValueOrDie(), run.ValueOrDie()});
-  EXPECT_NE(markdown.find("sim.live"), std::string::npos);
-  EXPECT_NE(markdown.find("job.latency"), std::string::npos);
+  const std::string markdown = RenderMarkdown(Kind::kTimeline, {*run, *run}, 30);
+  EXPECT_NE(markdown.find("| sim.live | gauge | 2 | 3 | 1 | 5 | 9 | 2 | 5 |"),
+            std::string::npos);
   // Windowed table: header plus a row whose window column is "10".
   EXPECT_NE(markdown.find("window (s)"), std::string::npos);
   EXPECT_NE(markdown.find("| job.latency | 10 | "), std::string::npos);
+  EXPECT_NE(markdown.find("- run 2: 1 repeat(s), 3 tick(s)"),
+            std::string::npos);
+}
+
+/// A metrics report of a profiled run: "a" spends 40 of its 100 ns in
+/// its one child "a;b".
+const char* kProfileDoc = R"({"info": {"driver": "unit_driver"},
+  "prof": {"calibration_ns": 40.5, "threads": 2, "imbalances": 0,
+    "phases": [
+      {"path": "a", "count": 2, "total_ns": 100, "self_ns": 60,
+       "min_ns": 30, "max_ns": 70},
+      {"path": "a;b", "count": $, "total_ns": 40, "self_ns": 40,
+       "min_ns": 40, "max_ns": 40}],
+    "alloc": [{"site": "sim.arena.chunk", "count": 3, "bytes": 4096}]}})";
+
+/// Chrome trace events: one job, one map span, one provider decision.
+const char* kTraceDoc = R"({"traceEvents": [
+  {"ph": "M", "name": "process_name", "pid": 0, "args": {"name": "n0"}},
+  {"ph": "b", "cat": "job", "id": 1, "name": "job 1", "ts": 0, "pid": 0},
+  {"ph": "X", "cat": "map", "name": "map", "ts": 1, "dur": 5, "pid": 0,
+   "tid": 1},
+  {"ph": "i", "cat": "provider", "name": "grow", "ts": 1, "pid": 0},
+  {"ph": "e", "cat": "job", "id": 1, "name": "job 1", "ts": 9, "pid": 0}]})";
+
+TEST(AnalysisReadIntTest, RejectsNegativeFractionalNonFiniteAndOutOfRange) {
+  auto doc = json::JsonParse(R"({"ok": 42, "zero": 0, "exact": 9007199254740992,
+    "neg": -1, "frac": 0.5, "huge": 1e300, "top": 18446744073709551616,
+    "str": "7", "null": null})");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(*ReadInt(*doc, "ok", "t"), 42u);
+  EXPECT_EQ(*ReadInt(*doc, "zero", "t"), 0u);
+  EXPECT_EQ(*ReadInt(*doc, "exact", "t"), 9007199254740992u);
+  for (const char* key : {"neg", "frac", "huge", "top", "str", "null", "no"}) {
+    EXPECT_TRUE(ReadInt(*doc, key, "t").status().IsInvalidArgument()) << key;
+  }
+  json::JsonValue inf;
+  inf.kind = json::JsonValue::Kind::kObject;
+  inf.members.emplace_back("inf", json::JsonValue());
+  inf.members[0].second.kind = json::JsonValue::Kind::kNumber;
+  inf.members[0].second.number_value = INFINITY;
+  EXPECT_TRUE(ReadInt(inf, "inf", "t").status().IsInvalidArgument());
+
+  // The profile reader takes its counts through it.
+  ASSERT_TRUE(Parse(Kind::kProfile, Fill(kProfileDoc, 1)).ok());
+  for (double bad : {-1.0, 1e300, 0.5}) {
+    EXPECT_FALSE(Parse(Kind::kProfile, Fill(kProfileDoc, bad)).ok()) << bad;
+  }
+}
+
+// Each reader refuses a document that breaks an invariant of its writer.
+
+TEST(AnalysisSchemaTest, ReportLedgerMustBeExhaustive) {
+  std::string doc = TwoPolicyReport(90.0);
+  doc.replace(doc.find("\"idle\": 40"), 10, "\"idle\": 41");
+  auto run = Parse(Kind::kReport, doc);
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.status().message().find("exhaustive"), std::string::npos);
+}
+
+TEST(AnalysisSchemaTest, TimelineTicksMustStayOnTheCadence) {
+  std::string doc = TimelineDoc(4.0);
+  doc.replace(doc.find("[3, 5, -4]"), 10, "[4, 5, -4]");
+  auto run = Parse(Kind::kTimeline, doc);
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.status().message().find("cadence"), std::string::npos);
+}
+
+TEST(AnalysisSchemaTest, ProfileSelfTimeMustExcludeChildren) {
+  std::string doc = Fill(kProfileDoc, 1);
+  doc.replace(doc.find("\"self_ns\": 60"), 13, "\"self_ns\": 61");
+  auto run = Parse(Kind::kProfile, doc);
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.status().message().find("children"), std::string::npos);
+
+  auto clean = Parse(Kind::kProfile, Fill(kProfileDoc, 1));
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(RenderCollapsed(*clean), "a 60\na;b 40\n");
+}
+
+TEST(AnalysisSchemaTest, TraceJobSpansMustClose) {
+  auto doc = json::JsonParse(kTraceDoc);
+  ASSERT_TRUE(doc.ok());
+  auto counts = ReadTrace(*doc, "t");
+  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+  EXPECT_EQ(counts->map_spans, 1u);
+  EXPECT_EQ(counts->provider_instants, 1u);
+  EXPECT_EQ(counts->job_spans, 1u);
+  json::JsonValue open = *doc;
+  open.members[0].second.items.pop_back();  // drop the job's end event
+  EXPECT_FALSE(ReadTrace(open, "t").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutational fuzzing: every reader returns a Status on any input.
+// ---------------------------------------------------------------------------
+
+std::string Dump(const json::JsonValue& v) {
+  using K = json::JsonValue::Kind;
+  char buf[40];
+  std::string out;
+  switch (v.kind) {
+    case K::kNull:
+      return "null";
+    case K::kBool:
+      return v.bool_value ? "true" : "false";
+    case K::kNumber:
+      std::snprintf(buf, sizeof(buf), "%.17g", v.number_value);
+      return buf;
+    case K::kString:
+      return json::JsonQuote(v.string_value);
+    case K::kArray:
+      for (const json::JsonValue& item : v.items) {
+        out += (out.empty() ? "" : ",") + Dump(item);
+      }
+      return "[" + out + "]";
+    case K::kObject:
+      for (const auto& [key, member] : v.members) {
+        out += (out.empty() ? "" : ",") + json::JsonQuote(key) + ":" +
+               Dump(member);
+      }
+      return "{" + out + "}";
+  }
+  return out;
+}
+
+void Nodes(json::JsonValue* v, std::vector<json::JsonValue*>* out) {
+  out->push_back(v);
+  for (json::JsonValue& item : v->items) Nodes(&item, out);
+  for (auto& member : v->members) Nodes(&member.second, out);
+}
+
+/// One mutant of `seed`: byte flips, a truncation, or one structural edit
+/// (a member dropped or duplicated, a number replaced by a negative, a
+/// fraction, 1e308 or a string, a node nested deep in arrays).
+std::string Mutate(const std::string& seed, Rng* rng) {
+  uint64_t op = rng->NextBounded(6);
+  if (op == 0) {
+    std::string out = seed;
+    for (uint64_t i = 0, n = 1 + rng->NextBounded(4); i < n; ++i) {
+      out[rng->NextBounded(out.size())] ^=
+          static_cast<char>(1 << rng->NextBounded(8));
+    }
+    return out;
+  }
+  if (op == 1) return seed.substr(0, rng->NextBounded(seed.size()));
+  json::JsonValue doc = json::JsonParse(seed).ValueOrDie();
+  std::vector<json::JsonValue*> nodes;
+  Nodes(&doc, &nodes);
+  std::vector<json::JsonValue*> numbers;
+  for (json::JsonValue* node : nodes) {
+    if (node->is_number()) numbers.push_back(node);
+  }
+  json::JsonValue* node = nodes[rng->NextBounded(nodes.size())];
+  if (op == 2 || op == 3) {  // drop or duplicate a member or item
+    if (!node->members.empty()) {
+      size_t at = rng->NextBounded(node->members.size());
+      if (op == 2) {
+        node->members.erase(node->members.begin() + at);
+      } else {
+        node->members.push_back(node->members[at]);
+      }
+    } else if (!node->items.empty()) {
+      size_t at = rng->NextBounded(node->items.size());
+      if (op == 2) {
+        node->items.erase(node->items.begin() + at);
+      } else {
+        node->items.push_back(node->items[at]);
+      }
+    }
+  } else if (op == 4 && !numbers.empty()) {
+    static const double kValues[] = {-1, -0.5, 0.5, 1e308, -1e308, 1e19};
+    json::JsonValue* number = numbers[rng->NextBounded(numbers.size())];
+    uint64_t pick = rng->NextBounded(7);
+    if (pick == 6) {
+      number->kind = json::JsonValue::Kind::kString;
+      number->string_value = "7";
+    } else {
+      number->number_value = kValues[pick];
+    }
+  } else {  // nest the node 1..160 arrays deep (the parser caps at 128)
+    for (uint64_t i = 0, depth = 1 + rng->NextBounded(160); i < depth; ++i) {
+      json::JsonValue wrap;
+      wrap.kind = json::JsonValue::Kind::kArray;
+      wrap.items.push_back(std::move(*node));
+      *node = std::move(wrap);
+    }
+  }
+  return Dump(doc);
+}
+
+TEST(AnalysisFuzzTest, MutantsOfEveryDocumentReturnAStatus) {
+  std::vector<Table> report_runs = RunsFor(90.0);
+  const std::string kSeeds[] = {
+      TwoPolicyReport(90.0), TimelineDoc(4.0), Fill(kProfileDoc, 1),
+      kTraceDoc, EmitBaseline(Kind::kReport, report_runs, 0.05)};
+  for (size_t s = 0; s < std::size(kSeeds); ++s) {
+    Rng rng(0xA11A + s);
+    int parsed = 0;
+    int accepted = 0;
+    for (int i = 0; i < 400; ++i) {
+      Result<json::JsonValue> doc =
+          json::JsonParse(Mutate(kSeeds[s], &rng));
+      if (!doc.ok()) continue;
+      ++parsed;
+      // Every reader sees every mutant; the verdict counted is the one of
+      // the seed's own reader (seeds 0-2 are the three table kinds).
+      bool verdict[5];
+      for (int k = 0; k < 3; ++k) {
+        Kind kind = static_cast<Kind>(k);
+        Result<Table> table = ReadTable(kind, *doc, "fuzz");
+        verdict[k] = table.ok();
+        if (!table.ok()) continue;
+        RenderMarkdown(kind, {*table}, 5);
+        EmitBaseline(kind, {*table}, 0.05);
+        RenderCollapsed(*table);
+      }
+      verdict[3] = ReadTrace(*doc, "fuzz").ok();
+      verdict[4] = CheckBaseline(Kind::kReport, *doc, report_runs).ok();
+      accepted += verdict[s];
+    }
+    // The mutants reach the readers, and both verdicts occur.
+    EXPECT_GT(parsed, 100) << "seed " << s;
+    EXPECT_GT(accepted, 0) << "seed " << s;
+    EXPECT_LT(accepted, parsed) << "seed " << s;
+  }
 }
 
 }  // namespace

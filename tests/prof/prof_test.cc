@@ -180,11 +180,13 @@ TEST_F(ProfTest, CollapsedRoundTripsThroughParserAndAnalysis) {
   // "prof" section re-emits byte-identical collapsed text.
   const std::string json = "{\"info\": {\"driver\": \"prof_test\"}, "
                            "\"prof\": " + prof::ToJson(report) + "}";
-  Result<obs::analysis::ProfileRunData> run =
-      obs::analysis::ParseProfile(json, "inline");
+  Result<json::JsonValue> doc = json::JsonParse(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  Result<obs::analysis::Table> run =
+      obs::analysis::ReadTable(obs::analysis::Kind::kProfile, *doc, "inline");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->driver, "prof_test");
-  EXPECT_EQ(obs::analysis::RenderProfileCollapsed(*run), collapsed);
+  EXPECT_EQ(obs::analysis::RenderCollapsed(*run), collapsed);
 
   ASSERT_FALSE(prof::ParseCollapsed("rt.outer not_a_number\n").ok());
 }
@@ -224,15 +226,14 @@ TEST_F(ProfTest, AllocAccountingIsGatedOnEnable) {
 // --- baseline gate --------------------------------------------------------
 
 TEST_F(ProfTest, ProfileBaselineGateFlagsSeededRegression) {
-  obs::analysis::ProfileRunData run;
+  using obs::analysis::Kind;
+  obs::analysis::Table run;
   run.source = "inline";
   run.driver = "prof_test";
-  obs::analysis::ProfilePhaseStat phase;
-  phase.path = "sim.run_until;sim.dispatch";
-  phase.count = 100;
-  phase.total_ns = 5000;
-  phase.self_ns = 5000;
-  run.phases.push_back(phase);
+  run.info["imbalances"] = 0;
+  obs::analysis::Row& phase = run.rows.emplace_back();
+  phase.key = {"sim.run_until;sim.dispatch"};
+  phase.metrics = {{"count", 100}, {"total_ms", 0.005}, {"self_ms", 0.005}};
 
   const char* kBaseline =
       "{\"kind\": \"profile\", \"driver\": \"prof_test\","
@@ -243,18 +244,18 @@ TEST_F(ProfTest, ProfileBaselineGateFlagsSeededRegression) {
   Result<json::JsonValue> baseline = json::JsonParse(kBaseline);
   ASSERT_TRUE(baseline.ok());
 
-  auto ok = obs::analysis::CheckProfileBaseline(*baseline, {run});
+  auto ok = obs::analysis::CheckBaseline(Kind::kProfile, *baseline, {run});
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(ok->ok()) << (ok->failures.empty() ? "" : ok->failures[0]);
 
-  run.phases[0].count = 1000;  // seeded 10x regression
-  auto bad = obs::analysis::CheckProfileBaseline(*baseline, {run});
+  phase.metrics["count"] = 1000;  // seeded 10x regression
+  auto bad = obs::analysis::CheckBaseline(Kind::kProfile, *baseline, {run});
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(bad->ok());
 
-  run.phases[0].count = 100;
-  run.imbalances = 3;  // require_balanced trips
-  auto imb = obs::analysis::CheckProfileBaseline(*baseline, {run});
+  phase.metrics["count"] = 100;
+  run.info["imbalances"] = 3;  // require_balanced trips
+  auto imb = obs::analysis::CheckBaseline(Kind::kProfile, *baseline, {run});
   ASSERT_TRUE(imb.ok());
   EXPECT_FALSE(imb->ok());
 }
