@@ -176,11 +176,14 @@ Result<SimCell> RunSim(double z, const char* variant,
   const bool repeated = std::strcmp(variant, "unpruned") != 0;
   const bool hints = std::strcmp(variant, "repeated+hints") == 0;
   if (repeated) {
-    for (mapred::InputSplit& split : submission.input) {
+    // Edit a private copy of the submission's split table, then submit it.
+    mapred::SplitTable input = *submission.input;
+    for (mapred::SplitId id = 0; id < input.size(); ++id) {
       // The first scan's piggybacked index is available at every replica.
-      for (mapred::SplitLocation& loc : split.locations) {
+      for (mapred::SplitLocation& loc : input.mutable_locations(id)) {
         loc.layout = dfs::ReplicaLayout::kIndexed;
       }
+      mapred::InputSplit& split = input.mutable_row(id);
       if (split.num_matching == 0) {
         split.scan_fraction = 0.0;
         split.hint_selectivity = 0.0;
@@ -196,6 +199,8 @@ Result<SimCell> RunSim(double z, const char* variant,
         split.hint_selectivity = m / n;
       }
     }
+    submission.input =
+        std::make_shared<const mapred::SplitTable>(std::move(input));
   }
   if (hints) {
     dynamic::SamplingInputProvider::Options popts;

@@ -263,7 +263,11 @@ if [[ "${run_asan}" == "1" ]]; then
   cmake --preset asan
   cmake --build --preset asan -j "${jobs}" \
     --target simulation_test tie_race_test ps_resource_test \
-             job_tracker_test job_client_test metrics_test trace_test \
+             job_tracker_test job_client_test job_test scheduler_test \
+             input_splits_test sampling_input_provider_test \
+             adaptive_input_provider_test speculative_execution_test \
+             fault_injection_test replication_test control_plane_pin_test \
+             metrics_test trace_test \
              ledger_test analysis_test lint_test \
              lint_diff_test lint_engine_test queue_equivalence_test \
              timeline_test flight_recorder_test layout_pruning_test \

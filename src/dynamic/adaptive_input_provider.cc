@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "dynamic/split_hints.h"
@@ -10,8 +11,8 @@ namespace dmr::dynamic {
 
 using mapred::ClusterStatus;
 using mapred::InputResponse;
-using mapred::InputSplit;
 using mapred::JobProgress;
+using mapred::SplitId;
 
 AdaptiveInputProvider::AdaptiveInputProvider(uint64_t seed, Options options)
     : options_(options), rng_(seed) {}
@@ -20,7 +21,8 @@ AdaptiveInputProvider::AdaptiveInputProvider(uint64_t seed)
     : AdaptiveInputProvider(seed, Options{}) {}
 
 Status AdaptiveInputProvider::Initialize(
-    const std::vector<InputSplit>& all_splits, const mapred::JobConf& conf) {
+    std::shared_ptr<const mapred::SplitTable> input,
+    const mapred::JobConf& conf) {
   if (initialized_) {
     return Status::FailedPrecondition("provider already initialized");
   }
@@ -29,7 +31,12 @@ Status AdaptiveInputProvider::Initialize(
     return Status::InvalidArgument(
         "adaptive sampling requires a positive sample size");
   }
-  unprocessed_ = all_splits;
+  if (input == nullptr) {
+    return Status::InvalidArgument("provider needs an input split table");
+  }
+  input_ = std::move(input);
+  unprocessed_.resize(input_->size());
+  std::iota(unprocessed_.begin(), unprocessed_.end(), SplitId{0});
   initialized_ = true;
   return Status::OK();
 }
@@ -44,11 +51,11 @@ int64_t AdaptiveInputProvider::LoadScaledGrab(
                            static_cast<int64_t>(std::llround(raw)));
 }
 
-std::vector<InputSplit> AdaptiveInputProvider::DrawSplits(int64_t count) {
+std::vector<SplitId> AdaptiveInputProvider::DrawSplits(int64_t count) {
   if (options_.use_split_hints) {
-    return TakeCheapestSplits(&unprocessed_, count);
+    return TakeCheapestSplits(*input_, &unprocessed_, count);
   }
-  std::vector<InputSplit> drawn;
+  std::vector<SplitId> drawn;
   int64_t n = std::min<int64_t>(count,
                                 static_cast<int64_t>(unprocessed_.size()));
   drawn.reserve(n);
@@ -142,7 +149,7 @@ InputResponse AdaptiveInputProvider::EvaluateImpl(
     // (DESIGN.md §16); the skew inflation widens the matches gap instead
     // of the records estimate.
     splits_needed = SplitsNeededWithHints(
-        unprocessed_,
+        *input_, unprocessed_,
         (static_cast<double>(sample_size_) - expected_total) * inflation,
         selectivity);
   } else {
@@ -153,7 +160,7 @@ InputResponse AdaptiveInputProvider::EvaluateImpl(
         progress.maps_completed > 0
             ? static_cast<double>(progress.records_processed) /
                   static_cast<double>(progress.maps_completed)
-            : static_cast<double>(unprocessed_.front().num_records);
+            : static_cast<double>((*input_)[unprocessed_.front()].num_records);
     if (records_per_split <= 0.0) records_per_split = 1.0;
     splits_needed = std::max<int64_t>(
         1,

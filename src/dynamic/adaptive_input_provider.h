@@ -2,6 +2,7 @@
 #define DMR_DYNAMIC_ADAPTIVE_INPUT_PROVIDER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -43,7 +44,7 @@ class AdaptiveInputProvider : public mapred::InputProvider {
   AdaptiveInputProvider(uint64_t seed, Options options);
   explicit AdaptiveInputProvider(uint64_t seed);
 
-  Status Initialize(const std::vector<mapred::InputSplit>& all_splits,
+  Status Initialize(std::shared_ptr<const mapred::SplitTable> input,
                     const mapred::JobConf& conf) override;
 
   mapred::InputResponse GetInitialInput(
@@ -72,12 +73,15 @@ class AdaptiveInputProvider : public mapred::InputProvider {
   /// Load-adaptive grab limit: AS^2 / TS, floored at options_.min_grab.
   int64_t LoadScaledGrab(const mapred::ClusterStatus& cluster) const;
 
-  std::vector<mapred::InputSplit> DrawSplits(int64_t count);
+  /// Draws up to `count` splits uniformly without replacement.
+  std::vector<mapred::SplitId> DrawSplits(int64_t count);
 
   Options options_;
   Rng rng_;
   uint64_t sample_size_ = 0;
-  std::vector<mapred::InputSplit> unprocessed_;
+  std::shared_ptr<const mapred::SplitTable> input_;
+  /// Ids of the splits not handed to the job yet.
+  std::vector<mapred::SplitId> unprocessed_;
   bool initialized_ = false;
 
   // Per-evaluation yield history for the skew signal.

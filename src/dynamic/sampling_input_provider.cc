@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "dynamic/split_hints.h"
@@ -10,8 +11,8 @@ namespace dmr::dynamic {
 
 using mapred::ClusterStatus;
 using mapred::InputResponse;
-using mapred::InputSplit;
 using mapred::JobProgress;
+using mapred::SplitId;
 
 SamplingInputProvider::SamplingInputProvider(GrowthPolicy policy,
                                              uint64_t seed)
@@ -22,7 +23,8 @@ SamplingInputProvider::SamplingInputProvider(GrowthPolicy policy,
     : policy_(std::move(policy)), options_(options), rng_(seed) {}
 
 Status SamplingInputProvider::Initialize(
-    const std::vector<InputSplit>& all_splits, const mapred::JobConf& conf) {
+    std::shared_ptr<const mapred::SplitTable> input,
+    const mapred::JobConf& conf) {
   if (initialized_) {
     return Status::FailedPrecondition("provider already initialized");
   }
@@ -32,16 +34,21 @@ Status SamplingInputProvider::Initialize(
         "sampling job requires a positive sample size (" +
         std::string(mapred::kSampleSizeKey) + ")");
   }
-  unprocessed_ = all_splits;
+  if (input == nullptr) {
+    return Status::InvalidArgument("provider needs an input split table");
+  }
+  input_ = std::move(input);
+  unprocessed_.resize(input_->size());
+  std::iota(unprocessed_.begin(), unprocessed_.end(), SplitId{0});
   initialized_ = true;
   return Status::OK();
 }
 
-std::vector<InputSplit> SamplingInputProvider::DrawSplits(int64_t count) {
+std::vector<SplitId> SamplingInputProvider::DrawSplits(int64_t count) {
   if (options_.use_split_hints) {
-    return TakeCheapestSplits(&unprocessed_, count);
+    return TakeCheapestSplits(*input_, &unprocessed_, count);
   }
-  std::vector<InputSplit> drawn;
+  std::vector<SplitId> drawn;
   int64_t n = std::min<int64_t>(count,
                                 static_cast<int64_t>(unprocessed_.size()));
   drawn.reserve(n);
@@ -137,8 +144,8 @@ InputResponse SamplingInputProvider::EvaluateImpl(
   int64_t splits_needed;
   if (options_.use_split_hints) {
     splits_needed = SplitsNeededWithHints(
-        unprocessed_, static_cast<double>(sample_size_) - expected_total,
-        selectivity);
+        *input_, unprocessed_,
+        static_cast<double>(sample_size_) - expected_total, selectivity);
   } else {
     double records_needed =
         (static_cast<double>(sample_size_) - expected_total) / selectivity;
@@ -146,7 +153,7 @@ InputResponse SamplingInputProvider::EvaluateImpl(
         progress.maps_completed > 0
             ? static_cast<double>(progress.records_processed) /
                   static_cast<double>(progress.maps_completed)
-            : static_cast<double>(unprocessed_.front().num_records);
+            : static_cast<double>((*input_)[unprocessed_.front()].num_records);
     if (records_per_split <= 0.0) records_per_split = 1.0;
     splits_needed = static_cast<int64_t>(
         std::ceil(records_needed / records_per_split));

@@ -2,6 +2,7 @@
 #define DMR_DYNAMIC_SAMPLING_INPUT_PROVIDER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -49,7 +50,7 @@ class SamplingInputProvider : public mapred::InputProvider {
   SamplingInputProvider(GrowthPolicy policy, uint64_t seed);
   SamplingInputProvider(GrowthPolicy policy, uint64_t seed, Options options);
 
-  Status Initialize(const std::vector<mapred::InputSplit>& all_splits,
+  Status Initialize(std::shared_ptr<const mapred::SplitTable> input,
                     const mapred::JobConf& conf) override;
 
   mapred::InputResponse GetInitialInput(
@@ -73,13 +74,15 @@ class SamplingInputProvider : public mapred::InputProvider {
                                      const mapred::ClusterStatus& cluster);
 
   /// Draws up to `count` splits uniformly without replacement.
-  std::vector<mapred::InputSplit> DrawSplits(int64_t count);
+  std::vector<mapred::SplitId> DrawSplits(int64_t count);
 
   GrowthPolicy policy_;
   Options options_;
   Rng rng_;
   uint64_t sample_size_ = 0;
-  std::vector<mapred::InputSplit> unprocessed_;
+  std::shared_ptr<const mapred::SplitTable> input_;
+  /// Ids of the splits not handed to the job yet.
+  std::vector<mapred::SplitId> unprocessed_;
   double estimated_selectivity_ = -1.0;
   bool initialized_ = false;
 };

@@ -19,24 +19,28 @@ namespace dmr::dynamic {
 /// are deterministic (no RNG): cheapest-first order is ascending
 /// scan_fraction with insertion order breaking ties.
 
-/// Indices of `pool` in cheapest-first order.
+/// Positions in `pool` (split ids of `input`) in cheapest-first order.
 inline std::vector<size_t> CheapestOrder(
-    const std::vector<mapred::InputSplit>& pool) {
+    const mapred::SplitTable& input,
+    const std::vector<mapred::SplitId>& pool) {
   std::vector<size_t> order(pool.size());
   std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&pool](size_t a, size_t b) {
-    return pool[a].scan_fraction < pool[b].scan_fraction;
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&input, &pool](size_t a, size_t b) {
+                     return input[pool[a]].scan_fraction <
+                            input[pool[b]].scan_fraction;
+                   });
   return order;
 }
 
-/// Removes and returns up to `count` splits from `pool`, cheapest first.
-inline std::vector<mapred::InputSplit> TakeCheapestSplits(
-    std::vector<mapred::InputSplit>* pool, int64_t count) {
-  std::vector<size_t> order = CheapestOrder(*pool);
+/// Removes and returns up to `count` split ids from `pool`, cheapest first.
+inline std::vector<mapred::SplitId> TakeCheapestSplits(
+    const mapred::SplitTable& input, std::vector<mapred::SplitId>* pool,
+    int64_t count) {
+  std::vector<size_t> order = CheapestOrder(input, *pool);
   size_t n = std::min<size_t>(static_cast<size_t>(std::max<int64_t>(0, count)),
                               pool->size());
-  std::vector<mapred::InputSplit> drawn;
+  std::vector<mapred::SplitId> drawn;
   drawn.reserve(n);
   std::vector<size_t> taken(order.begin(), order.begin() + n);
   for (size_t index : taken) drawn.push_back((*pool)[index]);
@@ -53,14 +57,15 @@ inline std::vector<mapred::InputSplit> TakeCheapestSplits(
 /// hint_selectivity when known (fall back to `global_selectivity`).
 /// Returns at least 1 while the pool is non-empty; callers clamp by the
 /// policy's grab limit as usual.
-inline int64_t SplitsNeededWithHints(
-    const std::vector<mapred::InputSplit>& pool, double matches_gap,
-    double global_selectivity) {
+inline int64_t SplitsNeededWithHints(const mapred::SplitTable& input,
+                                     const std::vector<mapred::SplitId>& pool,
+                                     double matches_gap,
+                                     double global_selectivity) {
   if (pool.empty()) return 0;
   double expected = 0.0;
   int64_t needed = 0;
-  for (size_t index : CheapestOrder(pool)) {
-    const mapred::InputSplit& split = pool[index];
+  for (size_t index : CheapestOrder(input, pool)) {
+    const mapred::InputSplit& split = input[pool[index]];
     double sel = split.hint_selectivity >= 0.0 ? split.hint_selectivity
                                                : global_selectivity;
     expected += sel * static_cast<double>(split.num_records);

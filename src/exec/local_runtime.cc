@@ -2,6 +2,7 @@
 
 #include <future>
 #include <memory>
+#include <numeric>
 
 #include "common/logging.h"
 #include "dynamic/sampling_input_provider.h"
@@ -12,6 +13,7 @@
 namespace dmr::exec {
 
 using mapred::InputSplit;
+using mapred::SplitId;
 
 LocalRuntime::LocalRuntime(LocalRunOptions options) : options_(options) {
   DMR_CHECK_GT(options_.num_threads, 0);
@@ -147,15 +149,14 @@ Result<LocalRunResult> LocalRuntime::Execute(
 
   // Fabricate splits describing the in-memory partitions (the provider only
   // reads metadata, never ground truth).
-  std::vector<InputSplit> splits;
-  splits.reserve(dataset.partitions.size());
+  auto splits = std::make_shared<mapred::SplitTable>();
+  splits->Reserve(dataset.partitions.size(), dataset.partitions.size());
   for (size_t i = 0; i < dataset.partitions.size(); ++i) {
     InputSplit split;
-    split.file = query.conf.input_file();
     split.index = static_cast<int>(i);
     split.num_records = dataset.partitions[i].size();
     split.size_bytes = split.num_records * tpch::kLineItemRecordBytes;
-    splits.push_back(split);
+    splits->Add(split);
   }
 
   const bool vectorized = options_.engine == Engine::kVectorized;
@@ -185,8 +186,6 @@ Result<LocalRunResult> LocalRuntime::Execute(
   status.occupied_map_slots = 0;
   status.running_jobs = 1;
 
-  // Decide the sequence of partition batches to process.
-  std::vector<std::vector<InputSplit>> batches;
   std::unique_ptr<dynamic::SamplingInputProvider> provider;
   if (query.is_sampling()) {
     provider = std::make_unique<dynamic::SamplingInputProvider>(
@@ -195,11 +194,11 @@ Result<LocalRunResult> LocalRuntime::Execute(
   }
 
   mapred::JobProgress progress;
-  progress.splits_total = static_cast<int>(splits.size());
+  progress.splits_total = static_cast<int>(splits->size());
   std::vector<expr::Tuple> candidates;
   std::vector<sampling::RowRef> ref_candidates;
 
-  auto process_batch = [&](const std::vector<InputSplit>& batch) -> Status {
+  auto process_batch = [&](const std::vector<SplitId>& batch) -> Status {
     // Fan the batch out in waves of at most num_threads workers.
     for (size_t base = 0; base < batch.size();
          base += static_cast<size_t>(options_.num_threads)) {
@@ -208,7 +207,7 @@ Result<LocalRunResult> LocalRuntime::Execute(
       std::vector<std::future<Result<PartitionOutput>>> futures;
       futures.reserve(wave_end - base);
       for (size_t b = base; b < wave_end; ++b) {
-        const int index = batch[b].index;
+        const int index = (*splits)[batch[b]].index;
         futures.push_back(std::async(
             std::launch::async,
             [this, index, &dataset, columnar, &query, k, vectorized,
@@ -263,8 +262,10 @@ Result<LocalRunResult> LocalRuntime::Execute(
     result.estimated_selectivity = provider->estimated_selectivity();
   } else {
     ++result.provider_rounds;
-    progress.splits_added = static_cast<int>(splits.size());
-    DMR_RETURN_NOT_OK(process_batch(splits));
+    progress.splits_added = static_cast<int>(splits->size());
+    std::vector<SplitId> all(splits->size());
+    std::iota(all.begin(), all.end(), SplitId{0});
+    DMR_RETURN_NOT_OK(process_batch(all));
     if (progress.records_processed > 0) {
       result.estimated_selectivity =
           static_cast<double>(progress.output_records) /

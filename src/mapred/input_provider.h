@@ -1,6 +1,7 @@
 #ifndef DMR_MAPRED_INPUT_PROVIDER_H_
 #define DMR_MAPRED_INPUT_PROVIDER_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,8 +26,8 @@ enum class InputResponseKind {
 /// \brief An Input Provider's answer to an evaluation.
 struct InputResponse {
   InputResponseKind kind = InputResponseKind::kNoInputAvailable;
-  /// Populated only for kInputAvailable.
-  std::vector<InputSplit> splits;
+  /// Populated only for kInputAvailable: ids into the job's SplitTable.
+  std::vector<SplitId> splits;
   /// Optional named decision diagnostics (e.g. the provider's selectivity
   /// estimate, grab limit, observed skew). Purely observational: the
   /// JobClient forwards them to trace/metric sinks and otherwise ignores
@@ -48,7 +49,7 @@ struct InputResponse {
     response.kind = InputResponseKind::kNoInputAvailable;
     return response;
   }
-  static InputResponse Available(std::vector<InputSplit> splits) {
+  static InputResponse Available(std::vector<SplitId> splits) {
     InputResponse response;
     response.kind = InputResponseKind::kInputAvailable;
     response.splits = std::move(splits);
@@ -67,8 +68,9 @@ class InputProvider {
  public:
   virtual ~InputProvider() = default;
 
-  /// Called once at submission with the complete set of input partitions.
-  virtual Status Initialize(const std::vector<InputSplit>& all_splits,
+  /// Called once at submission with the job's complete input; responses
+  /// name splits by their id in `input`.
+  virtual Status Initialize(std::shared_ptr<const SplitTable> input,
                             const JobConf& conf) = 0;
 
   /// Returns the initial set of partitions the job starts with.

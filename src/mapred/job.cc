@@ -18,98 +18,106 @@ const char* JobStateToString(JobState state) {
   return "?";
 }
 
-Job::Job(int id, JobConf conf, int splits_total, MapOutputModel output_model,
-         double submit_time)
+Job::Job(int id, JobConf conf, std::shared_ptr<const SplitTable> input,
+         MapOutputModel output_model, double submit_time)
     : id_(id),
       conf_(std::move(conf)),
       submit_time_(submit_time),
-      splits_total_(splits_total),
+      input_(std::move(input)),
+      splits_total_(static_cast<int>(input_->size())),
       output_model_(std::move(output_model)) {
   DMR_CHECK(output_model_ != nullptr);
 }
 
-InputSplit& Job::IndexPending(const InputSplit& split) {
-  int id = next_pending_id_++;
-  InputSplit& stored = pending_splits_[id] = split;
-  for (const auto& loc : split.all_locations()) {
-    pending_ids_by_node_[loc.node_id].push_back(id);
+void Job::IndexPending(SplitId split) {
+  const uint32_t slot = static_cast<uint32_t>(pending_.size());
+  pending_.push_back(split);
+  ++pending_live_;
+  for (const SplitLocation& loc : input_->locations(split)) {
+    const size_t node = static_cast<size_t>(loc.node_id);
+    if (node >= pending_by_node_.size()) pending_by_node_.resize(node + 1);
+    pending_by_node_[node].slots.push_back(slot);
   }
-  return stored;
 }
 
-void Job::AddSplits(const std::vector<InputSplit>& splits, double now) {
+void Job::AddSplits(std::span<const SplitId> splits, double now) {
   DMR_CHECK(!input_finalized_) << "job " << id_ << ": input already final";
-  for (const auto& split : splits) {
-    IndexPending(split).queued_time = now;
+  if (queued_time_.empty()) queued_time_.resize(input_->size());
+  for (SplitId split : splits) {
+    queued_time_[split] = now;
+    IndexPending(split);
     ++splits_added_;
-    records_added_ += split.num_records;
+    records_added_ += (*input_)[split].num_records;
   }
 }
 
-void Job::RequeueSplit(const InputSplit& split) { IndexPending(split); }
-
-InputSplit Job::TakePendingById(int id) {
-  auto it = pending_splits_.find(id);
-  DMR_CHECK(it != pending_splits_.end());
-  InputSplit split = it->second;
-  pending_splits_.erase(it);
-  // Stale ids left in other nodes' queues are pruned lazily.
+SplitId Job::TakeSlot(uint32_t slot) {
+  SplitId split = pending_[slot];
+  DMR_CHECK(split != kTaken);
+  pending_[slot] = kTaken;
+  --pending_live_;
+  // Stale entries left in other nodes' queues are pruned lazily.
   return split;
 }
 
-int Job::FrontLiveId(int node_id) const {
-  auto it = pending_ids_by_node_.find(node_id);
-  if (it == pending_ids_by_node_.end()) return -1;
-  auto& queue = it->second;
-  while (!queue.empty() && !pending_splits_.count(queue.front())) {
-    queue.pop_front();  // prune entries taken via another replica
-  }
-  if (queue.empty()) {
-    pending_ids_by_node_.erase(it);
+int64_t Job::FrontLiveSlot(int node_id) const {
+  if (node_id < 0 || static_cast<size_t>(node_id) >= pending_by_node_.size()) {
     return -1;
   }
-  return queue.front();
+  NodeQueue& queue = pending_by_node_[node_id];
+  while (queue.head < queue.slots.size() &&
+         pending_[queue.slots[queue.head]] == kTaken) {
+    ++queue.head;  // prune entries taken via another replica
+  }
+  if (queue.size() == 0) {
+    queue.slots.clear();
+    queue.head = 0;
+    return -1;
+  }
+  return queue.slots[queue.head];
 }
 
 bool Job::HasLocalPending(int node_id) const {
-  return FrontLiveId(node_id) >= 0;
+  return FrontLiveSlot(node_id) >= 0;
 }
 
-std::optional<InputSplit> Job::TakeLocalPending(int node_id) {
-  int id = FrontLiveId(node_id);
-  if (id < 0) return std::nullopt;
-  pending_ids_by_node_[node_id].pop_front();
-  return TakePendingById(id);
+std::optional<SplitId> Job::TakeLocalPending(int node_id) {
+  int64_t slot = FrontLiveSlot(node_id);
+  if (slot < 0) return std::nullopt;
+  ++pending_by_node_[node_id].head;
+  return TakeSlot(static_cast<uint32_t>(slot));
 }
 
-std::optional<InputSplit> Job::TakeAnyPending() {
-  if (pending_splits_.empty()) return std::nullopt;
-  // Prefer the node with the deepest live backlog so remote pulls drain
-  // hot spots first.
+std::optional<SplitId> Job::TakeAnyPending() {
+  if (pending_live_ == 0) return std::nullopt;
+  // Prefer the node with the deepest backlog (stale entries behind a live
+  // front included) so remote pulls drain hot spots first; ties go to the
+  // lowest node id.
   int best_node = -1;
   size_t best_depth = 0;
-  for (auto it = pending_ids_by_node_.begin();
-       it != pending_ids_by_node_.end();) {
-    int node = it->first;
-    if (FrontLiveId(node) < 0) {
-      // FrontLiveId erased the entry; restart iteration at the next node.
-      it = pending_ids_by_node_.upper_bound(node);
-      continue;
+  for (size_t node = 0; node < pending_by_node_.size(); ++node) {
+    if (FrontLiveSlot(static_cast<int>(node)) < 0) continue;
+    if (pending_by_node_[node].size() > best_depth) {
+      best_depth = pending_by_node_[node].size();
+      best_node = static_cast<int>(node);
     }
-    if (it->second.size() > best_depth) {
-      best_depth = it->second.size();
-      best_node = node;
-    }
-    ++it;
   }
   DMR_CHECK_GE(best_node, 0);
   return TakeLocalPending(best_node);
 }
 
+size_t Job::FirstLiveSlot() const {
+  while (first_live_ < pending_.size() && pending_[first_live_] == kTaken) {
+    ++first_live_;
+  }
+  return first_live_;
+}
+
 int Job::BestPendingLayoutQuality(int node_id) const {
   int best = -1;
-  for (const auto& [id, split] : pending_splits_) {
-    for (const auto& loc : split.all_locations()) {
+  for (size_t slot = FirstLiveSlot(); slot < pending_.size(); ++slot) {
+    if (pending_[slot] == kTaken) continue;
+    for (const SplitLocation& loc : input_->locations(pending_[slot])) {
       if (node_id >= 0 && loc.node_id != node_id) continue;
       int quality = dfs::LayoutQuality(loc.layout);
       if (quality > best) best = quality;
@@ -118,28 +126,37 @@ int Job::BestPendingLayoutQuality(int node_id) const {
   return best;
 }
 
-std::optional<InputSplit> Job::TakeBestLayoutPending(int node_id) {
+std::optional<SplitId> Job::TakeBestLayoutPending(int node_id) {
   int best_quality = -1;
-  int best_id = -1;
-  // pending_splits_ is ordered by insertion id, and only a strictly
-  // better quality displaces the candidate, so ties keep FIFO order.
-  for (const auto& [id, split] : pending_splits_) {
-    for (const auto& loc : split.all_locations()) {
+  int64_t best_slot = -1;
+  // Slots are in insertion order, and only a strictly better quality
+  // displaces the candidate, so ties keep FIFO order.
+  for (size_t slot = FirstLiveSlot(); slot < pending_.size(); ++slot) {
+    if (pending_[slot] == kTaken) continue;
+    for (const SplitLocation& loc : input_->locations(pending_[slot])) {
       if (node_id >= 0 && loc.node_id != node_id) continue;
       int quality = dfs::LayoutQuality(loc.layout);
       if (quality > best_quality) {
         best_quality = quality;
-        best_id = id;
+        best_slot = static_cast<int64_t>(slot);
       }
     }
   }
-  if (best_id < 0) return std::nullopt;
-  return TakePendingById(best_id);
+  if (best_slot < 0) return std::nullopt;
+  return TakeSlot(static_cast<uint32_t>(best_slot));
 }
 
-int Job::OnMapLaunched(const InputSplit& split, int node_id, bool local) {
-  (void)split;
-  (void)node_id;
+void Job::ReleaseInput() {
+  DMR_CHECK_EQ(pending_live_, 0) << "job " << id_;
+  input_.reset();
+  // Move-assign empty vectors: `= {}` would keep the capacity.
+  queued_time_ = std::vector<double>();
+  pending_ = std::vector<SplitId>();
+  first_live_ = 0;
+  pending_by_node_ = std::vector<NodeQueue>();
+}
+
+int Job::OnMapLaunched(bool local) {
   ++maps_running_;
   if (local) {
     ++local_maps_;
@@ -149,18 +166,17 @@ int Job::OnMapLaunched(const InputSplit& split, int node_id, bool local) {
   return next_task_id_++;
 }
 
-void Job::OnMapFailed(const InputSplit& split) {
-  (void)split;
+void Job::OnMapFailed() {
   DMR_CHECK_GT(maps_running_, 0) << "job " << id_;
   --maps_running_;
   ++failed_maps_;
 }
 
-void Job::OnMapCompleted(const InputSplit& split, uint64_t output_records) {
+void Job::OnMapCompleted(SplitId split, uint64_t output_records) {
   DMR_CHECK_GT(maps_running_, 0) << "job " << id_;
   --maps_running_;
   ++maps_completed_;
-  records_processed_ += split.num_records;
+  records_processed_ += (*input_)[split].num_records;
   output_records_ += output_records;
 }
 
@@ -175,7 +191,7 @@ double Job::MeanMapDuration() const {
 }
 
 bool Job::ReadyForReduce() const {
-  return input_finalized_ && pending_splits_.empty() && maps_running_ == 0 &&
+  return input_finalized_ && pending_live_ == 0 && maps_running_ == 0 &&
          state_ == JobState::kMapping;
 }
 

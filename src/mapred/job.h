@@ -2,10 +2,10 @@
 #define DMR_MAPRED_JOB_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,14 +35,15 @@ using MapOutputModel = std::function<uint64_t(const InputSplit&)>;
 
 /// \brief JobTracker-side state of one submitted job.
 ///
-/// Owns the pending-split queues (indexed by home node for locality-aware
-/// scheduling), the per-task accounting, and all counters that feed
-/// JobProgress / JobStats. Task *execution* (resource requests, timing)
-/// lives in the JobTracker.
+/// Owns the pending-split queues (indexed by every replica node for
+/// locality-aware scheduling), the per-task accounting, and all counters
+/// that feed JobProgress / JobStats. Splits are named by their id in the
+/// job's SplitTable, which the job shares until it completes. Task
+/// *execution* (resource requests, timing) lives in the JobTracker.
 class Job {
  public:
-  Job(int id, JobConf conf, int splits_total, MapOutputModel output_model,
-      double submit_time);
+  Job(int id, JobConf conf, std::shared_ptr<const SplitTable> input,
+      MapOutputModel output_model, double submit_time);
 
   int id() const { return id_; }
   const JobConf& conf() const { return conf_; }
@@ -52,28 +53,33 @@ class Job {
 
   // --- input management -----------------------------------------------
 
-  /// Appends splits to the pending queue, stamping each stored copy's
-  /// queued_time with `now`.
-  void AddSplits(const std::vector<InputSplit>& splits, double now);
+  /// The job's complete input. Valid until ReleaseInput.
+  const SplitTable& input() const { return *input_; }
+
+  /// Appends splits to the pending queue, stamping each one's queued time
+  /// with `now`.
+  void AddSplits(std::span<const SplitId> splits, double now);
+
+  /// Virtual time `split` was handed to the job; a launch's wait is
+  /// measured from it. A retried split keeps its first stamp.
+  double queued_time(SplitId split) const { return queued_time_[split]; }
 
   /// Marks that no further input will be added (paper: "end of input").
   void FinalizeInput() { input_finalized_ = true; }
   bool input_finalized() const { return input_finalized_; }
 
-  bool HasPendingSplits() const { return !pending_splits_.empty(); }
-  int pending_count() const {
-    return static_cast<int>(pending_splits_.size());
-  }
+  bool HasPendingSplits() const { return pending_live_ > 0; }
+  int pending_count() const { return pending_live_; }
 
-  /// True if a pending split's home is `node_id`.
+  /// True if a pending split has a replica on `node_id`.
   bool HasLocalPending(int node_id) const;
 
   /// Pops a pending split local to `node_id`, if any.
-  std::optional<InputSplit> TakeLocalPending(int node_id);
+  std::optional<SplitId> TakeLocalPending(int node_id);
 
   /// Pops any pending split (preferring the longest per-node backlog so
   /// remote work drains hot spots first).
-  std::optional<InputSplit> TakeAnyPending();
+  std::optional<SplitId> TakeAnyPending();
 
   /// Max replica layout quality (dfs::LayoutQuality) over live pending
   /// splits — restricted to replicas on `node_id` when node_id >= 0; -1
@@ -84,28 +90,32 @@ class Job {
   /// Pops the pending split whose replica on `node_id` (anywhere, when
   /// node_id < 0) has the highest layout quality; ties keep insertion
   /// order, so with uniform layouts this degenerates to FIFO order.
-  std::optional<InputSplit> TakeBestLayoutPending(int node_id);
+  std::optional<SplitId> TakeBestLayoutPending(int node_id);
+
+  /// Drops the split table and the pending store once the job is done
+  /// with its input (the tracker keeps every Job for the whole run).
+  void ReleaseInput();
 
   // --- task accounting --------------------------------------------------
 
   /// Puts a failed attempt's split back on the pending queue. Unlike
   /// AddSplits this is allowed after FinalizeInput (retries are not new
   /// input) and does not bump splits_added.
-  void RequeueSplit(const InputSplit& split);
+  void RequeueSplit(SplitId split) { IndexPending(split); }
 
   /// Records a map task launch; returns the task sequence number.
-  int OnMapLaunched(const InputSplit& split, int node_id, bool local);
+  int OnMapLaunched(bool local);
 
   /// Records a failed map attempt (the split must be requeued separately).
-  void OnMapFailed(const InputSplit& split);
+  void OnMapFailed();
 
   /// Records a map task completion and accumulates counters.
-  void OnMapCompleted(const InputSplit& split, uint64_t output_records);
+  void OnMapCompleted(SplitId split, uint64_t output_records);
 
   /// Applies the job's map-output model to a split (stands in for running
   /// the user map function).
-  uint64_t ComputeMapOutput(const InputSplit& split) const {
-    return output_model_(split);
+  uint64_t ComputeMapOutput(SplitId split) const {
+    return output_model_((*input_)[split]);
   }
 
   /// All maps done and input finalized => ready for the reduce phase.
@@ -145,29 +155,48 @@ class Job {
   double delay_wait_start = 0.0;
 
  private:
+  /// Marks a pending-store slot whose split was taken.
+  static constexpr SplitId kTaken = ~SplitId{0};
+
+  /// One node's queue of pending-store slots, oldest first. Slots taken
+  /// via another replica stay behind as stale entries and are pruned
+  /// lazily from the front; a queue that runs dry is reset in place.
+  struct NodeQueue {
+    std::vector<uint32_t> slots;
+    size_t head = 0;
+
+    size_t size() const { return slots.size() - head; }
+  };
+
+  /// Appends a split to the pending store and to every replica node's
+  /// queue.
+  void IndexPending(SplitId split);
+  /// Takes a live pending slot (must exist) and returns its split.
+  SplitId TakeSlot(uint32_t slot);
+  /// First live slot on `node_id`'s queue (pruning stale entries), or -1.
+  int64_t FrontLiveSlot(int node_id) const;
+  /// First live slot of the whole store (pending_.size() when none).
+  size_t FirstLiveSlot() const;
+
   int id_;
   JobConf conf_;
   JobState state_ = JobState::kMapping;
   double submit_time_;
   double finish_time_ = 0.0;
+  std::shared_ptr<const SplitTable> input_;
   int splits_total_;
   MapOutputModel output_model_;
-
-  /// Inserts a split into the pending store, indexing every replica node;
-  /// returns the stored copy.
-  InputSplit& IndexPending(const InputSplit& split);
-  /// Pops a pending entry by id (must exist) and returns its split.
-  InputSplit TakePendingById(int id);
-  /// First live pending id on `node_id`'s queue (pruning stale ids), or -1.
-  int FrontLiveId(int node_id) const;
+  /// Queued time by split id (sized on the first AddSplits).
+  std::vector<double> queued_time_;
 
   bool input_finalized_ = false;
-  /// Pending splits by insertion id; per-node queues hold ids and may
-  /// contain stale entries (splits already taken via another replica),
-  /// which are pruned lazily.
-  std::map<int, InputSplit> pending_splits_;
-  mutable std::map<int, std::deque<int>> pending_ids_by_node_;
-  int next_pending_id_ = 0;
+  /// The pending store: one slot per enqueue (AddSplits or a requeue), in
+  /// insertion order, holding the split id or kTaken.
+  std::vector<SplitId> pending_;
+  int pending_live_ = 0;
+  /// Every slot before this one is taken.
+  mutable size_t first_live_ = 0;
+  mutable std::vector<NodeQueue> pending_by_node_;
 
   int splits_added_ = 0;
   int maps_running_ = 0;

@@ -57,12 +57,15 @@ Result<int> JobClient::Submit(JobSubmission submission,
         "dynamic job requires an input provider (" +
         std::string(kDynamicProviderKey) + ")");
   }
+  if (submission.input == nullptr) {
+    return Status::InvalidArgument("input split table must be set");
+  }
 
   auto loop = std::make_shared<DynamicLoop>();
   loop->provider = submission.input_provider;
   loop->eval_interval = submission.conf.eval_interval();
   loop->work_threshold_pct = submission.conf.work_threshold_pct();
-  loop->splits_total = static_cast<int>(submission.input.size());
+  loop->splits_total = static_cast<int>(submission.input->size());
   if (loop->eval_interval <= 0) {
     return Status::InvalidArgument("evaluation interval must be > 0");
   }
@@ -84,7 +87,7 @@ Result<int> JobClient::Submit(JobSubmission submission,
   DMR_ASSIGN_OR_RETURN(
       int job_id,
       tracker_->SubmitDynamicJob(std::move(submission.conf),
-                                 loop->splits_total,
+                                 std::move(submission.input),
                                  std::move(submission.output_model),
                                  std::move(wrapped)));
   loop->job_id = job_id;

@@ -14,8 +14,9 @@ namespace dmr::mapred {
 /// \brief A complete job submission.
 struct JobSubmission {
   JobConf conf;
-  /// The job's complete input (what the Input Provider is initialized with).
-  std::vector<InputSplit> input;
+  /// The job's complete input (what the Input Provider is initialized
+  /// with), shared read-only by the provider and the job.
+  std::shared_ptr<const SplitTable> input;
   /// Stands in for the user map function's output volume (see Job).
   MapOutputModel output_model;
   /// Required when conf.dynamic_job() is true; ignored otherwise.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "common/logging.h"
 #include "prof/prof.h"
@@ -78,31 +79,33 @@ void JobTracker::Start() {
 }
 
 Result<int> JobTracker::SubmitStaticJob(JobConf conf,
-                                        std::vector<InputSplit> splits,
+                                        std::shared_ptr<const SplitTable> input,
                                         MapOutputModel output_model,
                                         CompletionCallback on_complete) {
-  int splits_total = static_cast<int>(splits.size());
+  std::vector<SplitId> all(input != nullptr ? input->size() : 0);
+  std::iota(all.begin(), all.end(), SplitId{0});
   DMR_ASSIGN_OR_RETURN(
-      int id, SubmitDynamicJob(std::move(conf), splits_total,
+      int id, SubmitDynamicJob(std::move(conf), std::move(input),
                                std::move(output_model),
                                std::move(on_complete)));
-  DMR_RETURN_NOT_OK(AddSplits(id, splits));
+  DMR_RETURN_NOT_OK(AddSplits(id, all));
   DMR_RETURN_NOT_OK(FinalizeInput(id));
   return id;
 }
 
-Result<int> JobTracker::SubmitDynamicJob(JobConf conf, int splits_total,
-                                         MapOutputModel output_model,
-                                         CompletionCallback on_complete) {
+Result<int> JobTracker::SubmitDynamicJob(
+    JobConf conf, std::shared_ptr<const SplitTable> input,
+    MapOutputModel output_model, CompletionCallback on_complete) {
   if (!started_) return Status::FailedPrecondition("tracker not started");
-  if (splits_total < 0) {
-    return Status::InvalidArgument("splits_total must be >= 0");
+  if (input == nullptr) {
+    return Status::InvalidArgument("input split table must be set");
   }
   if (!output_model) {
     return Status::InvalidArgument("output_model must be set");
   }
+  const int splits_total = static_cast<int>(input->size());
   int id = NextJobId();
-  auto job = std::make_unique<Job>(id, std::move(conf), splits_total,
+  auto job = std::make_unique<Job>(id, std::move(conf), std::move(input),
                                    std::move(output_model), sim_->Now());
   mapping_jobs_.push_back(job.get());
   jobs_[id] = std::move(job);
@@ -116,19 +119,27 @@ Result<int> JobTracker::SubmitDynamicJob(JobConf conf, int splits_total,
   return id;
 }
 
-Status JobTracker::AddSplits(int job_id,
-                             const std::vector<InputSplit>& splits) {
+Status JobTracker::AddSplits(int job_id, std::span<const SplitId> splits) {
   DMR_ASSIGN_OR_RETURN(Job * job, FindJob(job_id));
   if (job->input_finalized()) {
     return Status::FailedPrecondition("job " + std::to_string(job_id) +
                                       ": input already finalized");
   }
+  const SplitTable& input = job->input();
+  for (SplitId split : splits) {
+    if (split >= input.size()) {
+      return Status::InvalidArgument(
+          "job " + std::to_string(job_id) + ": split id " +
+          std::to_string(split) + " outside its " +
+          std::to_string(input.size()) + "-split input");
+    }
+  }
   job->AddSplits(splits, sim_->Now());
   Report({.step = LifecycleStep::kSplitsAdded, .job = job_id,
           .count = static_cast<int32_t>(splits.size())});
-  for (const InputSplit& split : splits) {
+  for (SplitId split : splits) {
     Report({.step = LifecycleStep::kSplitQueued, .job = job_id,
-            .split = split.index, .home = split.node_id});
+            .split = input[split].index, .home = input[split].node_id});
   }
   ReportDemand();
   return Status::OK();
@@ -256,22 +267,26 @@ void JobTracker::MaybeLaunchBackups(int node_id) {
   ++total_speculative_maps_;
   victim->job->OnSpeculativeLaunched();
   LaunchMap(victim->job, victim->split, node_id,
-            victim->split.IsLocalTo(node_id), /*backup=*/true);
+            victim->job->input().IsLocalTo(victim->split, node_id),
+            /*backup=*/true);
 }
 
-void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
+void JobTracker::LaunchMap(Job* job, SplitId split_id, int node_id,
                            bool local, bool backup) {
   cluster::Node* node = cluster_->node(node_id);
   int slot = node->AcquireMapSlot();
   // Backups do not change the job's split-level accounting — the split is
   // already counted as running by its original attempt.
-  if (!backup) job->OnMapLaunched(split, node_id, local);
+  if (!backup) job->OnMapLaunched(local);
+  const SplitTable& input = job->input();
+  const InputSplit& split = input[split_id];
   const bool pruned = split.scan_fraction <= 0.0;
   if (pruned) ++total_pruned_splits_;
   Report({.step = backup ? LifecycleStep::kBackupLaunch
                          : LifecycleStep::kMapLaunch,
           .pruned = pruned, .job = job->id(), .split = split.index,
-          .node = node_id, .slot = slot, .start = split.queued_time});
+          .node = node_id, .slot = slot,
+          .start = job->queued_time(split_id)});
   if (local) {
     ++total_local_maps_;
   } else {
@@ -287,7 +302,7 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
   // Read from the replica on this node when there is one, else from the
   // best-layout remote copy over the network; that replica's layout and
   // the split's stats hint set the attempt's effective cost.
-  const SplitLocation source = split.ReadLocationFor(node_id);
+  const SplitLocation source = input.ReadLocationFor(split_id, node_id);
   ApplyLayoutCost(config, source.layout, split.scan_fraction, &cpu_demand,
                   &read_bytes);
 
@@ -307,40 +322,47 @@ void JobTracker::LaunchMap(Job* job, const InputSplit& split, int node_id,
   auto attempt = std::allocate_shared<MapAttempt>(
       sim::ArenaAllocator<MapAttempt>(sim_->arena()));
   attempt->job = job;
-  attempt->split = split;
+  attempt->split = split_id;
   attempt->node_id = node_id;
+  attempt->slot = slot;
   attempt->local = local;
   attempt->backup = backup;
-  attempt->slot = slot;
+  attempt->will_fail = will_fail;
+  attempt->source = source;
+  attempt->read_bytes = read_bytes;
+  attempt->cpu_demand = cpu_demand;
   attempt->launch_time = sim_->Now();
-  running_splits_[{job->id(), split.index}].push_back(attempt);
+  running_splits_[{job->id(), split_id}].push_back(attempt);
 
   // The task holds its slot through startup, then reads its partition while
-  // applying the map function. Disk (and network, when remote) and CPU are
-  // consumed concurrently; the task finishes when all demands are met.
+  // applying the map function. The startup event holds only the attempt's
+  // address: running_splits_ owns the attempt until it ends, and
+  // KillAttempt cancels the event.
   attempt->startup_event = sim_->Schedule(
       config.task_startup_seconds, sim::EventClass::kTaskLifecycle,
-      [this, attempt, cpu_demand, read_bytes, will_fail, source] {
-        auto remaining = std::allocate_shared<int>(
-            sim::ArenaAllocator<int>(sim_->arena()),
-            attempt->local ? 2 : 3);
-        auto on_part_done = [this, attempt, remaining, will_fail] {
-          if (--(*remaining) != 0) return;
-          OnAttemptDone(attempt, will_fail);
-        };
-        sim::PsResource* disk =
-            cluster_->node(source.node_id)->disk(source.disk_id);
-        attempt->requests.emplace_back(disk,
-                                       disk->Submit(read_bytes, on_part_done));
-        if (!attempt->local) {
-          sim::PsResource* net = cluster_->network();
-          attempt->requests.emplace_back(
-              net, net->Submit(read_bytes, on_part_done));
-        }
-        sim::PsResource* cpu = cluster_->node(attempt->node_id)->cpu();
-        attempt->requests.emplace_back(cpu,
-                                       cpu->Submit(cpu_demand, on_part_done));
-      });
+      [this, raw = attempt.get()] { StartAttempt(raw); });
+}
+
+void JobTracker::StartAttempt(MapAttempt* raw) {
+  // Disk (and network, when remote) and CPU are consumed concurrently; the
+  // task finishes when all demands are met. Each part's callback owns the
+  // attempt: a sibling killed in the instant its last part completes is
+  // still called, and finds it finished.
+  AttemptPtr attempt = raw->shared_from_this();
+  attempt->parts_left = attempt->local ? 2 : 3;
+  auto on_part_done = [this, attempt] {
+    if (--attempt->parts_left != 0) return;
+    OnAttemptDone(attempt, attempt->will_fail);
+  };
+  auto submit = [&](sim::PsResource* resource, double demand) {
+    attempt->requests[attempt->num_requests++] = {
+        resource, resource->Submit(demand, on_part_done)};
+  };
+  const SplitLocation& source = attempt->source;
+  submit(cluster_->node(source.node_id)->disk(source.disk_id),
+         attempt->read_bytes);
+  if (!attempt->local) submit(cluster_->network(), attempt->read_bytes);
+  submit(cluster_->node(attempt->node_id)->cpu(), attempt->cpu_demand);
 }
 
 void JobTracker::ReportDemand() {
@@ -366,18 +388,20 @@ void JobTracker::ReportDemand() {
 
 void JobTracker::EndAttempt(MapAttempt& attempt, Outcome outcome) {
   attempt.finished = true;
+  const InputSplit& split = attempt.job->input()[attempt.split];
   Report({.step = LifecycleStep::kAttemptEnd, .outcome = outcome,
           .local = attempt.local, .backup = attempt.backup,
-          .job = attempt.job->id(), .split = attempt.split.index,
+          .job = attempt.job->id(), .split = split.index,
           .node = attempt.node_id, .slot = attempt.slot,
-          .home = attempt.split.node_id, .start = attempt.launch_time});
+          .home = split.node_id, .start = attempt.launch_time});
   cluster_->node(attempt.node_id)->ReleaseMapSlot(attempt.slot);
 }
 
 void JobTracker::KillAttempt(const AttemptPtr& attempt) {
   DMR_CHECK(!attempt->finished);
   attempt->startup_event.Cancel();
-  for (auto& [resource, request_id] : attempt->requests) {
+  for (int i = 0; i < attempt->num_requests; ++i) {
+    auto [resource, request_id] = attempt->requests[i];
     resource->CancelRequest(request_id);
   }
   EndAttempt(*attempt, Outcome::kKilled);
@@ -388,7 +412,7 @@ void JobTracker::OnAttemptDone(const AttemptPtr& attempt, bool failed) {
   EndAttempt(*attempt, failed ? Outcome::kFailed : Outcome::kOk);
   Job* job = attempt->job;
 
-  SplitKey key{job->id(), attempt->split.index};
+  SplitKey key{job->id(), attempt->split};
   auto group_it = running_splits_.find(key);
   DMR_CHECK(group_it != running_splits_.end());
   auto& attempts = group_it->second;
@@ -400,7 +424,7 @@ void JobTracker::OnAttemptDone(const AttemptPtr& attempt, bool failed) {
     // failed does the split go back on the pending queue.
     if (attempts.empty()) {
       running_splits_.erase(group_it);
-      job->OnMapFailed(attempt->split);
+      job->OnMapFailed();
       job->RequeueSplit(attempt->split);
     }
     ReportDemand();
@@ -467,6 +491,8 @@ void JobTracker::OnReduceComplete(Job* job, int node_id) {
   job->set_result_records(k > 0 ? std::min(k, produced) : produced);
   job->set_state(JobState::kSucceeded);
   job->set_finish_time(sim_->Now());
+  // jobs_ keeps every Job for the whole run; a completed one keeps no input.
+  job->ReleaseInput();
   --active_jobs_;
 
   Report({.step = LifecycleStep::kJobComplete, .job = job->id(),

@@ -1,10 +1,12 @@
 #ifndef DMR_MAPRED_JOB_TRACKER_H_
 #define DMR_MAPRED_JOB_TRACKER_H_
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -44,20 +46,22 @@ class JobTracker {
 
   /// Submits a job whose whole input is known up front (ordinary Hadoop
   /// job): all splits are added and input is finalized immediately.
-  Result<int> SubmitStaticJob(JobConf conf, std::vector<InputSplit> splits,
+  Result<int> SubmitStaticJob(JobConf conf,
+                              std::shared_ptr<const SplitTable> input,
                               MapOutputModel output_model,
                               CompletionCallback on_complete);
 
   /// Submits a dynamic job with no input yet; the JobClient feeds splits
-  /// via AddSplits and eventually calls FinalizeInput.
-  ///
-  /// \param splits_total  size of the job's complete input (for progress).
-  Result<int> SubmitDynamicJob(JobConf conf, int splits_total,
+  /// of `input` (the job's complete input) via AddSplits and eventually
+  /// calls FinalizeInput.
+  Result<int> SubmitDynamicJob(JobConf conf,
+                               std::shared_ptr<const SplitTable> input,
                                MapOutputModel output_model,
                                CompletionCallback on_complete);
 
-  /// Appends input partitions to a job ("input available").
-  Status AddSplits(int job_id, const std::vector<InputSplit>& splits);
+  /// Appends input partitions, by id in the job's split table, to a job
+  /// ("input available").
+  Status AddSplits(int job_id, std::span<const SplitId> splits);
 
   /// Declares a job's input complete ("end of input"); once in-flight maps
   /// finish, the reduce phase begins.
@@ -85,7 +89,7 @@ class JobTracker {
   int64_t total_speculative_maps() const { return total_speculative_maps_; }
 
   /// Map attempts whose stats hint pruned them to a stats-read
-  /// (split.scan_fraction == 0; adaptive-layout cost model, DESIGN.md §16).
+  /// (scan_fraction == 0; adaptive-layout cost model, DESIGN.md §16).
   int64_t total_pruned_splits() const { return total_pruned_splits_; }
 
   /// Append-only lifecycle event log (the JobHistory analogue).
@@ -99,29 +103,43 @@ class JobTracker {
  private:
   /// One running map attempt (original or speculative backup). Attempts are
   /// killable: their outstanding resource requests are cancelled and the
-  /// slot freed when a sibling attempt wins.
-  struct MapAttempt {
+  /// slot freed when a sibling attempt wins. Everything the attempt needs
+  /// after launch lives here, so its startup event captures only the
+  /// attempt's address and stays inline in the event queue.
+  struct MapAttempt : std::enable_shared_from_this<MapAttempt> {
     Job* job = nullptr;
-    InputSplit split;
+    SplitId split = 0;
     int node_id = 0;
+    /// Map slot index on node_id (trace lane), from Node::AcquireMapSlot.
+    int slot = 0;
     bool local = false;
     bool backup = false;
     bool finished = false;
-    /// Map slot index on node_id (trace lane), from Node::AcquireMapSlot.
-    int slot = 0;
+    /// Fault draw: the attempt does its work, then reports failure.
+    bool will_fail = false;
+    /// Resource parts (disk, network when remote, CPU) still to finish.
+    int parts_left = 0;
+    /// Replica the attempt reads, and its demands on disk (and network)
+    /// and CPU.
+    SplitLocation source;
+    double read_bytes = 0.0;
+    double cpu_demand = 0.0;
     double launch_time = 0.0;
     sim::EventHandle startup_event;
-    std::vector<std::pair<sim::PsResource*, sim::PsResource::RequestId>>
-        requests;
+    std::array<std::pair<sim::PsResource*, sim::PsResource::RequestId>, 3>
+        requests{};
+    int num_requests = 0;
   };
   using AttemptPtr = std::shared_ptr<MapAttempt>;
-  /// Key of a running split: (job id, split index).
-  using SplitKey = std::pair<int, int>;
+  /// Key of a running split: (job id, split id).
+  using SplitKey = std::pair<int, SplitId>;
 
   void Heartbeat(int node_id);
   void MaybeLaunchBackups(int node_id);
-  void LaunchMap(Job* job, const InputSplit& split, int node_id, bool local,
+  void LaunchMap(Job* job, SplitId split, int node_id, bool local,
                  bool backup);
+  /// Startup done: submits the attempt's demands to its resources.
+  void StartAttempt(MapAttempt* attempt);
   void LaunchReduce(Job* job, int node_id);
   void OnAttemptDone(const AttemptPtr& attempt, bool failed);
   void KillAttempt(const AttemptPtr& attempt);

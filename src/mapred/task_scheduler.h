@@ -14,8 +14,9 @@ class JobTracker;
 /// \brief One map-task launch decision.
 struct MapAssignment {
   Job* job = nullptr;
-  InputSplit split;
-  /// Whether the split's home node is the assigned node.
+  /// The split, by id in the job's split table.
+  SplitId split = 0;
+  /// Whether a replica of the split lives on the assigned node.
   bool local = false;
 };
 

@@ -2,7 +2,9 @@
 #define DMR_MAPRED_TYPES_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dfs/file_system.h"
@@ -19,28 +21,26 @@ struct SplitLocation {
   dfs::ReplicaLayout layout = dfs::ReplicaLayout::kRow;
 };
 
+/// \brief Position of a split in its job's SplitTable. Jobs, attempts,
+/// providers and scheduler decisions pass splits by id; the table holds
+/// the one copy of each split.
+using SplitId = uint32_t;
+
 /// \brief One unit of map input: a DFS partition plus the record statistics
-/// the simulator's cost/output models need.
+/// the simulator's cost/output models need. A row of a SplitTable:
+/// trivially copyable, its replicas live in the table's flat replica array.
 ///
 /// `num_matching` is ground truth about the data (how many records satisfy
 /// the job's predicate). The *job* never reads it directly — it only observes
 /// output counts of finished map tasks, exactly like a real Hadoop job.
 struct InputSplit {
-  std::string file;
   int index = 0;
   uint64_t size_bytes = 0;
   uint64_t num_records = 0;
   uint64_t num_matching = 0;
-  /// Primary location (kept in sync with locations.front() when replicas
-  /// are present).
+  /// Primary location (the first replica).
   int node_id = 0;
   int disk_id = 0;
-  /// All replica locations, primary first; empty means primary only.
-  std::vector<SplitLocation> locations;
-  /// Virtual time the split was handed to its job (stamped by
-  /// Job::AddSplits; a retried split keeps its first stamp). A launch's
-  /// wait is measured from it.
-  double queued_time = 0.0;
   /// Adaptive-layout stats hints (DESIGN.md §16), filled by layers that can
   /// see partition stats (LocalRuntime, testbed dataset builders). Fraction
   /// of the split's rows a stats-aware reader must physically scan for the
@@ -51,37 +51,72 @@ struct InputSplit {
   /// Per-split selectivity bound derived from the same stats; < 0 means
   /// unknown (fall back to the provider's global estimate).
   double hint_selectivity = -1.0;
+  /// The split's range in its table's replica array (set by
+  /// SplitTable::Add).
+  uint32_t first_replica = 0;
+  uint32_t num_replicas = 0;
+};
+static_assert(std::is_trivially_copyable_v<InputSplit>);
 
-  /// All candidate read locations, uniformly (primary first).
-  std::vector<SplitLocation> all_locations() const {
-    if (!locations.empty()) return locations;
-    return {SplitLocation{node_id, disk_id}};
+/// \brief The input of one job submission: one row per split plus one flat
+/// array of every row's replicas (primary first), with no cap on the
+/// replication. Built once per submission (MakeInputSplits) and shared
+/// read-only, as shared_ptr<const SplitTable>, by the submission, its
+/// Input Provider and its Job.
+class SplitTable {
+ public:
+  /// Appends a split; `replicas` lists its stored copies, primary first.
+  /// Empty means the primary alone, in row layout.
+  SplitId Add(InputSplit row, std::span<const SplitLocation> replicas = {});
+
+  void Reserve(size_t rows, size_t replicas) {
+    rows_.reserve(rows);
+    replicas_.reserve(replicas);
   }
 
-  /// True when some replica lives on `node`.
-  bool IsLocalTo(int node) const {
-    for (const auto& loc : all_locations()) {
+  SplitId size() const { return static_cast<SplitId>(rows_.size()); }
+  const InputSplit& operator[](SplitId id) const { return rows_[id]; }
+
+  /// All candidate read locations of `id` (never empty; primary first).
+  std::span<const SplitLocation> locations(SplitId id) const {
+    const InputSplit& row = rows_[id];
+    return {replicas_.data() + row.first_replica, row.num_replicas};
+  }
+
+  /// True when some replica of `id` lives on `node`.
+  bool IsLocalTo(SplitId id, int node) const {
+    for (const SplitLocation& loc : locations(id)) {
       if (loc.node_id == node) return true;
     }
     return false;
   }
 
-  /// The replica on `node`; for a remote read, the best-layout replica
-  /// (ties keep replica order, so this is the primary when layouts do not
-  /// diverge — the pre-layout behaviour).
-  SplitLocation ReadLocationFor(int node) const {
-    std::vector<SplitLocation> locs = all_locations();
-    for (const auto& loc : locs) {
-      if (loc.node_id == node) return loc;
-    }
+  /// The replica of `id` on `node`; for a remote read, the best-layout
+  /// replica (ties keep replica order, so this is the primary when layouts
+  /// do not diverge — the pre-layout behaviour).
+  SplitLocation ReadLocationFor(SplitId id, int node) const {
+    std::span<const SplitLocation> locs = locations(id);
     const SplitLocation* best = &locs.front();
-    for (const auto& loc : locs) {
+    for (const SplitLocation& loc : locs) {
+      if (loc.node_id == node) return loc;
       if (dfs::LayoutQuality(loc.layout) > dfs::LayoutQuality(best->layout)) {
         best = &loc;
       }
     }
     return *best;
   }
+
+  /// Editing access for a table that is not shared yet (a driver adjusting
+  /// hints or layouts on its own copy before submission).
+  InputSplit& mutable_row(SplitId id) { return rows_[id]; }
+  std::span<SplitLocation> mutable_locations(SplitId id) {
+    InputSplit& row = rows_[id];
+    return {replicas_.data() + row.first_replica, row.num_replicas};
+  }
+
+ private:
+  std::vector<InputSplit> rows_;
+  std::vector<SplitLocation> replicas_;
 };
 
 /// \brief Cluster-load summary handed to Input Providers (paper Section III:

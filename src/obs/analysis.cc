@@ -1122,12 +1122,10 @@ Result<TraceCounts> ReadTrace(const JsonValue& doc, const std::string& source) {
       counts.job_spans += ph == "b" && cat == "job";
     }
   }
-  // Splits may stay open when a driver stops with maps in flight; jobs
-  // must close.
+  // Splits and jobs stay open when a driver stops with work in flight;
+  // Validate checks the open job spans against the job counters.
   for (const auto& [key, open] : depth) {
-    if (key.first == "job" && open != 0) {
-      return Bad(source, "a job span never ended");
-    }
+    if (key.first == "job") counts.open_job_spans += open;
   }
   return counts;
 }
@@ -1146,10 +1144,14 @@ Result<std::string> Validate(const std::string& trace_path,
   DMR_ASSIGN_OR_RETURN(const JsonValue* counters, Obj(doc, "counters", m));
   DMR_ASSIGN_OR_RETURN(const JsonValue* histograms,
                        Arr(doc, "histograms", m));
-  uint64_t c[4];  // maps launched, jobs submitted, maps completed, beats
+  // Maps launched, jobs submitted, maps completed, heartbeats, maps
+  // failed, attempts killed, jobs completed.
+  uint64_t c[7];
   DMR_RETURN_NOT_OK(Ints(*counters,
                          {"mapred.maps_launched", "mapred.jobs_submitted",
-                          "mapred.maps_completed", "mapred.heartbeats"},
+                          "mapred.maps_completed", "mapred.heartbeats",
+                          "mapred.maps_failed", "mapred.attempts_killed",
+                          "mapred.jobs_completed"},
                          c, m));
   if (c[0] == 0) return Bad(m, "no maps launched; the run recorded nothing");
   for (const char* name :
@@ -1179,13 +1181,23 @@ Result<std::string> Validate(const std::string& trace_path,
     return std::to_string(a) + "/" + std::to_string(b) + "/" +
            std::to_string(c);
   };
-  if (spans.map_spans != c[0] || spans.job_spans != c[1] ||
+  // The writer ends a map span with every attempt (a backup's too), and
+  // leaves a job span open while the job is in flight.
+  const uint64_t ended_attempts = c[2] + c[4] + c[5];
+  if (spans.map_spans != ended_attempts || spans.job_spans != c[1] ||
       spans.provider_instants != decisions) {
     return Bad(m, "trace map/job/provider spans " +
                       triple(spans.map_spans, spans.job_spans,
                              spans.provider_instants) +
-                      " != maps launched/jobs submitted/provider decisions " +
-                      triple(c[0], c[1], decisions));
+                      " != ended attempts/jobs submitted/provider "
+                      "decisions " +
+                      triple(ended_attempts, c[1], decisions));
+  }
+  if (c[6] > c[1] || spans.open_job_spans != c[1] - c[6]) {
+    return Bad(m, "trace has " + std::to_string(spans.open_job_spans) +
+                      " open job spans, but " + std::to_string(c[1]) +
+                      " jobs submitted and " + std::to_string(c[6]) +
+                      " completed");
   }
   DMR_ASSIGN_OR_RETURN(Table report, ReadTable(Kind::kReport, doc, m));
   size_t phases = 0;

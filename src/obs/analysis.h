@@ -142,20 +142,26 @@ struct TraceCounts {
   uint64_t map_spans = 0;
   uint64_t provider_instants = 0;
   uint64_t job_spans = 0;
+  /// Job spans begun and never ended: jobs still in flight when the run
+  /// stopped (Validate checks them against the job counters).
+  uint64_t open_job_spans = 0;
 };
 
 /// Reads a --trace document, refusing unknown phases, events without
-/// ts/pid/name, complete spans without tid or with a negative dur, async
-/// ends before their begins and job spans that never end.
+/// ts/pid/name, complete spans without tid or with a negative dur and
+/// async ends before their begins.
 Result<TraceCounts> ReadTrace(const json::JsonValue& doc,
                               const std::string& source);
 
 /// `dmr-analyze validate`: reads a run's trace, metrics report and
 /// optional timeline (empty path: none), one document at a time. Beyond
 /// the readers' checks it requires the standard counters and histograms
-/// (percentiles ordered), one map span per launched map, one provider
-/// instant per decision, one job span per submitted job and, in a
-/// profiled run, recorded phases and zero imbalances. Returns a summary.
+/// (percentiles ordered), one map span per ended attempt (completed,
+/// failed or killed), one provider instant per decision, one job span per
+/// submitted job, one still open per job in flight (submitted, not
+/// completed) and, in a profiled run, recorded phases and zero
+/// imbalances. A run stopped with work in flight passes. Returns a
+/// summary.
 Result<std::string> Validate(const std::string& trace_path,
                              const std::string& metrics_path,
                              const std::string& timeline_path);

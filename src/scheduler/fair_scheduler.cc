@@ -128,7 +128,8 @@ std::vector<MapAssignment> FairScheduler::AssignMapTasks(
         auto any = layout_aware ? job->TakeBestLayoutPending(-1)
                                 : job->TakeAnyPending();
         if (!any) continue;
-        assignments.push_back({job, *any, any->IsLocalTo(node_id)});
+        assignments.push_back(
+            {job, *any, job->input().IsLocalTo(*any, node_id)});
         job->delay_waiting = false;
         pool->running += 1;
         assigned = true;

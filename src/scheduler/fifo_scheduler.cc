@@ -4,6 +4,7 @@ namespace dmr::scheduler {
 
 using mapred::Job;
 using mapred::MapAssignment;
+using mapred::SplitId;
 
 std::vector<MapAssignment> FifoScheduler::AssignMapTasks(
     const std::vector<Job*>& running_jobs, int node_id, int free_slots,
@@ -17,8 +18,8 @@ std::vector<MapAssignment> FifoScheduler::AssignMapTasks(
       if (auto local = job->TakeLocalPending(node_id)) {
         picked = {job, *local, true};
       } else {
-        auto any = job->TakeAnyPending();
-        picked = {job, *any, any->IsLocalTo(node_id)};
+        SplitId any = *job->TakeAnyPending();
+        picked = {job, any, job->input().IsLocalTo(any, node_id)};
       }
       break;
     }

@@ -52,7 +52,7 @@ void PsResource::Advance() {
   if (elapsed <= 0.0 || requests_.empty()) return;
   double rate = PerRequestRate();
   double served = rate * elapsed;
-  for (auto& [id, req] : requests_) {
+  for (Request& req : requests_) {
     req.remaining -= served;
     delivered_ += std::min(served, req.remaining + served);
   }
@@ -69,15 +69,17 @@ PsResource::RequestId PsResource::Submit(double demand,
   Advance();
   RequestId id = next_id_++;
   double d = std::max(demand, 0.0);
-  requests_[id] = Request{d, d, std::move(on_complete)};
+  requests_.push_back(Request{id, d, d, std::move(on_complete)});
   Reschedule();
   return id;
 }
 
 bool PsResource::CancelRequest(RequestId id) {
   Advance();
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return false;
+  auto it = std::lower_bound(
+      requests_.begin(), requests_.end(), id,
+      [](const Request& req, RequestId key) { return req.id < key; });
+  if (it == requests_.end() || it->id != id) return false;
   requests_.erase(it);
   Reschedule();
   return true;
@@ -87,7 +89,7 @@ void PsResource::Reschedule() {
   next_completion_.Cancel();
   if (requests_.empty()) return;
   double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& [id, req] : requests_) {
+  for (const Request& req : requests_) {
     min_remaining = std::min(min_remaining, req.remaining);
   }
   double rate = PerRequestRate();
@@ -98,21 +100,29 @@ void PsResource::Reschedule() {
 
 void PsResource::OnCompletionEvent() {
   Advance();
-  std::vector<CompletionCallback> done;
-  for (auto it = requests_.begin(); it != requests_.end();) {
-    if (it->second.remaining <= CompletionEpsilon(it->second.demand)) {
-      done.push_back(std::move(it->second.on_complete));
-      it = requests_.erase(it);
+  // Collect every finished request's callback before running any, keeping
+  // submission order among the survivors and among the finished.
+  std::vector<CompletionCallback> done = std::move(done_);
+  size_t kept = 0;
+  for (size_t i = 0; i < requests_.size(); ++i) {
+    Request& req = requests_[i];
+    if (req.remaining <= CompletionEpsilon(req.demand)) {
+      done.push_back(std::move(req.on_complete));
     } else {
-      ++it;
+      if (kept != i) requests_[kept] = std::move(req);
+      ++kept;
     }
   }
+  requests_.erase(requests_.begin() + static_cast<ptrdiff_t>(kept),
+                  requests_.end());
   Reschedule();
   // Callbacks run after membership/rescheduling so they can safely submit
   // follow-up requests to this same resource.
   for (auto& cb : done) {
     if (cb) cb();
   }
+  done.clear();
+  done_ = std::move(done);
 }
 
 }  // namespace dmr::sim

@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "sim/simulation.h"
 
@@ -20,6 +20,8 @@ namespace dmr::sim {
 /// Active requests share the capacity equally, subject to the per-request
 /// cap; when membership changes, remaining demands are advanced and the next
 /// completion event is rescheduled. This is the classic PS-queue simulation.
+///
+/// Requests that finish in the same instant call back in submission order.
 class PsResource {
  public:
   using RequestId = uint64_t;
@@ -37,7 +39,8 @@ class PsResource {
   /// the current time (via a zero-delay event).
   RequestId Submit(double demand, CompletionCallback on_complete);
 
-  /// Cancels an in-flight request (no callback). Returns false if unknown.
+  /// Cancels an in-flight request (no callback). Returns false if unknown
+  /// or already finished.
   bool CancelRequest(RequestId id);
 
   /// Number of requests currently being served.
@@ -58,6 +61,7 @@ class PsResource {
 
  private:
   struct Request {
+    RequestId id;
     double remaining;
     /// Original demand (anchors the relative completion epsilon).
     double demand;
@@ -80,7 +84,10 @@ class PsResource {
   std::string name_;
   double capacity_;
   double per_request_cap_;
-  std::map<RequestId, Request> requests_;
+  /// Active requests in id (= submission) order.
+  std::vector<Request> requests_;
+  /// The callbacks one completion event fires; kept to reuse its buffer.
+  std::vector<CompletionCallback> done_;
   RequestId next_id_ = 1;
   double last_advance_ = 0.0;
   double delivered_ = 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sampling/sampling_job.h"
 #include "testbed/testbed.h"
 #include "tpch/dataset_catalog.h"
@@ -14,15 +16,15 @@ using mapred::InputResponseKind;
 using mapred::InputSplit;
 using mapred::JobProgress;
 
-std::vector<InputSplit> MakeSplits(int n) {
-  std::vector<InputSplit> splits;
+std::shared_ptr<const mapred::SplitTable> MakeSplits(int n) {
+  auto table = std::make_shared<mapred::SplitTable>();
   for (int i = 0; i < n; ++i) {
     InputSplit s;
     s.index = i;
     s.num_records = 750000;
-    splits.push_back(s);
+    table->Add(s);
   }
-  return splits;
+  return table;
 }
 
 mapred::JobConf Conf(uint64_t k = 10000) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 namespace dmr::dynamic {
@@ -12,18 +13,20 @@ using mapred::InputResponse;
 using mapred::InputResponseKind;
 using mapred::InputSplit;
 using mapred::JobProgress;
+using mapred::SplitId;
+using mapred::SplitTable;
 
-std::vector<InputSplit> MakeSplits(int n, uint64_t records = 750000) {
-  std::vector<InputSplit> splits;
+std::shared_ptr<const SplitTable> MakeSplits(int n,
+                                             uint64_t records = 750000) {
+  auto table = std::make_shared<SplitTable>();
   for (int i = 0; i < n; ++i) {
     InputSplit s;
-    s.file = "f";
     s.index = i;
     s.num_records = records;
     s.node_id = i % 10;
-    splits.push_back(s);
+    table->Add(s);
   }
-  return splits;
+  return table;
 }
 
 mapred::JobConf SamplingConf(uint64_t k = 10000) {
@@ -77,7 +80,7 @@ TEST(SamplingProviderTest, HadoopPolicyTakesEverythingUpFront) {
 
 TEST(SamplingProviderTest, EmptyInputEndsImmediately) {
   SamplingInputProvider provider(Policy("LA"), 1);
-  ASSERT_TRUE(provider.Initialize({}, SamplingConf()).ok());
+  ASSERT_TRUE(provider.Initialize(MakeSplits(0), SamplingConf()).ok());
   EXPECT_EQ(provider.GetInitialInput(Idle40()).kind,
             InputResponseKind::kEndOfInput);
 }
@@ -86,9 +89,15 @@ TEST(SamplingProviderTest, InitialDrawIsWithoutReplacement) {
   SamplingInputProvider provider(Policy("HA"), 7);
   ASSERT_TRUE(provider.Initialize(MakeSplits(40), SamplingConf()).ok());
   InputResponse r = provider.GetInitialInput(Idle40());
-  std::set<int> indexes;
-  for (const auto& s : r.splits) indexes.insert(s.index);
-  EXPECT_EQ(indexes.size(), r.splits.size());
+  std::set<SplitId> ids(r.splits.begin(), r.splits.end());
+  EXPECT_EQ(ids.size(), r.splits.size());
+  for (SplitId id : r.splits) EXPECT_LT(id, 40u);
+}
+
+TEST(SamplingProviderTest, RequiresAnInputTable) {
+  SamplingInputProvider provider(Policy("LA"), 1);
+  EXPECT_TRUE(
+      provider.Initialize(nullptr, SamplingConf()).IsInvalidArgument());
 }
 
 TEST(SamplingProviderTest, EndsWhenOutputReachesSampleSize) {
@@ -201,7 +210,7 @@ TEST(SamplingProviderTest, DrawsAreSeedDeterministic) {
     auto rb = b.GetInitialInput(Idle40());
     ASSERT_EQ(ra.splits.size(), rb.splits.size());
     for (size_t i = 0; i < ra.splits.size(); ++i) {
-      EXPECT_EQ(ra.splits[i].index, rb.splits[i].index);
+      EXPECT_EQ(ra.splits[i], rb.splits[i]);
     }
   }
 }

@@ -208,21 +208,20 @@ TEST(ObsIntegrationTest, TimelineFollowsPerUserJobsAndPrunedLaunches) {
       for (int j = 0; j < 2; ++j) {
         mapred::JobConf conf;
         conf.set_user(user);
-        std::vector<mapred::InputSplit> splits;
+        auto splits = std::make_shared<mapred::SplitTable>();
         for (int i = 0; i < 6; ++i) {
           mapred::InputSplit split;
-          split.file = user;
           split.index = i;
           split.num_records = 10000;
           split.size_bytes = split.num_records * 132;
           split.node_id = i % bed.config().num_nodes;
           // Every third split's stats hint proves it empty: a stats read.
           if (i % 3 == 0) split.scan_fraction = 0.0;
-          splits.push_back(split);
+          splits->Add(split);
         }
         ASSERT_TRUE(bed.tracker()
                         .SubmitStaticJob(
-                            conf, splits,
+                            conf, std::move(splits),
                             [](const mapred::InputSplit&) { return 0u; },
                             [&completed](const mapred::JobStats&) {
                               ++completed;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "dfs/file_system.h"
 #include "mapred/input_splits.h"
@@ -42,37 +44,42 @@ TEST(ReplicationTest, SplitsCarryAllLocations) {
   dfs::FileSystem fs(10, 4);
   auto file = *fs.CreateFile("replicated", 8, 1000, 100,
                              dfs::Placement::kRoundRobin, 2);
-  auto splits = *mapred::MakeInputSplits(file, {});
-  for (const auto& s : splits) {
-    EXPECT_EQ(s.all_locations().size(), 2u);
-    EXPECT_TRUE(s.IsLocalTo(s.node_id));
-    EXPECT_TRUE(s.IsLocalTo(s.all_locations()[1].node_id));
-    EXPECT_FALSE(s.IsLocalTo((s.node_id + 5) % 10));
+  auto table = *mapred::MakeInputSplits(file, {});
+  for (mapred::SplitId id = 0; id < table->size(); ++id) {
+    const mapred::InputSplit& s = (*table)[id];
+    EXPECT_EQ(table->locations(id).size(), 2u);
+    EXPECT_TRUE(table->IsLocalTo(id, s.node_id));
+    EXPECT_TRUE(table->IsLocalTo(id, table->locations(id)[1].node_id));
+    EXPECT_FALSE(table->IsLocalTo(id, (s.node_id + 5) % 10));
   }
 }
 
 TEST(ReplicationTest, ReadLocationPrefersLocalReplica) {
+  mapred::SplitTable table;
   mapred::InputSplit split;
   split.node_id = 2;
   split.disk_id = 1;
-  split.locations = {{2, 1}, {5, 3}};
-  auto on_replica = split.ReadLocationFor(5);
+  const mapred::SplitLocation replicas[] = {{2, 1}, {5, 3}};
+  mapred::SplitId id = table.Add(split, replicas);
+  auto on_replica = table.ReadLocationFor(id, 5);
   EXPECT_EQ(on_replica.node_id, 5);
   EXPECT_EQ(on_replica.disk_id, 3);
-  auto elsewhere = split.ReadLocationFor(7);
+  auto elsewhere = table.ReadLocationFor(id, 7);
   EXPECT_EQ(elsewhere.node_id, 2);  // falls back to the primary
 }
 
 TEST(ReplicationTest, JobServesLocalWorkFromAnyReplica) {
-  mapred::JobConf conf;
-  mapred::Job job(1, conf, 1,
-                  [](const mapred::InputSplit&) { return uint64_t{0}; },
-                  0.0);
+  auto table = std::make_shared<mapred::SplitTable>();
   mapred::InputSplit split;
   split.index = 0;
   split.node_id = 2;
-  split.locations = {{2, 0}, {6, 1}};
-  job.AddSplits({split}, /*now=*/0.0);
+  const mapred::SplitLocation replicas[] = {{2, 0}, {6, 1}};
+  table->Add(split, replicas);
+  mapred::JobConf conf;
+  mapred::Job job(1, conf, std::move(table),
+                  [](const mapred::InputSplit&) { return uint64_t{0}; },
+                  0.0);
+  job.AddSplits(std::vector<mapred::SplitId>{0}, /*now=*/0.0);
   EXPECT_TRUE(job.HasLocalPending(2));
   EXPECT_TRUE(job.HasLocalPending(6));
   EXPECT_FALSE(job.HasLocalPending(3));
@@ -81,6 +88,38 @@ TEST(ReplicationTest, JobServesLocalWorkFromAnyReplica) {
   ASSERT_TRUE(taken.has_value());
   EXPECT_FALSE(job.HasLocalPending(2));
   EXPECT_FALSE(job.HasPendingSplits());
+}
+
+TEST(ReplicationTest, ReplicationUpToTheNodeCountWorks) {
+  // Every node holds a copy: the split table keeps all ten replicas (with
+  // their divergent layouts) and every map reads locally.
+  cluster::ClusterConfig config = cluster::ClusterConfig::SingleUser();
+  testbed::Testbed bed(config);
+  auto file = *bed.fs().CreateFile("everywhere", 40, 750000, 132,
+                                   dfs::Placement::kRoundRobin,
+                                   config.num_nodes);
+  dfs::ApplyDivergentLayouts(&file);
+  auto table = *mapred::MakeInputSplits(file, {});
+  for (mapred::SplitId id = 0; id < table->size(); ++id) {
+    auto locations = table->locations(id);
+    ASSERT_EQ(static_cast<int>(locations.size()), config.num_nodes);
+    for (size_t r = 0; r < locations.size(); ++r) {
+      EXPECT_EQ(locations[r].layout, file.partitions[id].replicas[r].layout);
+    }
+    EXPECT_EQ(table->ReadLocationFor(id, 7).node_id, 7);
+  }
+  std::vector<uint64_t> matching(40, 375);
+  auto policy = *dynamic::PolicyTable::BuiltIn().Find("LA");
+  sampling::SamplingJobOptions options;
+  options.sample_size = 10000;
+  options.seed = 78;
+  auto submission = sampling::MakeSamplingJob(file, matching, policy, options);
+  ASSERT_TRUE(submission.ok());
+  auto stats = bed.RunJobToCompletion(*std::move(submission));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->result_records, 10000u);
+  EXPECT_EQ(stats->remote_maps, 0);
+  EXPECT_DOUBLE_EQ(bed.tracker().LocalityPercent(), 100.0);
 }
 
 TEST(ReplicationTest, ReplicationRaisesLocalityUnderContention) {

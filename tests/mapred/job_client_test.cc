@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "cluster/cluster.h"
@@ -17,17 +18,17 @@ class ScriptedProvider : public InputProvider {
   explicit ScriptedProvider(std::vector<InputResponse> script)
       : script_(std::move(script)) {}
 
-  Status Initialize(const std::vector<InputSplit>& all_splits,
+  Status Initialize(std::shared_ptr<const SplitTable> input,
                     const JobConf& conf) override {
     (void)conf;
-    all_splits_ = all_splits;
+    input_ = std::move(input);
     initialized_ = true;
     return Status::OK();
   }
 
   InputResponse GetInitialInput(const ClusterStatus&) override {
-    if (all_splits_.empty()) return InputResponse::EndOfInput();
-    return InputResponse::Available({all_splits_[0]});
+    if (input_->size() == 0) return InputResponse::EndOfInput();
+    return InputResponse::Available({0});
   }
 
   InputResponse Evaluate(const JobProgress& progress,
@@ -46,7 +47,7 @@ class ScriptedProvider : public InputProvider {
  private:
   std::vector<InputResponse> script_;
   size_t next_ = 0;
-  std::vector<InputSplit> all_splits_;
+  std::shared_ptr<const SplitTable> input_;
 };
 
 class JobClientTest : public ::testing::Test {
@@ -59,20 +60,19 @@ class JobClientTest : public ::testing::Test {
     tracker_.Start();
   }
 
-  std::vector<InputSplit> MakeSplits(int n) {
-    std::vector<InputSplit> splits;
+  std::shared_ptr<const SplitTable> MakeSplits(int n) {
+    auto table = std::make_shared<SplitTable>();
     for (int i = 0; i < n; ++i) {
       InputSplit s;
-      s.file = "f";
       s.index = i;
       s.num_records = 750000;
       s.num_matching = 100;
       s.size_bytes = s.num_records * 132;
       s.node_id = i % config_.num_nodes;
       s.disk_id = 0;
-      splits.push_back(s);
+      table->Add(s);
     }
-    return splits;
+    return table;
   }
 
   JobSubmission MakeSubmission(std::shared_ptr<InputProvider> provider,
@@ -100,6 +100,16 @@ TEST_F(JobClientTest, DynamicJobNeedsProvider) {
       client_.Submit(std::move(sub), nullptr).status().IsInvalidArgument());
 }
 
+TEST_F(JobClientTest, DynamicJobNeedsInput) {
+  auto provider =
+      std::make_shared<ScriptedProvider>(std::vector<InputResponse>{});
+  JobSubmission sub = MakeSubmission(provider);
+  sub.input = nullptr;
+  EXPECT_TRUE(
+      client_.Submit(std::move(sub), nullptr).status().IsInvalidArgument());
+  EXPECT_FALSE(provider->initialized_);
+}
+
 TEST_F(JobClientTest, RejectsNonPositiveEvalInterval) {
   auto provider = std::make_shared<ScriptedProvider>(
       std::vector<InputResponse>{InputResponse::EndOfInput()});
@@ -125,12 +135,11 @@ TEST_F(JobClientTest, StaticJobBypassesProviderLoop) {
 }
 
 TEST_F(JobClientTest, ProviderDrivesIncrementalGrowth) {
-  auto splits = MakeSplits(8);
   auto provider = std::make_shared<ScriptedProvider>(
       std::vector<InputResponse>{
-          InputResponse::Available({splits[1], splits[2]}),
+          InputResponse::Available({1, 2}),
           InputResponse::NoInput(),
-          InputResponse::Available({splits[3]}),
+          InputResponse::Available({3}),
           InputResponse::EndOfInput()});
   std::optional<JobStats> stats;
   auto id = client_.Submit(MakeSubmission(provider),
@@ -161,9 +170,8 @@ TEST_F(JobClientTest, WorkThresholdGatesEvaluations) {
   // Threshold 50 % of 8 splits = 4 completions required between provider
   // invocations; with 1-split increments the provider is only invoked when
   // the job starves, not at every 4 s tick.
-  auto splits = MakeSplits(8);
   auto provider = std::make_shared<ScriptedProvider>(
-      std::vector<InputResponse>{InputResponse::Available({splits[1]}),
+      std::vector<InputResponse>{InputResponse::Available({1}),
                                  InputResponse::EndOfInput()});
   JobSubmission sub = MakeSubmission(provider);
   sub.conf.set_work_threshold_pct(50.0);

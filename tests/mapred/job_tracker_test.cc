@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "mapred/job_client.h"
@@ -21,20 +23,22 @@ class JobTrackerTest : public ::testing::Test {
     tracker_.Start();
   }
 
-  std::vector<InputSplit> MakeSplits(int n, uint64_t matching_each = 100) {
-    std::vector<InputSplit> splits;
+  /// `n` evenly placed splits; with `on_node0` every one lives on node 0's
+  /// first disk instead.
+  std::shared_ptr<const SplitTable> MakeSplits(int n, bool on_node0 = false) {
+    auto table = std::make_shared<SplitTable>();
     for (int i = 0; i < n; ++i) {
       InputSplit s;
-      s.file = "f";
       s.index = i;
       s.num_records = 750000;
-      s.num_matching = matching_each;
+      s.num_matching = 100;
       s.size_bytes = s.num_records * 132;
-      s.node_id = (i / config_.disks_per_node) % config_.num_nodes;
-      s.disk_id = i % config_.disks_per_node;
-      splits.push_back(s);
+      s.node_id =
+          on_node0 ? 0 : (i / config_.disks_per_node) % config_.num_nodes;
+      s.disk_id = on_node0 ? 0 : i % config_.disks_per_node;
+      table->Add(s);
     }
-    return splits;
+    return table;
   }
 
   static MapOutputModel AllMatches() {
@@ -108,10 +112,10 @@ TEST_F(JobTrackerTest, SlotLimitsAreRespected) {
 
 TEST_F(JobTrackerTest, DynamicJobWaitsForFinalize) {
   std::optional<JobStats> stats;
-  auto id = tracker_.SubmitDynamicJob(
-      JobConf(), 10, AllMatches(), [&](const JobStats& s) { stats = s; });
+  auto id = tracker_.SubmitDynamicJob(JobConf(), MakeSplits(10), AllMatches(),
+                                      [&](const JobStats& s) { stats = s; });
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(tracker_.AddSplits(*id, MakeSplits(2)).ok());
+  ASSERT_TRUE(tracker_.AddSplits(*id, std::vector<SplitId>{0, 1}).ok());
   sim_.RunUntil(600);
   EXPECT_FALSE(stats.has_value());  // input not finalized: no reduce yet
   auto progress = tracker_.GetJobProgress(*id);
@@ -124,14 +128,17 @@ TEST_F(JobTrackerTest, DynamicJobWaitsForFinalize) {
 }
 
 TEST_F(JobTrackerTest, AddSplitsAfterFinalizeFails) {
-  auto id = tracker_.SubmitDynamicJob(JobConf(), 10, AllMatches(), nullptr);
+  auto id = tracker_.SubmitDynamicJob(JobConf(), MakeSplits(10), AllMatches(),
+                                      nullptr);
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(tracker_.FinalizeInput(*id).ok());
-  EXPECT_TRUE(tracker_.AddSplits(*id, MakeSplits(1)).IsFailedPrecondition());
+  EXPECT_TRUE(tracker_.AddSplits(*id, std::vector<SplitId>{0})
+                  .IsFailedPrecondition());
 }
 
 TEST_F(JobTrackerTest, FinalizeIsIdempotent) {
-  auto id = tracker_.SubmitDynamicJob(JobConf(), 10, AllMatches(), nullptr);
+  auto id = tracker_.SubmitDynamicJob(JobConf(), MakeSplits(10), AllMatches(),
+                                      nullptr);
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(tracker_.FinalizeInput(*id).ok());
   EXPECT_TRUE(tracker_.FinalizeInput(*id).ok());
@@ -139,8 +146,8 @@ TEST_F(JobTrackerTest, FinalizeIsIdempotent) {
 
 TEST_F(JobTrackerTest, EmptyDynamicJobCompletesWithNothing) {
   std::optional<JobStats> stats;
-  auto id = tracker_.SubmitDynamicJob(
-      JobConf(), 0, AllMatches(), [&](const JobStats& s) { stats = s; });
+  auto id = tracker_.SubmitDynamicJob(JobConf(), MakeSplits(0), AllMatches(),
+                                      [&](const JobStats& s) { stats = s; });
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(tracker_.FinalizeInput(*id).ok());
   sim_.RunUntil(600);
@@ -150,19 +157,49 @@ TEST_F(JobTrackerTest, EmptyDynamicJobCompletesWithNothing) {
 }
 
 TEST_F(JobTrackerTest, UnknownJobIdsAreNotFound) {
-  EXPECT_TRUE(tracker_.AddSplits(999, MakeSplits(1)).IsNotFound());
+  EXPECT_TRUE(
+      tracker_.AddSplits(999, std::vector<SplitId>{0}).IsNotFound());
   EXPECT_TRUE(tracker_.FinalizeInput(999).IsNotFound());
   EXPECT_TRUE(tracker_.GetJobProgress(999).status().IsNotFound());
   EXPECT_TRUE(tracker_.IsJobComplete(999).status().IsNotFound());
 }
 
 TEST_F(JobTrackerTest, RejectsBadSubmissions) {
-  EXPECT_TRUE(tracker_.SubmitDynamicJob(JobConf(), -1, AllMatches(), nullptr)
+  EXPECT_TRUE(
+      tracker_.SubmitDynamicJob(JobConf(), nullptr, AllMatches(), nullptr)
+          .status()
+          .IsInvalidArgument());
+  EXPECT_TRUE(tracker_.SubmitDynamicJob(JobConf(), MakeSplits(1), nullptr,
+                                        nullptr)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(tracker_.SubmitDynamicJob(JobConf(), 1, nullptr, nullptr)
-                  .status()
+}
+
+TEST_F(JobTrackerTest, SplitIdsOutsideTheInputAreRejected) {
+  auto id = tracker_.SubmitDynamicJob(JobConf(), MakeSplits(3), AllMatches(),
+                                      nullptr);
+  ASSERT_TRUE(id.ok());
+  EXPECT_TRUE(tracker_.AddSplits(*id, std::vector<SplitId>{0, 3})
                   .IsInvalidArgument());
+  auto progress = tracker_.GetJobProgress(*id);
+  ASSERT_TRUE(progress.ok());
+  EXPECT_EQ(progress->splits_added, 0);
+}
+
+TEST_F(JobTrackerTest, CompletedJobHoldsNoSplitTable) {
+  std::shared_ptr<const SplitTable> input = MakeSplits(40);
+  std::weak_ptr<const SplitTable> watch = input;
+  std::optional<JobStats> stats;
+  ASSERT_TRUE(tracker_
+                  .SubmitStaticJob(JobConf(), std::move(input), AllMatches(),
+                                   [&](const JobStats& s) { stats = s; })
+                  .ok());
+  sim_.RunUntil(5.0);
+  EXPECT_FALSE(watch.expired());  // the running job reads it
+  sim_.RunUntil(3600);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->splits_processed, 40);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST_F(JobTrackerTest, ClusterStatusReflectsLoad) {
@@ -212,14 +249,10 @@ TEST_F(JobTrackerTest, TwoJobsBothComplete) {
 
 TEST_F(JobTrackerTest, RemoteReadsCountedWhenDataIsElsewhere) {
   // All splits on node 0's disks, so most tasks must read remotely.
-  std::vector<InputSplit> splits = MakeSplits(40);
-  for (auto& s : splits) {
-    s.node_id = 0;
-    s.disk_id = 0;
-  }
   std::optional<JobStats> stats;
   ASSERT_TRUE(tracker_
-                  .SubmitStaticJob(JobConf(), splits, AllMatches(),
+                  .SubmitStaticJob(JobConf(), MakeSplits(40, /*on_node0=*/true),
+                                   AllMatches(),
                                    [&](const JobStats& s) { stats = s; })
                   .ok());
   sim_.RunUntil(24 * 3600);

@@ -3,11 +3,17 @@
 /// schema invariants, checked integers), the join the views render, the
 /// one baseline engine (tolerance bands, orderings, refusal of baselines
 /// that check nothing or name unknown metrics, every matching run
-/// checked), and seeded mutational fuzzing of every document it reads.
+/// checked), `validate` over the outputs of small simulated runs, and
+/// seeded mutational fuzzing of every document it reads.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +21,14 @@
 #include "common/json.h"
 #include "common/random.h"
 #include "obs/analysis.h"
+#include "obs/ledger.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
+#include "obs/scope.h"
+#include "obs/trace.h"
+#include "sampling/sampling_job.h"
+#include "testbed/testbed.h"
+#include "workload/workload_driver.h"
 
 namespace dmr::obs::analysis {
 namespace {
@@ -472,7 +486,7 @@ TEST(AnalysisSchemaTest, ProfileSelfTimeMustExcludeChildren) {
   EXPECT_EQ(RenderCollapsed(*clean), "a 60\na;b 40\n");
 }
 
-TEST(AnalysisSchemaTest, TraceJobSpansMustClose) {
+TEST(AnalysisSchemaTest, TraceCountsOpenJobSpans) {
   auto doc = json::JsonParse(kTraceDoc);
   ASSERT_TRUE(doc.ok());
   auto counts = ReadTrace(*doc, "t");
@@ -480,9 +494,20 @@ TEST(AnalysisSchemaTest, TraceJobSpansMustClose) {
   EXPECT_EQ(counts->map_spans, 1u);
   EXPECT_EQ(counts->provider_instants, 1u);
   EXPECT_EQ(counts->job_spans, 1u);
+  EXPECT_EQ(counts->open_job_spans, 0u);
+  // A job in flight when the run stopped: the reader counts the open span
+  // and Validate checks it against the job counters.
   json::JsonValue open = *doc;
   open.members[0].second.items.pop_back();  // drop the job's end event
-  EXPECT_FALSE(ReadTrace(open, "t").ok());
+  counts = ReadTrace(open, "t");
+  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+  EXPECT_EQ(counts->job_spans, 1u);
+  EXPECT_EQ(counts->open_job_spans, 1u);
+  // An end before its begin is still refused.
+  json::JsonValue reversed = *doc;
+  std::swap(reversed.members[0].second.items[1],
+            reversed.members[0].second.items[4]);
+  EXPECT_FALSE(ReadTrace(reversed, "t").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -618,6 +643,132 @@ TEST(AnalysisFuzzTest, MutantsOfEveryDocumentReturnAStatus) {
     EXPECT_GT(accepted, 0) << "seed " << s;
     EXPECT_LT(accepted, parsed) << "seed " << s;
   }
+}
+
+// ---------------------------------------------------------------------------
+// validate over the trace and metrics report of real simulated runs.
+// ---------------------------------------------------------------------------
+
+/// Installs every obs sink a driver installs, for one run; uninstalls on
+/// scope exit so a failed assertion cannot leak the global install.
+struct ObsRun {
+  ObsRun() { Hub::Install(&registry, &recorder, &book); }
+  ~ObsRun() { Hub::Uninstall(); }
+  MetricsRegistry registry;
+  TraceRecorder recorder;
+  LedgerBook book;
+};
+
+/// Runs LA sampling jobs on the fig5 cluster with obs on and writes the
+/// trace and metrics report to `dir`, as a bench driver does. With
+/// `stop_at` > 0 two closed-loop users run until then and the run stops
+/// with jobs and maps in flight; with 0 one job runs to completion.
+void WriteRun(const std::filesystem::path& dir, double stop_at) {
+  std::filesystem::create_directories(dir);
+  ObsRun obs;
+  {
+    testbed::Testbed bed(cluster::ClusterConfig::SingleUser());
+    auto dataset = testbed::MakeLineItemDataset(&bed.fs(), 5, 0.0, 3);
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    auto policy = *dynamic::PolicyTable::BuiltIn().Find("LA");
+    auto make_job = [&](int user, int iteration) {
+      sampling::SamplingJobOptions options;
+      options.user = "u" + std::to_string(user);
+      options.sample_size = 10000;
+      options.seed = static_cast<uint64_t>(100 * user + iteration + 1);
+      return sampling::MakeSamplingJob(dataset->file,
+                                       dataset->matching_per_partition,
+                                       policy, options);
+    };
+    if (stop_at > 0.0) {
+      workload::WorkloadDriver driver(&bed.client());
+      for (int u = 0; u < 2; ++u) {
+        workload::UserSpec user;
+        user.name = "u" + std::to_string(u);
+        user.job_class = "Sampling";
+        user.make_job = [&make_job, u](int iteration) {
+          return make_job(u, iteration);
+        };
+        driver.AddUser(std::move(user));
+      }
+      auto report = driver.Run({.duration = stop_at, .warmup = 0.0});
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    } else {
+      auto submission = make_job(0, 0);
+      ASSERT_TRUE(submission.ok());
+      auto stats = bed.RunJobToCompletion(*std::move(submission));
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    }
+  }  // the testbed seals its ledger cell
+  ASSERT_TRUE(obs.recorder.WriteJson((dir / "trace.json").string()).ok());
+  Report report;
+  report.SetInfo("driver", "analysis_test");
+  report.SetSnapshot(obs.registry.TakeSnapshot());
+  report.AddJsonSection("ledger", obs.book.LedgerJson());
+  report.AddJsonSection("critical_path", obs.book.CriticalPathJson());
+  ASSERT_TRUE(report.WriteJson((dir / "metrics.json").string()).ok());
+}
+
+std::filesystem::path RunDir(const char* name) {
+  return std::filesystem::temp_directory_path() /
+         ("dmr_analysis_test_" + std::to_string(::getpid()) + "_" + name);
+}
+
+TEST(AnalysisSchemaTest, RunStoppedWithWorkInFlightValidates) {
+  const std::filesystem::path dir = RunDir("inflight");
+  WriteRun(dir, /*stop_at=*/150.0);
+  const std::string trace = (dir / "trace.json").string();
+  const std::string metrics = (dir / "metrics.json").string();
+  auto doc = LoadJson(trace);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto spans = ReadTrace(*doc, trace);
+  ASSERT_TRUE(spans.ok()) << spans.status().ToString();
+  auto counters = LoadJson(metrics);
+  ASSERT_TRUE(counters.ok()) << counters.status().ToString();
+  const json::JsonValue* c = counters->Find("counters");
+  ASSERT_NE(c, nullptr);
+  // The run really stopped mid-flight: jobs open, maps still running.
+  EXPECT_GT(spans->open_job_spans, 0u);
+  EXPECT_LT(spans->map_spans, c->NumberOr("mapred.maps_launched", 0.0));
+  auto verdict = Validate(trace, metrics, "");
+  EXPECT_TRUE(verdict.ok()) << verdict.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AnalysisSchemaTest, DrainedRunMissingAJobEndIsRefused) {
+  const std::filesystem::path dir = RunDir("drained");
+  WriteRun(dir, /*stop_at=*/0.0);
+  const std::string trace = (dir / "trace.json").string();
+  const std::string metrics = (dir / "metrics.json").string();
+  auto verdict = Validate(trace, metrics, "");
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+
+  auto doc = LoadJson(trace);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  json::JsonValue* events = nullptr;
+  for (auto& [key, value] : doc->members) {
+    if (key == "traceEvents") events = &value;
+  }
+  ASSERT_NE(events, nullptr);
+  auto job_end = std::find_if(
+      events->items.begin(), events->items.end(),
+      [](const json::JsonValue& e) {
+        return e.StringOr("ph", "") == "e" && e.StringOr("cat", "") == "job";
+      });
+  ASSERT_NE(job_end, events->items.end());
+  events->items.erase(job_end);
+  const std::string doctored = (dir / "doctored.json").string();
+  std::FILE* f = std::fopen(doctored.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  const std::string text = Dump(*doc);
+  ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+  std::fclose(f);
+  verdict = Validate(doctored, metrics, "");
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_NE(verdict.status().ToString().find("open job spans"),
+            std::string::npos)
+      << verdict.status().ToString();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

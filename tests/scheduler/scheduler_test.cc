@@ -13,10 +13,11 @@ using mapred::InputSplit;
 using mapred::Job;
 using mapred::JobConf;
 using mapred::MapAssignment;
+using mapred::SplitId;
+using mapred::SplitTable;
 
 InputSplit MakeSplit(int index, int node) {
   InputSplit s;
-  s.file = "f";
   s.index = index;
   s.num_records = 1000;
   s.node_id = node;
@@ -27,10 +28,13 @@ std::unique_ptr<Job> MakeJob(int id, const std::string& user,
                              std::vector<InputSplit> splits) {
   JobConf conf;
   conf.set_user(user);
+  auto table = std::make_shared<SplitTable>();
+  std::vector<SplitId> ids;
+  for (const InputSplit& split : splits) ids.push_back(table->Add(split));
   auto job = std::make_unique<Job>(
-      id, conf, static_cast<int>(splits.size()),
+      id, conf, std::move(table),
       [](const InputSplit&) { return uint64_t{0}; }, 0.0);
-  job->AddSplits(splits, /*now=*/0.0);
+  job->AddSplits(ids, /*now=*/0.0);
   return job;
 }
 
@@ -53,7 +57,7 @@ TEST(FifoSchedulerTest, PrefersLocalSplits) {
   auto assignments = fifo.AssignMapTasks({job.get()}, 2, 1, 0.0);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_TRUE(assignments[0].local);
-  EXPECT_EQ(assignments[0].split.node_id, 2);
+  EXPECT_EQ(job->input()[assignments[0].split].node_id, 2);
 }
 
 TEST(FifoSchedulerTest, FallsBackToRemoteImmediately) {
@@ -132,7 +136,7 @@ TEST(FairSchedulerTest, MostStarvedPoolFirst) {
   auto busy = MakeJob(1, "alice", {MakeSplit(0, 0)});
   // alice already runs 4 tasks; bob runs none.
   for (int i = 0; i < 4; ++i) {
-    busy->OnMapLaunched(MakeSplit(100 + i, 0), 0, true);
+    busy->OnMapLaunched(/*local=*/true);
   }
   auto idle = MakeJob(2, "bob", {MakeSplit(0, 0)});
   auto assignments =
@@ -191,7 +195,7 @@ TEST(FairSchedulerTest, StrictDelayHoldsSlotForDeservingPool) {
   auto alice = MakeJob(1, "alice", {MakeSplit(0, 7)});
   auto bob = MakeJob(2, "bob", {MakeSplit(0, 0)});
   for (int i = 0; i < 4; ++i) {
-    bob->OnMapLaunched(MakeSplit(100 + i, 0), 0, true);
+    bob->OnMapLaunched(/*local=*/true);
   }
   // Strict: the slot is held for alice even though bob could use it.
   EXPECT_TRUE(
@@ -205,7 +209,7 @@ TEST(FairSchedulerTest, NonStrictDelaySkipsToNextJob) {
   auto alice = MakeJob(1, "alice", {MakeSplit(0, 7)});
   auto bob = MakeJob(2, "bob", {MakeSplit(0, 0)});
   for (int i = 0; i < 4; ++i) {
-    bob->OnMapLaunched(MakeSplit(100 + i, 0), 0, true);
+    bob->OnMapLaunched(/*local=*/true);
   }
   auto assignments =
       fair.AssignMapTasks({alice.get(), bob.get()}, 0, 1, 0.0);

@@ -119,6 +119,65 @@ TEST(PsResourceTest, CancelUnknownRequestReturnsFalse) {
   EXPECT_FALSE(disk.CancelRequest(12345));
 }
 
+TEST(PsResourceTest, SameInstantCompletionsCallBackInSubmissionOrder) {
+  Simulation sim;
+  PsResource disk(&sim, "disk", 100.0);
+  std::vector<int> order;
+  std::vector<double> done_at;
+  for (int i = 0; i < 4; ++i) {
+    disk.Submit(200.0, [&, i] {
+      order.push_back(i);
+      done_at.push_back(sim.Now());
+    });
+  }
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(done_at.size(), 4u);
+  for (double t : done_at) EXPECT_EQ(t, done_at.front());
+  EXPECT_NEAR(done_at.front(), 8.0, 1e-6);  // 4 x 200 units at 100 units/s
+}
+
+TEST(PsResourceTest, CancellingTheMiddleRequestKeepsTheOthersTimes) {
+  // Cancelled at t = 0, before any service: the survivors see a two-way
+  // share from the start, exactly as if the middle one was never submitted.
+  auto run = [](bool with_middle) {
+    Simulation sim;
+    PsResource disk(&sim, "disk", 100.0);
+    std::vector<double> done(3, -1.0);
+    disk.Submit(100.0, [&] { done[0] = sim.Now(); });
+    PsResource::RequestId middle =
+        with_middle ? disk.Submit(150.0, [&] { done[1] = sim.Now(); }) : 0;
+    disk.Submit(300.0, [&] { done[2] = sim.Now(); });
+    if (with_middle) {
+      EXPECT_TRUE(disk.CancelRequest(middle));
+    }
+    sim.Run();
+    return done;
+  };
+  std::vector<double> cancelled = run(true);
+  std::vector<double> alone = run(false);
+  EXPECT_EQ(cancelled[1], -1.0);
+  EXPECT_EQ(cancelled[0], alone[0]);
+  EXPECT_EQ(cancelled[2], alone[2]);
+  EXPECT_NEAR(cancelled[0], 2.0, 1e-6);  // 100 units at 50 units/s
+  EXPECT_NEAR(cancelled[2], 4.0, 1e-6);  // then 200 more at 100 units/s
+}
+
+TEST(PsResourceTest, CancellingAFinishedRequestReturnsFalse) {
+  Simulation sim;
+  PsResource disk(&sim, "disk", 100.0);
+  int fired = 0;
+  PsResource::RequestId first = disk.Submit(100.0, [&] { ++fired; });
+  disk.Submit(300.0, [&] { ++fired; });
+  sim.RunUntil(2.5);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(disk.CancelRequest(first));
+  EXPECT_EQ(disk.active_requests(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_NEAR(sim.Now(), 4.0, 1e-6);
+}
+
 TEST(PsResourceTest, UtilizationReflectsLoad) {
   Simulation sim;
   PsResource cpu(&sim, "cpu", 4.0, 1.0);
