@@ -9,98 +9,14 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
 #include "dynamic/adaptive_input_provider.h"
-#include "exec/parallel.h"
-#include "sampling/sampling_job.h"
-#include "testbed/testbed.h"
-#include "tpch/dataset_catalog.h"
-#include "workload/workload_driver.h"
-
-namespace dmr {
-namespace {
-
-Result<mapred::JobSubmission> MakeJob(const testbed::Dataset& dataset,
-                                      const std::string& provider_kind,
-                                      const std::string& user, uint64_t seed) {
-  auto policy = dynamic::PolicyTable::BuiltIn().Find(
-      provider_kind == "Adaptive" ? "LA" : provider_kind);
-  DMR_RETURN_NOT_OK(policy.status());
-  sampling::SamplingJobOptions options;
-  options.job_name = "adapt-" + provider_kind;
-  options.user = user;
-  options.sample_size = tpch::kPaperSampleSize;
-  options.seed = seed;
-  DMR_ASSIGN_OR_RETURN(
-      mapred::JobSubmission submission,
-      sampling::MakeSamplingJob(dataset.file, dataset.matching_per_partition,
-                                *policy, options));
-  if (provider_kind == "Adaptive") {
-    submission.input_provider =
-        std::make_shared<dynamic::AdaptiveInputProvider>(seed);
-  }
-  return submission;
-}
-
-Result<double> SingleUserResponse(const std::string& kind, double z) {
-  double sum = 0;
-  constexpr int kRepeats = 5;
-  for (int run = 0; run < kRepeats; ++run) {
-    testbed::Testbed bed(cluster::ClusterConfig::SingleUser());
-    bed.Annotate("cell", "adaptive-single-s40");
-    bed.Annotate("policy", kind);
-    bed.Annotate("z", z);
-    bed.Annotate("repeat", static_cast<int64_t>(run));
-    DMR_ASSIGN_OR_RETURN(
-        testbed::Dataset dataset,
-        testbed::MakeLineItemDataset(&bed.fs(), 40, z, 6100 + run));
-    DMR_ASSIGN_OR_RETURN(mapred::JobSubmission submission,
-                         MakeJob(dataset, kind, "solo", 900 + run));
-    DMR_ASSIGN_OR_RETURN(mapred::JobStats stats,
-                         bed.RunJobToCompletion(std::move(submission)));
-    sum += stats.response_time();
-  }
-  return sum / kRepeats;
-}
-
-Result<double> MultiUserThroughput(const std::string& kind, double z) {
-  constexpr int kUsers = 10;
-  testbed::Testbed bed(cluster::ClusterConfig::MultiUser());
-  bed.Annotate("cell", "adaptive-multi-s100");
-  bed.Annotate("policy", kind);
-  bed.Annotate("z", z);
-  std::vector<testbed::Dataset> datasets;
-  for (int u = 0; u < kUsers; ++u) {
-    DMR_ASSIGN_OR_RETURN(
-        testbed::Dataset dataset,
-        testbed::MakeLineItemDataset(&bed.fs(), 100, z, 6200 + 31 * u,
-                                     "u" + std::to_string(u)));
-    datasets.push_back(std::move(dataset));
-  }
-  workload::WorkloadDriver driver(&bed.client());
-  for (int u = 0; u < kUsers; ++u) {
-    workload::UserSpec user;
-    user.name = "user" + std::to_string(u);
-    user.job_class = "Sampling";
-    const testbed::Dataset* ds = &datasets[u];
-    user.make_job = [ds, kind, u](int it) {
-      return MakeJob(*ds, kind, "user" + std::to_string(u),
-                     7000 + 97ULL * u + 13ULL * it);
-    };
-    driver.AddUser(std::move(user));
-  }
-  DMR_ASSIGN_OR_RETURN(
-      workload::WorkloadReport report,
-      driver.Run({.duration = 4.0 * 3600, .warmup = 1800.0}));
-  return report.For("Sampling").throughput_jobs_per_hour;
-}
-
-}  // namespace
-}  // namespace dmr
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -115,34 +31,64 @@ int main(int argc, char** argv) {
   const std::vector<std::string> kinds = {"Adaptive", "HA", "MA", "LA", "C"};
   const std::vector<double> zs = {0.0, 2.0};
 
-  exec::ThreadPool pool = options.MakePool();
-  auto single = bench::UnwrapOrDie(
-      exec::ParallelGrid<double>(
-          &pool, kinds.size(), zs.size(),
-          [&](size_t k, size_t z) {
-            return SingleUserResponse(kinds[k], zs[z]);
-          }),
-      "single-user grid");
-  auto multi = bench::UnwrapOrDie(
-      exec::ParallelGrid<double>(
-          &pool, kinds.size(), zs.size(),
-          [&](size_t k, size_t z) {
-            return MultiUserThroughput(kinds[k], zs[z]);
-          }),
-      "multi-user grid");
+  // The adaptive provider runs LA's job configuration but replaces its
+  // provider; the static kinds keep MakeSamplingJob's.
+  std::vector<bench::SingleJobCell> single_cells;
+  std::vector<bench::ClosedLoopCell> multi_cells;
+  for (const std::string& kind : kinds) {
+    std::optional<dynamic::GrowthPolicy> growth;
+    bench::ProviderFactory provider;
+    if (kind == "Adaptive") {
+      growth = bench::UnwrapOrDie(dynamic::PolicyTable::BuiltIn().Find("LA"),
+                                  "policy");
+      provider = [](const dynamic::GrowthPolicy&, uint64_t seed) {
+        return std::make_shared<dynamic::AdaptiveInputProvider>(seed);
+      };
+    }
+    for (double z : zs) {
+      single_cells.push_back(
+          {.cell = "adaptive-single-s40",
+           .policy = kind,
+           .growth = growth,
+           .scale = 40,
+           .z = z,
+           .dataset_seed = [](int run) -> uint64_t { return 6100 + run; },
+           .job_seed = [](int run) -> uint64_t { return 900 + run; },
+           .job = {.job_name = "adapt-" + kind, .user = "solo"},
+           .provider = provider});
+      multi_cells.push_back(
+          {.cell = "adaptive-multi-s100",
+           .policy = kind,
+           .growth = growth,
+           .z = z,
+           .dataset_seed = [](int u) -> uint64_t { return 6200 + 31 * u; },
+           .job_seed = [](int u, int it) {
+             return 7000 + 97ULL * u + 13ULL * it;
+           },
+           .sampling_job = "adapt-" + kind,
+           .provider = provider,
+           .duration = 4.0 * 3600});
+    }
+  }
+  std::vector<bench::SingleJobResult> single =
+      bench::RunCells(options, single_cells, "single-user grid");
+  std::vector<bench::ClosedLoopResult> multi =
+      bench::RunCells(options, multi_cells, "multi-user grid");
 
   bench::JsonWriter json;
   std::printf("Single user, idle cluster: response time (s)\n");
   TablePrinter single_table({"provider", "uniform (z=0)", "high skew (z=2)"});
   for (size_t k = 0; k < kinds.size(); ++k) {
-    single_table.AddNumericRow(kinds[k], {single[k][0], single[k][1]}, 1);
+    const bench::SingleJobResult* row = &single[k * zs.size()];
+    single_table.AddNumericRow(
+        kinds[k], {row[0].response_time, row[1].response_time}, 1);
     for (size_t z = 0; z < zs.size(); ++z) {
       json.AddCell()
           .Set("study", "ablate_adaptive")
           .Set("setting", "single_user")
           .Set("provider", kinds[k])
           .Set("z", zs[z])
-          .Set("response_time_s", single[k][z]);
+          .Set("response_time_s", row[z].response_time);
     }
   }
   single_table.Print();
@@ -150,14 +96,16 @@ int main(int argc, char** argv) {
   std::printf("\n10 concurrent users: throughput (jobs/hour)\n");
   TablePrinter multi_table({"provider", "uniform (z=0)", "high skew (z=2)"});
   for (size_t k = 0; k < kinds.size(); ++k) {
-    multi_table.AddNumericRow(kinds[k], {multi[k][0], multi[k][1]}, 1);
+    const bench::ClosedLoopResult* row = &multi[k * zs.size()];
+    multi_table.AddNumericRow(kinds[k], {row[0].sampling_jobs_per_hour,
+                                         row[1].sampling_jobs_per_hour}, 1);
     for (size_t z = 0; z < zs.size(); ++z) {
       json.AddCell()
           .Set("study", "ablate_adaptive")
           .Set("setting", "multi_user")
           .Set("provider", kinds[k])
           .Set("z", zs[z])
-          .Set("throughput_jobs_per_hour", multi[k][z]);
+          .Set("throughput_jobs_per_hour", row[z].sampling_jobs_per_hour);
     }
   }
   multi_table.Print();

@@ -6,70 +6,14 @@
 /// actually met, over-processing partitions. The policy x skew x estimator
 /// grid fans out across hardware threads.
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
 #include "dynamic/sampling_input_provider.h"
-#include "exec/parallel.h"
-#include "mapred/input_splits.h"
-#include "sampling/sampling_job.h"
-#include "testbed/testbed.h"
-#include "tpch/dataset_catalog.h"
-
-namespace dmr {
-namespace {
-
-struct Row {
-  double response = 0;
-  double partitions = 0;
-  double increments = 0;
-};
-
-Result<Row> RunOne(const std::string& policy_name, bool use_estimator,
-                   double z) {
-  double rt = 0, parts = 0, incs = 0;
-  constexpr int kRepeats = 5;
-  for (int run = 0; run < kRepeats; ++run) {
-    testbed::Testbed bed(cluster::ClusterConfig::SingleUser());
-    bed.Annotate("cell", use_estimator ? "estimator-on-s20" : "estimator-off-s20");
-    bed.Annotate("policy", policy_name);
-    bed.Annotate("z", z);
-    bed.Annotate("repeat", static_cast<int64_t>(run));
-    DMR_ASSIGN_OR_RETURN(
-        testbed::Dataset dataset,
-        testbed::MakeLineItemDataset(&bed.fs(), 20, z, 800 + 41 * run));
-    DMR_ASSIGN_OR_RETURN(dynamic::GrowthPolicy policy,
-                         dynamic::PolicyTable::BuiltIn().Find(policy_name));
-
-    sampling::SamplingJobOptions options;
-    options.job_name = "ablate-estimator";
-    options.sample_size = tpch::kPaperSampleSize;
-    options.seed = 4100 + run;
-    DMR_ASSIGN_OR_RETURN(
-        mapred::JobSubmission submission,
-        sampling::MakeSamplingJob(dataset.file, dataset.matching_per_partition,
-                                  policy, options));
-    // Swap in a provider with estimation toggled.
-    dynamic::SamplingInputProvider::Options popts;
-    popts.use_selectivity_estimation = use_estimator;
-    submission.input_provider =
-        std::make_shared<dynamic::SamplingInputProvider>(policy,
-                                                         options.seed, popts);
-    DMR_ASSIGN_OR_RETURN(mapred::JobStats stats,
-                         bed.RunJobToCompletion(std::move(submission)));
-    rt += stats.response_time();
-    parts += stats.splits_processed;
-    incs += stats.input_increments;
-  }
-  return Row{rt / kRepeats, parts / kRepeats, incs / kRepeats};
-}
-
-}  // namespace
-}  // namespace dmr
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -82,46 +26,50 @@ int main(int argc, char** argv) {
       "met in completed output, processing more partitions and taking "
       "longer, especially for aggressive policies");
 
-  struct Cell {
-    const char* policy;
-    double z;
-    bool est;
-  };
-  std::vector<Cell> cells;
+  std::vector<bench::SingleJobCell> cells;
   for (const char* policy : {"HA", "MA", "LA", "C"}) {
     for (double z : {0.0, 2.0}) {
       for (bool est : {true, false}) {
-        cells.push_back({policy, z, est});
+        // Swap in a provider with estimation toggled.
+        auto provider = [est](const dynamic::GrowthPolicy& growth,
+                              uint64_t seed) {
+          dynamic::SamplingInputProvider::Options popts;
+          popts.use_selectivity_estimation = est;
+          return std::make_shared<dynamic::SamplingInputProvider>(growth, seed,
+                                                                  popts);
+        };
+        cells.push_back(
+            {.cell = est ? "estimator-on-s20" : "estimator-off-s20",
+             .policy = policy,
+             .z = z,
+             .dataset_seed = [](int run) -> uint64_t { return 800 + 41 * run; },
+             .job_seed = [](int run) -> uint64_t { return 4100 + run; },
+             .job = {.job_name = "ablate-estimator"},
+             .provider = provider});
       }
     }
   }
-
-  exec::ThreadPool pool = options.MakePool();
-  auto rows = bench::UnwrapOrDie(
-      exec::ParallelMap<Row>(&pool, cells.size(),
-                             [&](size_t i) {
-                               return RunOne(cells[i].policy, cells[i].est,
-                                             cells[i].z);
-                             }),
-      "estimator grid");
+  std::vector<bench::SingleJobResult> rows =
+      bench::RunCells(options, cells, "estimator grid");
 
   bench::JsonWriter json;
   TablePrinter table({"policy", "skew z", "estimator", "response (s)",
                       "partitions", "increments"});
   for (size_t i = 0; i < cells.size(); ++i) {
-    const Row& r = rows[i];
+    const bench::SingleJobResult& r = rows[i];
+    const bool est = cells[i].cell == "estimator-on-s20";
     table.AddRow({cells[i].policy,
                   std::to_string(static_cast<int>(cells[i].z)),
-                  cells[i].est ? "on" : "off",
-                  std::to_string(r.response).substr(0, 6),
+                  est ? "on" : "off",
+                  std::to_string(r.response_time).substr(0, 6),
                   std::to_string(r.partitions).substr(0, 6),
                   std::to_string(r.increments).substr(0, 4)});
     json.AddCell()
         .Set("study", "ablate_estimator")
         .Set("policy", cells[i].policy)
         .Set("z", cells[i].z)
-        .Set("estimator", cells[i].est)
-        .Set("response_time_s", r.response)
+        .Set("estimator", est)
+        .Set("response_time_s", r.response_time)
         .Set("partitions", r.partitions)
         .Set("increments", r.increments);
   }

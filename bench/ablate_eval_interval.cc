@@ -9,49 +9,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
 #include "dynamic/growth_policy.h"
-#include "exec/parallel.h"
-#include "sampling/sampling_job.h"
-#include "testbed/testbed.h"
-#include "tpch/dataset_catalog.h"
-
-namespace dmr {
-namespace {
-
-Result<double> RunWithInterval(double interval, int run) {
-  testbed::Testbed bed(cluster::ClusterConfig::SingleUser());
-  {
-    char cell[48];
-    std::snprintf(cell, sizeof(cell), "eval-interval-%g", interval);
-    bed.Annotate("cell", cell);
-  }
-  bed.Annotate("policy", "LA");
-  bed.Annotate("z", 1.0);
-  bed.Annotate("repeat", static_cast<int64_t>(run));
-  DMR_ASSIGN_OR_RETURN(
-      testbed::Dataset dataset,
-      testbed::MakeLineItemDataset(&bed.fs(), 20, /*z=*/1.0, 900 + 13 * run));
-  DMR_ASSIGN_OR_RETURN(
-      dynamic::GrowthPolicy policy,
-      dynamic::GrowthPolicy::Create("LA-sweep", "LA with custom interval",
-                                    10.0, "AS > 0 ? 0.2 * AS : 0.1 * TS",
-                                    interval));
-  sampling::SamplingJobOptions options;
-  options.job_name = "ablate-interval";
-  options.sample_size = tpch::kPaperSampleSize;
-  options.seed = 7100 + run;
-  DMR_ASSIGN_OR_RETURN(
-      mapred::JobSubmission submission,
-      sampling::MakeSamplingJob(dataset.file, dataset.matching_per_partition,
-                                policy, options));
-  DMR_ASSIGN_OR_RETURN(mapred::JobStats stats,
-                       bed.RunJobToCompletion(std::move(submission)));
-  return stats.response_time();
-}
-
-}  // namespace
-}  // namespace dmr
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -64,32 +24,36 @@ int main(int argc, char** argv) {
       "between intakes; very short intervals give diminishing returns");
 
   const std::vector<double> intervals = {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0};
-  constexpr int kRepeats = 5;
-
-  exec::ThreadPool pool = options.MakePool();
-  auto means = bench::UnwrapOrDie(
-      exec::ParallelMap<double>(
-          &pool, intervals.size(),
-          [&](size_t i) -> Result<double> {
-            double sum = 0;
-            for (int run = 0; run < kRepeats; ++run) {
-              DMR_ASSIGN_OR_RETURN(double rt,
-                                   RunWithInterval(intervals[i], run));
-              sum += rt;
-            }
-            return sum / kRepeats;
-          }),
-      "interval sweep");
+  std::vector<bench::SingleJobCell> cells;
+  for (double interval : intervals) {
+    char cell[48];
+    std::snprintf(cell, sizeof(cell), "eval-interval-%g", interval);
+    cells.push_back(
+        {.cell = cell,
+         .policy = "LA",
+         .growth = bench::UnwrapOrDie(
+             dynamic::GrowthPolicy::Create("LA-sweep",
+                                           "LA with custom interval", 10.0,
+                                           "AS > 0 ? 0.2 * AS : 0.1 * TS",
+                                           interval),
+             "policy"),
+         .z = 1.0,
+         .dataset_seed = [](int run) -> uint64_t { return 900 + 13 * run; },
+         .job_seed = [](int run) -> uint64_t { return 7100 + run; },
+         .job = {.job_name = "ablate-interval"}});
+  }
+  std::vector<bench::SingleJobResult> rows =
+      bench::RunCells(options, cells, "interval sweep");
 
   bench::JsonWriter json;
   TablePrinter table({"interval (s)", "mean response time (s)"});
   for (size_t i = 0; i < intervals.size(); ++i) {
     table.AddNumericRow(std::to_string(intervals[i]).substr(0, 4),
-                        {means[i]}, 1);
+                        {rows[i].response_time}, 1);
     json.AddCell()
         .Set("study", "ablate_eval_interval")
         .Set("interval_s", intervals[i])
-        .Set("mean_response_time_s", means[i]);
+        .Set("mean_response_time_s", rows[i].response_time);
   }
   table.Print();
   bench::MaybeWriteJson(options, json);

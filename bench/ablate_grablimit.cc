@@ -5,59 +5,13 @@
 /// serialize rounds; huge fixed grabs waste work like the Hadoop policy.
 /// The per-limit cells fan out across hardware threads.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
 #include "dynamic/growth_policy.h"
-#include "exec/parallel.h"
-#include "sampling/sampling_job.h"
-#include "testbed/testbed.h"
-#include "tpch/dataset_catalog.h"
-
-namespace dmr {
-namespace {
-
-struct Row {
-  double response = 0;
-  double partitions = 0;
-  double increments = 0;
-};
-
-Result<Row> RunWith(const dynamic::GrowthPolicy& policy) {
-  double rt = 0, parts = 0, incs = 0;
-  constexpr int kRepeats = 5;
-  for (int run = 0; run < kRepeats; ++run) {
-    testbed::Testbed bed(cluster::ClusterConfig::SingleUser());
-    bed.Annotate("cell", "grablimit-s20");
-    bed.Annotate("policy", policy.name());
-    bed.Annotate("z", 1.0);
-    bed.Annotate("repeat", static_cast<int64_t>(run));
-    DMR_ASSIGN_OR_RETURN(
-        testbed::Dataset dataset,
-        testbed::MakeLineItemDataset(&bed.fs(), 20, /*z=*/1.0,
-                                     500 + 37 * run));
-    sampling::SamplingJobOptions options;
-    options.job_name = "ablate-grab";
-    options.sample_size = tpch::kPaperSampleSize;
-    options.seed = 1234 + run;
-    DMR_ASSIGN_OR_RETURN(
-        mapred::JobSubmission submission,
-        sampling::MakeSamplingJob(dataset.file, dataset.matching_per_partition,
-                                  policy, options));
-    DMR_ASSIGN_OR_RETURN(mapred::JobStats stats,
-                         bed.RunJobToCompletion(std::move(submission)));
-    rt += stats.response_time();
-    parts += stats.splits_processed;
-    incs += stats.input_increments;
-  }
-  return Row{rt / kRepeats, parts / kRepeats, incs / kRepeats};
-}
-
-}  // namespace
-}  // namespace dmr
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -86,22 +40,30 @@ int main(int argc, char** argv) {
     labels.push_back(std::string("Table I: ") + name);
   }
 
-  exec::ThreadPool pool = options.MakePool();
-  auto rows = bench::UnwrapOrDie(
-      exec::ParallelMap<Row>(&pool, policies.size(),
-                             [&](size_t i) { return RunWith(policies[i]); }),
-      "grab-limit grid");
+  std::vector<bench::SingleJobCell> cells;
+  for (const dynamic::GrowthPolicy& policy : policies) {
+    cells.push_back(
+        {.cell = "grablimit-s20",
+         .policy = policy.name(),
+         .growth = policy,
+         .z = 1.0,
+         .dataset_seed = [](int run) -> uint64_t { return 500 + 37 * run; },
+         .job_seed = [](int run) -> uint64_t { return 1234 + run; },
+         .job = {.job_name = "ablate-grab"}});
+  }
+  std::vector<bench::SingleJobResult> rows =
+      bench::RunCells(options, cells, "grab-limit grid");
 
   bench::JsonWriter json;
   TablePrinter table({"grab limit", "response time (s)",
                       "partitions processed", "input increments"});
   for (size_t i = 0; i < rows.size(); ++i) {
-    table.AddNumericRow(labels[i], {rows[i].response, rows[i].partitions,
+    table.AddNumericRow(labels[i], {rows[i].response_time, rows[i].partitions,
                                     rows[i].increments}, 1);
     json.AddCell()
         .Set("study", "ablate_grablimit")
         .Set("grab_limit", labels[i])
-        .Set("response_time_s", rows[i].response)
+        .Set("response_time_s", rows[i].response_time)
         .Set("partitions", rows[i].partitions)
         .Set("increments", rows[i].increments);
   }

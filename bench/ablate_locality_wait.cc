@@ -9,89 +9,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
-#include "exec/parallel.h"
-#include "sampling/sampling_job.h"
-#include "testbed/testbed.h"
-#include "tpch/dataset_catalog.h"
-#include "workload/workload_driver.h"
-
-namespace dmr {
-namespace {
-
-struct Row {
-  double locality = 0;
-  double occupancy = 0;
-  double sampling_tp = 0;
-  double non_sampling_tp = 0;
-};
-
-Result<Row> RunWithWait(double wait) {
-  constexpr int kNumUsers = 10;
-  constexpr int kSamplingUsers = 4;
-  testbed::Testbed bed(cluster::ClusterConfig::MultiUser(),
-                       testbed::SchedulerKind::kFair, wait);
-  {
-    char cell[48];
-    std::snprintf(cell, sizeof(cell), "locality-wait-%g", wait);
-    bed.Annotate("cell", cell);
-  }
-  bed.Annotate("policy", "LA");
-  bed.Annotate("z", 0.0);
-  DMR_ASSIGN_OR_RETURN(dynamic::GrowthPolicy policy,
-                       dynamic::PolicyTable::BuiltIn().Find("LA"));
-
-  std::vector<testbed::Dataset> datasets;
-  for (int u = 0; u < kNumUsers; ++u) {
-    DMR_ASSIGN_OR_RETURN(
-        testbed::Dataset dataset,
-        testbed::MakeLineItemDataset(&bed.fs(), 100, 0.0, 6000 + 29 * u,
-                                     "u" + std::to_string(u)));
-    datasets.push_back(std::move(dataset));
-  }
-
-  workload::WorkloadDriver driver(&bed.client());
-  for (int u = 0; u < kNumUsers; ++u) {
-    workload::UserSpec user;
-    user.name = "user" + std::to_string(u);
-    user.think_time = 30.0;
-    const testbed::Dataset* dataset = &datasets[u];
-    if (u < kSamplingUsers) {
-      user.job_class = "Sampling";
-      user.make_job = [dataset, policy,
-                       u](int iteration) -> Result<mapred::JobSubmission> {
-        sampling::SamplingJobOptions options;
-        options.job_name = "ablate-wait-sampling";
-        options.user = "user" + std::to_string(u);
-        options.sample_size = tpch::kPaperSampleSize;
-        options.seed = 88000 + 101ULL * u + 7919ULL * iteration;
-        return sampling::MakeSamplingJob(
-            dataset->file, dataset->matching_per_partition, policy, options);
-      };
-    } else {
-      user.job_class = "NonSampling";
-      user.make_job = [dataset, u](int) -> Result<mapred::JobSubmission> {
-        return sampling::MakeSelectProjectJob(
-            dataset->file, dataset->matching_per_partition,
-            "ablate-wait-sp", "user" + std::to_string(u));
-      };
-    }
-    driver.AddUser(std::move(user));
-  }
-
-  DMR_ASSIGN_OR_RETURN(
-      workload::WorkloadReport report,
-      driver.Run({.duration = 4.0 * 3600, .warmup = 1800.0}));
-  Row row;
-  row.locality = bed.tracker().LocalityPercent();
-  row.occupancy = bed.monitor().slot_occupancy_percent().MeanAfter(1800.0);
-  row.sampling_tp = report.For("Sampling").throughput_jobs_per_hour;
-  row.non_sampling_tp = report.For("NonSampling").throughput_jobs_per_hour;
-  return row;
-}
-
-}  // namespace
-}  // namespace dmr
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -104,28 +23,45 @@ int main(int argc, char** argv) {
       "occupancy); longer waits raise locality and idle more slots");
 
   const std::vector<double> waits = {0.0, 2.5, 5.0, 10.0, 20.0};
-  exec::ThreadPool pool = options.MakePool();
-  auto rows = bench::UnwrapOrDie(
-      exec::ParallelMap<Row>(&pool, waits.size(),
-                             [&](size_t i) { return RunWithWait(waits[i]); }),
-      "locality-wait sweep");
+  std::vector<bench::ClosedLoopCell> cells;
+  for (double wait : waits) {
+    char cell[48];
+    std::snprintf(cell, sizeof(cell), "locality-wait-%g", wait);
+    cells.push_back(
+        {.cell = cell,
+         .policy = "LA",
+         .scheduler = testbed::SchedulerKind::kFair,
+         .locality_wait = wait,
+         .sampling_users = 4,
+         .think_time = 30.0,
+         .dataset_seed = [](int u) -> uint64_t { return 6000 + 29 * u; },
+         .job_seed = [](int u, int it) {
+           return 88000 + 101ULL * u + 7919ULL * it;
+         },
+         .sampling_job = "ablate-wait-sampling",
+         .scan_job = "ablate-wait-sp",
+         .duration = 4.0 * 3600});
+  }
+  std::vector<bench::ClosedLoopResult> rows =
+      bench::RunCells(options, cells, "locality-wait sweep");
 
   bench::JsonWriter json;
   TablePrinter table({"locality wait (s)", "locality (%)", "occupancy (%)",
                       "Sampling (jobs/h)", "NonSampling (jobs/h)"});
   for (size_t i = 0; i < waits.size(); ++i) {
-    const Row& row = rows[i];
+    const bench::ClosedLoopResult& row = rows[i];
     table.AddNumericRow(std::to_string(waits[i]).substr(0, 4),
-                        {row.locality, row.occupancy, row.sampling_tp,
-                         row.non_sampling_tp},
+                        {row.locality_percent, row.slot_occupancy_percent,
+                         row.sampling_jobs_per_hour,
+                         row.non_sampling_jobs_per_hour},
                         1);
     json.AddCell()
         .Set("study", "ablate_locality_wait")
         .Set("locality_wait_s", waits[i])
-        .Set("locality_percent", row.locality)
-        .Set("occupancy_percent", row.occupancy)
-        .Set("sampling_jobs_per_hour", row.sampling_tp)
-        .Set("non_sampling_jobs_per_hour", row.non_sampling_tp);
+        .Set("locality_percent", row.locality_percent)
+        .Set("occupancy_percent", row.slot_occupancy_percent)
+        .Set("sampling_jobs_per_hour", row.sampling_jobs_per_hour)
+        .Set("non_sampling_jobs_per_hour", row.non_sampling_jobs_per_hour);
   }
   table.Print();
   bench::MaybeWriteJson(options, json);

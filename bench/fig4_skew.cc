@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/table_printer.h"
-#include "exec/parallel.h"
 #include "tpch/dataset_catalog.h"
 #include "tpch/skew_model.h"
 
@@ -29,24 +27,16 @@ int main(int argc, char** argv) {
       "z=2: heaviest partition ~8.7k of 15k");
 
   const std::vector<double> zs = {0.0, 1.0, 2.0};
-  exec::ThreadPool pool = options.MakePool();
-  auto all_counts = bench::UnwrapOrDie(
-      exec::ParallelMap<std::vector<uint64_t>>(
-          &pool, zs.size(),
-          [&](size_t i) {
-            tpch::SkewSpec spec;
-            spec.num_partitions = 40;
-            spec.records_per_partition = tpch::kRecordsPerPartition;
-            spec.selectivity = tpch::kPaperSelectivity;
-            spec.zipf_z = zs[i];
-            spec.seed = 20120401;
-            return tpch::AssignMatchingRecords(spec);
-          }),
-      "skew model");
-
   bench::JsonWriter json;
   for (size_t zi = 0; zi < zs.size(); ++zi) {
-    const std::vector<uint64_t>& counts = all_counts[zi];
+    tpch::SkewSpec spec;
+    spec.num_partitions = 40;
+    spec.records_per_partition = tpch::kRecordsPerPartition;
+    spec.selectivity = tpch::kPaperSelectivity;
+    spec.zipf_z = zs[zi];
+    spec.seed = 20120401;
+    const std::vector<uint64_t> counts = bench::UnwrapOrDie(
+        tpch::AssignMatchingRecords(spec), "skew model");
     std::vector<uint64_t> sorted = counts;
     std::sort(sorted.rbegin(), sorted.rend());
     uint64_t total = 0;

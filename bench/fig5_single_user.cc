@@ -13,59 +13,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
-#include "dynamic/growth_policy.h"
-#include "exec/parallel.h"
-#include "sampling/sampling_job.h"
-#include "testbed/testbed.h"
 #include "tpch/dataset_catalog.h"
-
-namespace dmr {
-namespace {
-
-constexpr int kRepeats = 5;  // the paper averages over 5 runs
-
-struct CellResult {
-  double response_time = 0;
-  double partitions = 0;
-};
-
-Result<CellResult> RunCell(const std::string& policy_name, int scale,
-                           double z) {
-  double rt_sum = 0, parts_sum = 0;
-  for (int run = 0; run < kRepeats; ++run) {
-    // A fresh cluster per run (the paper's runs are back-to-back on an idle
-    // cluster; a fresh testbed avoids cross-run interference).
-    testbed::Testbed bed(cluster::ClusterConfig::SingleUser());
-    bed.Annotate("cell", "s" + std::to_string(scale));
-    bed.Annotate("policy", policy_name);
-    bed.Annotate("z", z);
-    bed.Annotate("repeat", static_cast<int64_t>(run));
-    uint64_t seed = 1000 + 17 * run + scale;
-    DMR_ASSIGN_OR_RETURN(
-        testbed::Dataset dataset,
-        testbed::MakeLineItemDataset(&bed.fs(), scale, z, seed));
-    DMR_ASSIGN_OR_RETURN(dynamic::GrowthPolicy policy,
-                         dynamic::PolicyTable::BuiltIn().Find(policy_name));
-    sampling::SamplingJobOptions options;
-    options.job_name = "fig5-" + policy_name;
-    options.sample_size = tpch::kPaperSampleSize;
-    options.seed = seed * 31 + 7;
-    options.predicate_sql = "selectivity 0.05%, z=" + std::to_string(z);
-    DMR_ASSIGN_OR_RETURN(
-        mapred::JobSubmission submission,
-        sampling::MakeSamplingJob(dataset.file, dataset.matching_per_partition,
-                                  policy, options));
-    DMR_ASSIGN_OR_RETURN(mapred::JobStats stats,
-                         bed.RunJobToCompletion(std::move(submission)));
-    rt_sum += stats.response_time();
-    parts_sum += stats.splits_processed;
-  }
-  return CellResult{rt_sum / kRepeats, parts_sum / kRepeats};
-}
-
-}  // namespace
-}  // namespace dmr
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -88,18 +38,28 @@ int main(int argc, char** argv) {
       {"a: zero skew", 0.0}, {"b: moderate skew", 1.0}, {"c: high skew", 2.0}};
 
   // Flatten panel x policy x scale into one fan-out.
-  const size_t cells_per_panel = policies.size() * scales.size();
-  exec::ThreadPool pool = options.MakePool();
-  auto flat = bench::UnwrapOrDie(
-      exec::ParallelMap<CellResult>(
-          &pool, panels.size() * cells_per_panel,
-          [&](size_t i) {
-            size_t panel = i / cells_per_panel;
-            size_t p = (i % cells_per_panel) / scales.size();
-            size_t s = i % scales.size();
-            return RunCell(policies[p], scales[s], panels[panel].z);
-          }),
-      "figure 5 grid");
+  std::vector<bench::SingleJobCell> cells;
+  for (const Panel& panel : panels) {
+    for (const std::string& policy : policies) {
+      for (int scale : scales) {
+        auto dataset_seed = [scale](int run) -> uint64_t {
+          return 1000 + 17 * run + scale;
+        };
+        cells.push_back(
+            {.cell = "s" + std::to_string(scale),
+             .policy = policy,
+             .scale = scale,
+             .z = panel.z,
+             .dataset_seed = dataset_seed,
+             .job_seed = [=](int run) { return dataset_seed(run) * 31 + 7; },
+             .job = {.job_name = "fig5-" + policy,
+                     .predicate_sql = "selectivity 0.05%, z=" +
+                                      std::to_string(panel.z)}});
+      }
+    }
+  }
+  std::vector<bench::SingleJobResult> flat =
+      bench::RunCells(options, cells, "figure 5 grid");
 
   bench::JsonWriter json;
   std::vector<std::vector<double>> partitions_z1;
@@ -111,8 +71,8 @@ int main(int argc, char** argv) {
       std::vector<double> row_rt;
       std::vector<double> row_parts;
       for (size_t s = 0; s < scales.size(); ++s) {
-        const CellResult& cell =
-            flat[panel * cells_per_panel + p * scales.size() + s];
+        const bench::SingleJobResult& cell =
+            flat[(panel * policies.size() + p) * scales.size() + s];
         row_rt.push_back(cell.response_time);
         row_parts.push_back(cell.partitions);
         json.AddCell()

@@ -14,81 +14,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
-#include "dynamic/growth_policy.h"
-#include "exec/parallel.h"
-#include "sampling/sampling_job.h"
-#include "testbed/testbed.h"
-#include "tpch/dataset_catalog.h"
-#include "workload/workload_driver.h"
-
-namespace dmr {
-namespace {
-
-constexpr int kNumUsers = 10;
-constexpr int kScale = 100;
-constexpr double kDuration = 6.0 * 3600;
-constexpr double kWarmup = 1800.0;
-
-struct PolicyResult {
-  double throughput = 0;
-  double cpu_percent = 0;
-  double disk_kbs = 0;
-};
-
-Result<PolicyResult> RunPolicy(const std::string& policy_name, double z) {
-  testbed::Testbed bed(cluster::ClusterConfig::MultiUser());
-  bed.Annotate("cell", "multiuser-s" + std::to_string(kScale));
-  bed.Annotate("policy", policy_name);
-  bed.Annotate("z", z);
-  DMR_ASSIGN_OR_RETURN(dynamic::GrowthPolicy policy,
-                       dynamic::PolicyTable::BuiltIn().Find(policy_name));
-
-  // Each user works against a private copy of the dataset (the paper does
-  // this to defeat buffer-cache sharing; here it also decorrelates skew
-  // realizations across users).
-  std::vector<testbed::Dataset> datasets;
-  for (int u = 0; u < kNumUsers; ++u) {
-    DMR_ASSIGN_OR_RETURN(
-        testbed::Dataset dataset,
-        testbed::MakeLineItemDataset(&bed.fs(), kScale, z, 9000 + 131 * u,
-                                     "u" + std::to_string(u)));
-    datasets.push_back(std::move(dataset));
-  }
-
-  workload::WorkloadDriver driver(&bed.client());
-  for (int u = 0; u < kNumUsers; ++u) {
-    workload::UserSpec user;
-    user.name = "user" + std::to_string(u);
-    user.job_class = "Sampling";
-    const testbed::Dataset* dataset = &datasets[u];
-    user.make_job = [dataset, policy, u,
-                     policy_name](int iteration)
-        -> Result<mapred::JobSubmission> {
-      sampling::SamplingJobOptions options;
-      options.job_name = "fig6-" + policy_name;
-      options.user = "user" + std::to_string(u);
-      options.sample_size = tpch::kPaperSampleSize;
-      options.seed = 100000 + 7919ULL * u + 104729ULL * iteration;
-      return sampling::MakeSamplingJob(dataset->file,
-                                       dataset->matching_per_partition,
-                                       policy, options);
-    };
-    driver.AddUser(std::move(user));
-  }
-
-  DMR_ASSIGN_OR_RETURN(workload::WorkloadReport report,
-                       driver.Run({.duration = kDuration, .warmup = kWarmup}));
-
-  PolicyResult result;
-  result.throughput = report.For("Sampling").throughput_jobs_per_hour;
-  result.cpu_percent = bed.monitor().cpu_percent().MeanAfter(kWarmup);
-  result.disk_kbs = bed.monitor().disk_read_kbs().MeanAfter(kWarmup);
-  return result;
-}
-
-}  // namespace
-}  // namespace dmr
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -111,14 +38,22 @@ int main(int argc, char** argv) {
       {"uniform distribution of matching records", 0.0},
       {"highly skewed distribution (z = 2)", 2.0}};
 
-  exec::ThreadPool pool = options.MakePool();
-  auto grid = bench::UnwrapOrDie(
-      exec::ParallelGrid<PolicyResult>(
-          &pool, panels.size(), policies.size(),
-          [&](size_t panel, size_t p) {
-            return RunPolicy(policies[p], panels[panel].z);
-          }),
-      "figure 6 grid");
+  std::vector<bench::ClosedLoopCell> cells;
+  for (const Panel& panel : panels) {
+    for (const std::string& policy : policies) {
+      cells.push_back(
+          {.cell = "multiuser-s100",
+           .policy = policy,
+           .z = panel.z,
+           .dataset_seed = [](int u) -> uint64_t { return 9000 + 131 * u; },
+           .job_seed = [](int u, int it) {
+             return 100000 + 7919ULL * u + 104729ULL * it;
+           },
+           .sampling_job = "fig6-" + policy});
+    }
+  }
+  std::vector<bench::ClosedLoopResult> results =
+      bench::RunCells(options, cells, "figure 6 grid");
 
   bench::JsonWriter json;
   for (size_t panel = 0; panel < panels.size(); ++panel) {
@@ -126,16 +61,16 @@ int main(int argc, char** argv) {
                         "disk reads (KB/s)"});
     std::printf("Figure 6 (%s)\n", panels[panel].label);
     for (size_t p = 0; p < policies.size(); ++p) {
-      const PolicyResult& r = grid[panel][p];
-      table.AddNumericRow(policies[p],
-                          {r.throughput, r.cpu_percent, r.disk_kbs}, 1);
+      const bench::ClosedLoopResult& r = results[panel * policies.size() + p];
+      table.AddNumericRow(policies[p], {r.sampling_jobs_per_hour,
+                                        r.cpu_percent, r.disk_read_kbs}, 1);
       json.AddCell()
           .Set("figure", "fig6")
           .Set("policy", policies[p])
           .Set("z", panels[panel].z)
-          .Set("throughput_jobs_per_hour", r.throughput)
+          .Set("throughput_jobs_per_hour", r.sampling_jobs_per_hour)
           .Set("cpu_percent", r.cpu_percent)
-          .Set("disk_read_kbs", r.disk_kbs);
+          .Set("disk_read_kbs", r.disk_read_kbs);
     }
     table.Print();
     std::printf("\n");

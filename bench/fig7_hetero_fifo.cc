@@ -6,81 +6,10 @@
 /// fans out across hardware threads.
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/hetero_workload.h"
-#include "common/table_printer.h"
-#include "exec/parallel.h"
-
-namespace dmr {
-namespace {
-
-void RunFigure(testbed::SchedulerKind scheduler,
-               const bench::BenchOptions& options) {
-  const std::vector<std::string> policies = {"C", "LA", "MA", "HA", "Hadoop"};
-  const std::vector<int> sampling_counts = {2, 4, 6, 8};
-
-  exec::ThreadPool pool = options.MakePool();
-  auto grid = bench::UnwrapOrDie(
-      exec::ParallelGrid<bench::HeteroResult>(
-          &pool, policies.size(), sampling_counts.size(),
-          [&](size_t p, size_t c) {
-            return bench::RunHeteroWorkload(scheduler, policies[p],
-                                            sampling_counts[c]);
-          }),
-      "figure 7 grid");
-
-  bench::JsonWriter json;
-  std::vector<std::vector<double>> sampling_rows(policies.size());
-  std::vector<std::vector<double>> non_sampling_rows(policies.size());
-  for (size_t p = 0; p < policies.size(); ++p) {
-    for (size_t c = 0; c < sampling_counts.size(); ++c) {
-      const bench::HeteroResult& r = grid[p][c];
-      sampling_rows[p].push_back(r.sampling_throughput);
-      non_sampling_rows[p].push_back(r.non_sampling_throughput);
-      json.AddCell()
-          .Set("figure", "fig7")
-          .Set("policy", policies[p])
-          .Set("sampling_fraction", sampling_counts[c] / 10.0)
-          .Set("sampling_jobs_per_hour", r.sampling_throughput)
-          .Set("non_sampling_jobs_per_hour", r.non_sampling_throughput);
-    }
-  }
-
-  std::printf("(a) Sampling class throughput (jobs/hour)\n");
-  TablePrinter sampling_table(
-      {"policy", "frac=0.2", "frac=0.4", "frac=0.6", "frac=0.8"});
-  for (size_t p = 0; p < policies.size(); ++p) {
-    sampling_table.AddNumericRow(policies[p], sampling_rows[p], 1);
-  }
-  sampling_table.Print();
-
-  std::printf("\n(b) Non-Sampling class throughput (jobs/hour)\n");
-  TablePrinter ns_table(
-      {"policy", "frac=0.2", "frac=0.4", "frac=0.6", "frac=0.8"});
-  for (size_t p = 0; p < policies.size(); ++p) {
-    ns_table.AddNumericRow(policies[p], non_sampling_rows[p], 1);
-  }
-  ns_table.Print();
-
-  // The paper highlights the LA-vs-Hadoop improvement factors (3x at 20 %,
-  // up to 8x at 80 %).
-  size_t la = 1, hadoop = 4;
-  std::printf("\nNon-Sampling throughput gain, LA vs Hadoop: ");
-  for (size_t i = 0; i < sampling_counts.size(); ++i) {
-    double gain = non_sampling_rows[hadoop][i] > 0
-                      ? non_sampling_rows[la][i] / non_sampling_rows[hadoop][i]
-                      : 0.0;
-    std::printf("frac=%.1f: %.1fx  ", sampling_counts[i] / 10.0, gain);
-  }
-  std::printf("\n");
-  bench::MaybeWriteJson(options, json);
-}
-
-}  // namespace
-}  // namespace dmr
+#include "bench/cells.h"
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -93,6 +22,20 @@ int main(int argc, char** argv) {
       "throughput is lowest when the Sampling class runs the Hadoop policy "
       "and improves ~3x (frac 0.2) to ~8x (frac 0.8) under LA; conservative "
       "policies (C/LA) maximize both classes");
-  RunFigure(testbed::SchedulerKind::kFifo, options);
+  bench::JsonWriter json;
+  std::vector<std::vector<double>> non_sampling = bench::RunHeteroFigure(
+      options, testbed::SchedulerKind::kFifo, "fig7", &json);
+
+  // The paper highlights the LA-vs-Hadoop improvement factors (3x at 20 %,
+  // up to 8x at 80 %).
+  const std::vector<double>& la = non_sampling[1];
+  const std::vector<double>& hadoop = non_sampling[4];
+  std::printf("\nNon-Sampling throughput gain, LA vs Hadoop: ");
+  for (size_t i = 0; i < la.size(); ++i) {
+    double gain = hadoop[i] > 0 ? la[i] / hadoop[i] : 0.0;
+    std::printf("frac=%.1f: %.1fx  ", 0.2 * (i + 1), gain);
+  }
+  std::printf("\n");
+  bench::MaybeWriteJson(options, json);
   return 0;
 }

@@ -5,69 +5,8 @@
 /// because delay scheduling trades slot occupancy for locality.
 /// The policy x fraction grid fans out across hardware threads.
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
 #include "bench/bench_util.h"
-#include "bench/hetero_workload.h"
-#include "common/table_printer.h"
-#include "exec/parallel.h"
-
-namespace dmr {
-namespace {
-
-void RunFigure(const bench::BenchOptions& options) {
-  const std::vector<std::string> policies = {"C", "LA", "MA", "HA", "Hadoop"};
-  const std::vector<int> sampling_counts = {2, 4, 6, 8};
-
-  exec::ThreadPool pool = options.MakePool();
-  auto grid = bench::UnwrapOrDie(
-      exec::ParallelGrid<bench::HeteroResult>(
-          &pool, policies.size(), sampling_counts.size(),
-          [&](size_t p, size_t c) {
-            return bench::RunHeteroWorkload(testbed::SchedulerKind::kFair,
-                                            policies[p], sampling_counts[c]);
-          }),
-      "figure 8 grid");
-
-  bench::JsonWriter json;
-  std::vector<std::vector<double>> sampling_rows(policies.size());
-  std::vector<std::vector<double>> non_sampling_rows(policies.size());
-  for (size_t p = 0; p < policies.size(); ++p) {
-    for (size_t c = 0; c < sampling_counts.size(); ++c) {
-      const bench::HeteroResult& r = grid[p][c];
-      sampling_rows[p].push_back(r.sampling_throughput);
-      non_sampling_rows[p].push_back(r.non_sampling_throughput);
-      json.AddCell()
-          .Set("figure", "fig8")
-          .Set("policy", policies[p])
-          .Set("sampling_fraction", sampling_counts[c] / 10.0)
-          .Set("sampling_jobs_per_hour", r.sampling_throughput)
-          .Set("non_sampling_jobs_per_hour", r.non_sampling_throughput);
-    }
-  }
-
-  std::printf("(a) Sampling class throughput (jobs/hour)\n");
-  TablePrinter sampling_table(
-      {"policy", "frac=0.2", "frac=0.4", "frac=0.6", "frac=0.8"});
-  for (size_t p = 0; p < policies.size(); ++p) {
-    sampling_table.AddNumericRow(policies[p], sampling_rows[p], 1);
-  }
-  sampling_table.Print();
-
-  std::printf("\n(b) Non-Sampling class throughput (jobs/hour)\n");
-  TablePrinter ns_table(
-      {"policy", "frac=0.2", "frac=0.4", "frac=0.6", "frac=0.8"});
-  for (size_t p = 0; p < policies.size(); ++p) {
-    ns_table.AddNumericRow(policies[p], non_sampling_rows[p], 1);
-  }
-  ns_table.Print();
-  bench::MaybeWriteJson(options, json);
-}
-
-}  // namespace
-}  // namespace dmr
+#include "bench/cells.h"
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -79,6 +18,8 @@ int main(int argc, char** argv) {
       "Same ordering as Figure 7 (conservative sampling policies lift both "
       "classes; Hadoop policy worst), with lower absolute throughput than "
       "the FIFO scheduler due to delay scheduling");
-  RunFigure(options);
+  bench::JsonWriter json;
+  bench::RunHeteroFigure(options, testbed::SchedulerKind::kFair, "fig8", &json);
+  bench::MaybeWriteJson(options, json);
   return 0;
 }

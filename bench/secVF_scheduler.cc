@@ -16,13 +16,11 @@
 /// the scheduler trade locality for a better-layout replica, which shows
 /// up as recovered occupancy/throughput at a locality cost.
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/hetero_workload.h"
+#include "bench/cells.h"
 #include "common/table_printer.h"
-#include "exec/parallel.h"
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -35,50 +33,39 @@ int main(int argc, char** argv) {
       "throughput than FIFO (paper: 88%/18% vs 57%/44%); layout-aware "
       "weights recover throughput on divergent-layout replicas");
 
-  struct Cell {
-    const char* label;
-    testbed::SchedulerKind scheduler;
-    bench::HeteroLayoutOptions layout;
+  using testbed::SchedulerKind;
+  const std::vector<const char*> labels = {
+      "default (FIFO)", "Fair Scheduler", "Fair+layouts w=0.0",
+      "Fair+layouts w=0.5", "Fair+layouts w=1.0"};
+  const std::vector<bench::ClosedLoopCell> cells = {
+      bench::HeteroCell(SchedulerKind::kFifo, "LA", 4),
+      bench::HeteroCell(SchedulerKind::kFair, "LA", 4),
+      bench::HeteroCell(SchedulerKind::kFair, "LA", 4, true, 0.0),
+      bench::HeteroCell(SchedulerKind::kFair, "LA", 4, true, 0.5),
+      bench::HeteroCell(SchedulerKind::kFair, "LA", 4, true, 1.0),
   };
-  const std::vector<Cell> cells = {
-      {"default (FIFO)", testbed::SchedulerKind::kFifo, {}},
-      {"Fair Scheduler", testbed::SchedulerKind::kFair, {}},
-      {"Fair+layouts w=0.0", testbed::SchedulerKind::kFair, {true, 0.0}},
-      {"Fair+layouts w=0.5", testbed::SchedulerKind::kFair, {true, 0.5}},
-      {"Fair+layouts w=1.0", testbed::SchedulerKind::kFair, {true, 1.0}},
-  };
-
-  exec::ThreadPool pool = options.MakePool();
-  auto results = bench::UnwrapOrDie(
-      exec::ParallelMap<bench::HeteroResult>(
-          &pool, cells.size(),
-          [&](size_t i) {
-            return bench::RunHeteroWorkload(cells[i].scheduler, "LA",
-                                            /*sampling_users=*/4,
-                                            /*duration=*/6.0 * 3600,
-                                            /*warmup=*/1800.0,
-                                            cells[i].layout);
-          }),
-      "scheduler comparison");
+  std::vector<bench::ClosedLoopResult> results =
+      bench::RunCells(options, cells, "scheduler comparison");
 
   bench::JsonWriter json;
   TablePrinter table({"scheduler", "locality (%)", "slot occupancy (%)",
                       "Sampling (jobs/h)", "NonSampling (jobs/h)"});
   for (size_t i = 0; i < results.size(); ++i) {
-    const bench::HeteroResult& r = results[i];
-    table.AddNumericRow(cells[i].label,
+    const bench::ClosedLoopResult& r = results[i];
+    table.AddNumericRow(labels[i],
                         {r.locality_percent, r.slot_occupancy_percent,
-                         r.sampling_throughput, r.non_sampling_throughput},
+                         r.sampling_jobs_per_hour,
+                         r.non_sampling_jobs_per_hour},
                         1);
     json.AddCell()
         .Set("figure", "secVF")
-        .Set("scheduler", cells[i].label)
-        .Set("divergent_layouts", cells[i].layout.divergent_layouts)
-        .Set("layout_weight", cells[i].layout.layout_weight)
+        .Set("scheduler", labels[i])
+        .Set("divergent_layouts", cells[i].divergent_layouts)
+        .Set("layout_weight", cells[i].layout_weight)
         .Set("locality_percent", r.locality_percent)
         .Set("slot_occupancy_percent", r.slot_occupancy_percent)
-        .Set("sampling_jobs_per_hour", r.sampling_throughput)
-        .Set("non_sampling_jobs_per_hour", r.non_sampling_throughput);
+        .Set("sampling_jobs_per_hour", r.sampling_jobs_per_hour)
+        .Set("non_sampling_jobs_per_hour", r.non_sampling_jobs_per_hour);
   }
   table.Print();
   bench::MaybeWriteJson(options, json);

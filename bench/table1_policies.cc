@@ -11,15 +11,6 @@
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
 #include "dynamic/growth_policy.h"
-#include "exec/parallel.h"
-
-namespace {
-
-struct StateRow {
-  std::vector<int64_t> limits;  // grab limit per probed AS value
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dmr;
@@ -51,35 +42,21 @@ int main(int argc, char** argv) {
   std::printf("\nGrab limits at representative cluster states "
               "(TS = 40 total slots):\n");
   const std::vector<int> probe_as = {40, 20, 4, 0};
-  exec::ThreadPool pool = options.MakePool();
-  auto rows = bench::UnwrapOrDie(
-      exec::ParallelMap<StateRow>(
-          &pool, table.policies().size(),
-          [&](size_t i) -> Result<StateRow> {
-            StateRow row;
-            for (int as : probe_as) {
-              mapred::ClusterStatus status;
-              status.total_map_slots = 40;
-              status.occupied_map_slots = 40 - as;
-              row.limits.push_back(table.policies()[i].GrabLimit(status));
-            }
-            return row;
-          }),
-      "grab-limit probe");
-
   TablePrinter states({"policy", "AS=40 (idle)", "AS=20", "AS=4", "AS=0"});
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& p = table.policies()[i];
+  for (const auto& p : table.policies()) {
     std::vector<std::string> cells = {p.name()};
-    for (size_t s = 0; s < probe_as.size(); ++s) {
-      int64_t g = rows[i].limits[s];
+    for (int as : probe_as) {
+      mapred::ClusterStatus status;
+      status.total_map_slots = 40;
+      status.occupied_map_slots = 40 - as;
+      int64_t g = p.GrabLimit(status);
       std::string text = g == std::numeric_limits<int64_t>::max()
                              ? "inf"
                              : std::to_string(g);
       json.AddCell()
           .Set("table", "table1-states")
           .Set("policy", p.name())
-          .Set("available_slots", probe_as[s])
+          .Set("available_slots", as)
           .Set("grab_limit", text);
       cells.push_back(std::move(text));
     }

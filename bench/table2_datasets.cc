@@ -9,7 +9,6 @@
 #include "bench/bench_util.h"
 #include "common/strings.h"
 #include "common/table_printer.h"
-#include "exec/parallel.h"
 #include "tpch/dataset_catalog.h"
 
 int main(int argc, char** argv) {
@@ -23,30 +22,24 @@ int main(int argc, char** argv) {
       "and records scale linearly; 0.05 % selectivity = 15,000 matches at "
       "5x");
 
-  const std::vector<int>& scales = tpch::StandardScales();
-  exec::ThreadPool pool = options.MakePool();
-  auto props = bench::UnwrapOrDie(
-      exec::ParallelMap<tpch::DatasetProperties>(
-          &pool, scales.size(),
-          [&](size_t i) { return tpch::PropertiesForScale(scales[i]); }),
-      "catalog");
-
   bench::JsonWriter json;
   TablePrinter table({"scale", "records", "size", "partitions",
                       "matching records (0.05%)"});
-  for (size_t i = 0; i < scales.size(); ++i) {
-    table.AddRow({std::to_string(scales[i]) + "x",
-                  std::to_string(props[i].total_records),
-                  FormatBytes(props[i].total_bytes),
-                  std::to_string(props[i].num_partitions),
-                  std::to_string(props[i].matching_records)});
+  for (int scale : tpch::StandardScales()) {
+    const tpch::DatasetProperties props = bench::UnwrapOrDie(
+        tpch::PropertiesForScale(scale), "catalog");
+    table.AddRow({std::to_string(scale) + "x",
+                  std::to_string(props.total_records),
+                  FormatBytes(props.total_bytes),
+                  std::to_string(props.num_partitions),
+                  std::to_string(props.matching_records)});
     json.AddCell()
         .Set("table", "table2")
-        .Set("scale", scales[i])
-        .Set("total_records", props[i].total_records)
-        .Set("total_bytes", props[i].total_bytes)
-        .Set("partitions", props[i].num_partitions)
-        .Set("matching_records", props[i].matching_records);
+        .Set("scale", scale)
+        .Set("total_records", props.total_records)
+        .Set("total_bytes", props.total_bytes)
+        .Set("partitions", props.num_partitions)
+        .Set("matching_records", props.matching_records);
   }
   table.Print();
   bench::MaybeWriteJson(options, json);

@@ -13,7 +13,10 @@
 # seeds and queue implementations, at the default thread count), the
 # metrics + timeline thread-count invariance (byte-identical at
 # --threads=1 and --threads=4) + dmr-analyze timeline smoke (both runs
-# checked against a baseline emitted from them), the profiling
+# checked against a baseline emitted from them), the paper-driver
+# thread-count invariance (all 14 paper drivers' stdout and --json
+# byte-identical at --threads=1 and --threads=4, less the line echoing the
+# JSON path), the profiling
 # digest-invisibility check plus dmr-analyze profile smoke and
 # count-regression gate (banded against configs/baselines/profile_smoke.json),
 # the adaptive-layout smoke (the driver asserts pruning changes no match
@@ -171,6 +174,27 @@ echo "fig5 metrics and timeline byte-identical at --threads=1 and --threads=4"
   "${obs_dir}/timeline_t1.json" "${obs_dir}/timeline_t4.json" > /dev/null
 echo "dmr-analyze timeline markdown + baseline round-trip OK"
 
+echo "== tier-1: paper-driver thread-count invariance (stdout + --json) =="
+# Every cell builds its own Testbed from fixed seeds and drivers gather
+# results in cell order, so the thread count decides only where a cell
+# runs. Each paper driver's stdout (less the line echoing the JSON path)
+# and JSON must be byte-identical at --threads=1 and --threads=4.
+for driver in fig4_skew fig5_single_user fig6_homogeneous fig7_hetero_fifo \
+              fig8_hetero_fair secVF_scheduler table1_policies \
+              table2_datasets table3_predicates ablate_grablimit \
+              ablate_estimator ablate_eval_interval ablate_locality_wait \
+              ablate_adaptive; do
+  for threads in 1 4; do
+    ./build/bench/bench_"${driver}" --threads="${threads}" \
+      --json="${obs_dir}/${driver}_t${threads}.json" \
+      | grep -v "^per-cell results written to " \
+      > "${obs_dir}/${driver}_t${threads}.txt"
+  done
+  diff "${obs_dir}/${driver}_t1.txt" "${obs_dir}/${driver}_t4.txt"
+  diff "${obs_dir}/${driver}_t1.json" "${obs_dir}/${driver}_t4.json"
+done
+echo "14 paper drivers: stdout and JSON byte-identical at --threads=1 and --threads=4"
+
 echo "== tier-1: profiling digest invisibility (prof on/off x threads x seeds) =="
 # DESIGN.md §17: the prof seam observes host time only, so every simulation
 # artifact must be byte-identical whether profiling is enabled or not — at
@@ -271,7 +295,7 @@ if [[ "${run_asan}" == "1" ]]; then
              ledger_test analysis_test lint_test \
              lint_diff_test lint_engine_test queue_equivalence_test \
              timeline_test flight_recorder_test layout_pruning_test \
-             prof_test grab_limit_expr_test parser_test
+             prof_test grab_limit_expr_test growth_policy_test parser_test
   ctest --preset asan
 else
   echo "== tier-1: ASan stage skipped (--no-asan) =="

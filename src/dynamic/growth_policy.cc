@@ -15,11 +15,13 @@ Result<GrowthPolicy> GrowthPolicy::Create(std::string name,
                                           std::string grab_limit_text,
                                           double eval_interval_seconds) {
   if (name.empty()) return Status::InvalidArgument("policy name is empty");
-  if (work_threshold_pct < 0.0 || work_threshold_pct > 100.0) {
+  // Written so that NaN fails each check (a policy file may say "nan").
+  if (!(work_threshold_pct >= 0.0 && work_threshold_pct <= 100.0)) {
     return Status::InvalidArgument("work threshold must be in [0, 100]");
   }
-  if (eval_interval_seconds <= 0.0) {
-    return Status::InvalidArgument("evaluation interval must be > 0");
+  if (!(eval_interval_seconds > 0.0 && std::isfinite(eval_interval_seconds))) {
+    return Status::InvalidArgument(
+        "evaluation interval must be finite and > 0");
   }
   DMR_ASSIGN_OR_RETURN(GrabLimitExpr expr,
                        GrabLimitExpr::Parse(grab_limit_text));

@@ -154,6 +154,9 @@ class Job {
   bool delay_waiting = false;
   double delay_wait_start = 0.0;
 
+  /// Parts of the running reduce (shuffle, merge) not yet finished.
+  int reduce_parts_left = 0;
+
  private:
   /// Marks a pending-store slot whose split was taken.
   static constexpr SplitId kTaken = ~SplitId{0};

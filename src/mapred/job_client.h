@@ -2,6 +2,7 @@
 #define DMR_MAPRED_JOB_CLIENT_H_
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -45,13 +46,26 @@ class JobClient {
   sim::Simulation* simulation() const { return sim_; }
 
  private:
-  struct DynamicLoop;
+  /// Per-dynamic-job evaluation-loop state.
+  struct DynamicLoop {
+    std::shared_ptr<InputProvider> provider;
+    double eval_interval = 4.0;
+    double work_threshold_pct = 0.0;
+    int splits_total = 0;
+    int completed_at_last_invoke = 0;
+    int provider_evaluations = 0;
+    int input_increments = 0;
+  };
 
-  void ScheduleEvaluation(std::shared_ptr<DynamicLoop> loop);
-  void RunEvaluation(std::shared_ptr<DynamicLoop> loop);
+  void ScheduleEvaluation(int job_id, double eval_interval);
+  void RunEvaluation(int job_id);
 
   JobTracker* tracker_;
   sim::Simulation* sim_;
+  /// The loop of every dynamic job that has not completed, by job id.
+  /// Evaluation events carry only the id, so an event that outlives its
+  /// job finds no loop and stops.
+  std::unordered_map<int, DynamicLoop> loops_;
 };
 
 }  // namespace dmr::mapred

@@ -462,24 +462,21 @@ void JobTracker::LaunchReduce(Job* job, int node_id) {
   Report({.step = LifecycleStep::kReduceStart, .job = job->id(),
           .node = node_id});
 
-  const auto& config = cluster_->config();
-  uint64_t output_records = job->output_records();
-  // The single reduce task shuffles every map-output record across the
-  // cluster interconnect and merges them (paper Algorithm 2).
-  double shuffle_bytes = static_cast<double>(output_records) * 132.0;
-  double cpu_demand = static_cast<double>(output_records) *
-                      config.reduce_cpu_cost_per_record;
-
-  sim_->Schedule(config.task_startup_seconds,
-                 sim::EventClass::kTaskLifecycle,
-                 [this, job, node_id, shuffle_bytes, cpu_demand] {
-    auto remaining = std::allocate_shared<int>(
-        sim::ArenaAllocator<int>(sim_->arena()), 2);
-    auto on_part_done = [this, job, node_id, remaining] {
-      if (--(*remaining) == 0) OnReduceComplete(job, node_id);
+  // Captures stay within the event's inline buffer. The job's output is
+  // final here (no map runs once it is reducing).
+  sim_->Schedule(cluster_->config().task_startup_seconds,
+                 sim::EventClass::kTaskLifecycle, [this, job, node_id] {
+    // The single reduce task shuffles every map-output record across the
+    // cluster interconnect and merges them (paper Algorithm 2).
+    const double output_records = static_cast<double>(job->output_records());
+    job->reduce_parts_left = 2;
+    auto on_part_done = [this, job, node_id] {
+      if (--job->reduce_parts_left == 0) OnReduceComplete(job, node_id);
     };
-    cluster_->network()->Submit(shuffle_bytes, on_part_done);
-    cluster_->node(node_id)->cpu()->Submit(cpu_demand, on_part_done);
+    cluster_->network()->Submit(output_records * 132.0, on_part_done);
+    cluster_->node(node_id)->cpu()->Submit(
+        output_records * cluster_->config().reduce_cpu_cost_per_record,
+        on_part_done);
   });
 }
 

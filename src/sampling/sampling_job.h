@@ -26,7 +26,7 @@ struct SamplingJobOptions {
   std::string user = "default";
   uint64_t sample_size = 10000;
   /// SQL text of the predicate (informational; stored in the JobConf).
-  std::string predicate_sql;
+  std::string predicate_sql = {};
   /// Seed for the Input Provider's uniform split draw.
   uint64_t seed = 1;
 };

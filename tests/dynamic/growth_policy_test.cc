@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 
 namespace dmr::dynamic {
 namespace {
@@ -22,6 +27,17 @@ TEST(GrowthPolicyTest, CreateValidates) {
   EXPECT_TRUE(GrowthPolicy::Create("p", "", 101, "AS").status()
                   .IsInvalidArgument());
   EXPECT_TRUE(GrowthPolicy::Create("p", "", 0, "AS", 0.0).status()
+                  .IsInvalidArgument());
+  // NaN and infinities fail every range check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(GrowthPolicy::Create("p", "", nan, "AS").status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(GrowthPolicy::Create("p", "", inf, "AS").status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(GrowthPolicy::Create("p", "", 0, "AS", nan).status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(GrowthPolicy::Create("p", "", 0, "AS", inf).status()
                   .IsInvalidArgument());
   EXPECT_TRUE(
       GrowthPolicy::Create("p", "", 0, "bogus expr").status().IsParseError());
@@ -130,9 +146,154 @@ TEST(PolicyTableTest, ParseRejectsForeignKeys) {
   EXPECT_TRUE(table.status().IsParseError());
 }
 
+TEST(PolicyTableTest, ParseRejectsNonFiniteValues) {
+  // strtod reads these; the policy checks must refuse them.
+  for (const char* line : {"policy.Bad.eval_interval = nan\n",
+                           "policy.Bad.eval_interval = inf\n",
+                           "policy.Bad.eval_interval = 1e999\n",
+                           "policy.Bad.work_threshold = nan\n",
+                           "policy.Bad.work_threshold = -inf\n"}) {
+    auto table =
+        PolicyTable::Parse(std::string("policy.Bad.grab_limit = AS\n") + line);
+    EXPECT_TRUE(table.status().IsInvalidArgument()) << line;
+  }
+}
+
 TEST(PolicyTableTest, ParseRejectsMalformedExpression) {
   auto table = PolicyTable::Parse("policy.Bad.grab_limit = AS +\n");
   EXPECT_FALSE(table.ok());
+}
+
+/// Seeded mutational fuzzing of the policy-file loader and the grab-limit
+/// parser. Inputs are valid seeds hit with a few random edits: dictionary
+/// words (non-finite and edge numbers, keys, operators) inserted or swapped
+/// in for a value, byte flips, deletions and splices. Every call must come
+/// back with OK or a parse/validation Status, and every accepted policy
+/// must satisfy the invariants GrowthPolicy::Create enforces.
+class PolicyTableFuzzTest : public ::testing::Test {
+ protected:
+  const std::string& Pick(const std::vector<std::string>& words) {
+    return words[rng_.NextBounded(words.size())];
+  }
+
+  std::string Mutate(std::string text, const std::vector<std::string>& seeds) {
+    const int edits = 1 + static_cast<int>(rng_.NextBounded(4));
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = rng_.NextBounded(text.size() + 1);
+      switch (rng_.NextBounded(5)) {
+        case 0:
+          text.insert(pos, Pick(kDictionary));
+          break;
+        case 1: {  // swap the value after the next '=' for a word
+          size_t eq = text.find('=', pos);
+          if (eq == std::string::npos) break;
+          size_t eol = text.find('\n', eq);
+          if (eol == std::string::npos) eol = text.size();
+          text.replace(eq + 1, eol - eq - 1, " " + Pick(kDictionary));
+          break;
+        }
+        case 2:
+          text.erase(pos, rng_.NextBounded(8));
+          break;
+        case 3:
+          if (!text.empty()) {
+            text[rng_.NextBounded(text.size())] =
+                static_cast<char>(rng_.NextBounded(256));
+          }
+          break;
+        default: {  // splice in a slice of another seed
+          const std::string& other = Pick(seeds);
+          const size_t from = rng_.NextBounded(other.size());
+          text.insert(pos, other.substr(from, rng_.NextBounded(40)));
+          break;
+        }
+      }
+    }
+    return text;
+  }
+
+  static void ExpectParseOrValidationError(const Status& status,
+                                           const std::string& input) {
+    EXPECT_TRUE(status.IsParseError() || status.IsInvalidArgument() ||
+                status.IsAlreadyExists())
+        << status.ToString() << "\ninput:\n" << input;
+  }
+
+  inline static const std::vector<std::string> kDictionary = {
+      "nan", "-nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1e999",
+      "-0", "0", "100", "100.5", "1e-320", "4", "", "policy.",
+      ".work_threshold", ".eval_interval", ".grab_limit", ".description",
+      " = ", "\n", "#", "AS", "TS", "INF", "max(", "min(", "?", ":", "(",
+      ")", ",", "*", "/", "-", " and ", " or ", "<=", "=="};
+
+  Rng rng_{20120401};
+};
+
+TEST_F(PolicyTableFuzzTest, MutatedPolicyFilesReturnStatus) {
+  const std::vector<std::string> seeds = {
+      "policy.LA.description = Less Aggressive policy\n"
+      "policy.LA.work_threshold = 10\n"
+      "policy.LA.grab_limit = AS > 0 ? 0.2 * AS : 0.1 * TS\n"
+      "policy.LA.eval_interval = 4\n",
+      "# Table I\n"
+      "policy.Hadoop.grab_limit = INF\n"
+      "policy.HA.work_threshold = 0\n"
+      "policy.HA.grab_limit = max(0.5 * TS, AS)\n"
+      "policy.C.grab_limit = min(0.1 * AS, 32)\n"
+      "policy.C.eval_interval = 2.5\n"};
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string input = Mutate(Pick(seeds), seeds);
+    Result<PolicyTable> table = PolicyTable::Parse(input);
+    if (!table.ok()) {
+      ++refused;
+      ExpectParseOrValidationError(table.status(), input);
+      continue;
+    }
+    ++accepted;
+    for (const GrowthPolicy& policy : table->policies()) {
+      EXPECT_FALSE(policy.name().empty()) << input;
+      EXPECT_TRUE(std::isfinite(policy.eval_interval()) &&
+                  policy.eval_interval() > 0.0)
+          << policy.eval_interval() << "\ninput:\n" << input;
+      EXPECT_TRUE(policy.work_threshold_pct() >= 0.0 &&
+                  policy.work_threshold_pct() <= 100.0)
+          << policy.work_threshold_pct() << "\ninput:\n" << input;
+      for (int available : {0, 7, 40}) {
+        EXPECT_GE(policy.GrabLimit(Status40(available)), 0) << input;
+      }
+    }
+  }
+  // Both paths ran: the fuzzer neither only breaks nor only keeps inputs.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(refused, 100);
+}
+
+TEST_F(PolicyTableFuzzTest, MutatedGrabLimitsReturnStatus) {
+  const std::vector<std::string> seeds = {
+      "INF", "max(0.5 * TS, AS)", "AS > 0 ? 0.5 * AS : 0.2 * TS",
+      "AS > 0 ? 0.2 * AS : 0.1 * TS", "0.1 * AS",
+      "min(AS, 32) and TS >= 4 or -(AS / 2)"};
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string input = Mutate(Pick(seeds), seeds);
+    Result<GrabLimitExpr> expr = GrabLimitExpr::Parse(input);
+    if (!expr.ok()) {
+      ++refused;
+      EXPECT_TRUE(expr.status().IsParseError())
+          << expr.status().ToString() << "\ninput: " << input;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(expr->text(), input);
+    for (double available : {0.0, 7.0, 40.0}) {
+      expr->Evaluate({available, 40.0});  // must not crash; NaN is allowed
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(refused, 100);
 }
 
 }  // namespace

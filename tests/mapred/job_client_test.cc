@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -117,6 +118,25 @@ TEST_F(JobClientTest, RejectsNonPositiveEvalInterval) {
   sub.conf.set_eval_interval(0.0);
   EXPECT_TRUE(
       client_.Submit(std::move(sub), nullptr).status().IsInvalidArgument());
+  // NaN and infinite intervals or thresholds would schedule an evaluation
+  // at a NaN time or never; both are refused before the provider runs.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double interval : {nan, inf, -inf}) {
+    JobSubmission bad = MakeSubmission(provider);
+    bad.conf.set_eval_interval(interval);
+    EXPECT_TRUE(
+        client_.Submit(std::move(bad), nullptr).status().IsInvalidArgument())
+        << interval;
+  }
+  for (double threshold : {nan, inf, -1.0, 101.0}) {
+    JobSubmission bad = MakeSubmission(provider);
+    bad.conf.set_work_threshold_pct(threshold);
+    EXPECT_TRUE(
+        client_.Submit(std::move(bad), nullptr).status().IsInvalidArgument())
+        << threshold;
+  }
+  EXPECT_FALSE(provider->initialized_);
 }
 
 TEST_F(JobClientTest, StaticJobBypassesProviderLoop) {
@@ -184,6 +204,62 @@ TEST_F(JobClientTest, WorkThresholdGatesEvaluations) {
   // Exactly the two scripted invocations (each at a starvation point); the
   // periodic ticks in between must have been gated by the threshold.
   EXPECT_EQ(stats->provider_evaluations, 2);
+}
+
+TEST_F(JobClientTest, EndOfInputBeforeCompletionThenResubmit) {
+  // The first provider ends the input while the job still has maps to run;
+  // no evaluation follows, yet the completion stats carry its counts. The
+  // completion callback resubmits, as a closed-loop user does, so the next
+  // job's loop starts while the first one's is being dropped.
+  auto first = std::make_shared<ScriptedProvider>(std::vector<InputResponse>{
+      InputResponse::Available({1, 2}), InputResponse::EndOfInput()});
+  auto second = std::make_shared<ScriptedProvider>(
+      std::vector<InputResponse>{InputResponse::EndOfInput()});
+  std::optional<JobStats> first_stats;
+  std::optional<JobStats> second_stats;
+  auto id = client_.Submit(MakeSubmission(first), [&](const JobStats& s) {
+    first_stats = s;
+    auto next = client_.Submit(MakeSubmission(second), [&](const JobStats& t) {
+      second_stats = t;
+    });
+    ASSERT_TRUE(next.ok());
+  });
+  ASSERT_TRUE(id.ok());
+  sim_.RunUntil(4 * 3600);
+  ASSERT_TRUE(first_stats.has_value());
+  ASSERT_TRUE(second_stats.has_value());
+  EXPECT_EQ(first_stats->splits_processed, 3);
+  EXPECT_EQ(first_stats->input_increments, 2);  // initial + one Available
+  EXPECT_EQ(first_stats->provider_evaluations, 2);
+  EXPECT_EQ(first->evaluations_, 2);  // none after the end of input
+  EXPECT_EQ(second_stats->splits_processed, 1);
+  EXPECT_EQ(second_stats->input_increments, 1);
+  EXPECT_EQ(second_stats->provider_evaluations, 1);
+  EXPECT_EQ(second->evaluations_, 1);
+}
+
+TEST_F(JobClientTest, JobCompletesWhileEvaluationPending) {
+  // Another party ends the input, so the job completes while its loop
+  // still has an evaluation scheduled. That event must find no loop and
+  // leave the provider alone.
+  auto provider = std::make_shared<ScriptedProvider>(
+      std::vector<InputResponse>(1000, InputResponse::NoInput()));
+  JobSubmission sub = MakeSubmission(provider);
+  sub.conf.set_eval_interval(0.5);  // several evaluations before completion
+  std::optional<JobStats> stats;
+  int evaluations_at_completion = -1;
+  auto id = client_.Submit(std::move(sub), [&](const JobStats& s) {
+    stats = s;
+    evaluations_at_completion = provider->evaluations_;
+  });
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(tracker_.FinalizeInput(*id).ok());
+  sim_.RunUntil(3600);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->splits_processed, 1);
+  EXPECT_GT(evaluations_at_completion, 0);
+  EXPECT_EQ(stats->provider_evaluations, evaluations_at_completion);
+  EXPECT_EQ(provider->evaluations_, evaluations_at_completion);
 }
 
 TEST_F(JobClientTest, ProgressSnapshotReachesProvider) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "expr/expression.h"
 #include "tpch/generator.h"
@@ -90,25 +91,44 @@ TEST(SamplingReducerTest, ReservoirKeepsExactlyK) {
   EXPECT_EQ(reducer.Finish().size(), 5u);
 }
 
+/// Chi-square statistic of per-position inclusion counts against a uniform
+/// k-of-n sample, which includes each position with probability k / n.
+double InclusionChiSquare(const std::vector<int>& hits, int k, int trials) {
+  const double expected =
+      static_cast<double>(k) * trials / static_cast<double>(hits.size());
+  double chi_square = 0.0;
+  for (int h : hits) chi_square += (h - expected) * (h - expected) / expected;
+  return chi_square;
+}
+
 TEST(SamplingReducerTest, ReservoirIsUnbiased) {
-  // Footnote 1: "one could do a 'random' k instead". Check that late
-  // candidates are represented ~ uniformly (first-k would never pick them).
-  const int kTrials = 2000;
-  const int kStream = 100;
-  const uint64_t kK = 10;
-  int late_picks = 0;
+  // Footnote 1: "one could do a 'random' k instead". Over 2,000 seeds, a
+  // 100-candidate stream and k = 10, each position is expected in 200
+  // samples. The statistic must stay below the 0.9995 quantile of the
+  // chi-square distribution with 99 degrees of freedom; first-k, or any
+  // bias toward early or late candidates, lands far above it.
+  constexpr int kTrials = 2000;
+  constexpr int kStream = 100;
+  constexpr int kK = 10;
+  constexpr double kChiSquare99Quantile9995 = 151.93;
+  std::vector<int> tuple_hits(kStream, 0);
+  std::vector<int> ref_hits(kStream, 0);
   for (int t = 0; t < kTrials; ++t) {
-    SamplingReducer reducer(kK, SampleMode::kReservoir, 1000 + t);
-    for (int64_t i = 0; i < kStream; ++i) reducer.Add(RowWithQuantity(i));
-    for (const auto& row : reducer.Finish()) {
-      if (std::get<int64_t>(row[tpch::kQuantity]) >= kStream / 2) {
-        ++late_picks;
-      }
+    SamplingReducer tuples(kK, SampleMode::kReservoir, 1000 + t);
+    RefSamplingReducer refs(kK, SampleMode::kReservoir, 1000 + t);
+    for (int64_t i = 0; i < kStream; ++i) {
+      tuples.Add(RowWithQuantity(i));
+      refs.Add(RowRef{0, static_cast<uint32_t>(i)});
     }
+    for (const auto& row : tuples.Finish()) {
+      ++tuple_hits[std::get<int64_t>(row[tpch::kQuantity])];
+    }
+    for (const RowRef& ref : refs.Finish()) ++ref_hits[ref.row];
   }
-  // Expect ~half of all picked elements from the late half: 10 * 2000 / 2.
-  double fraction = static_cast<double>(late_picks) / (kK * kTrials);
-  EXPECT_NEAR(fraction, 0.5, 0.05);
+  EXPECT_LT(InclusionChiSquare(tuple_hits, kK, kTrials),
+            kChiSquare99Quantile9995);
+  EXPECT_LT(InclusionChiSquare(ref_hits, kK, kTrials),
+            kChiSquare99Quantile9995);
 }
 
 TEST(SamplingReducerTest, FirstKNeverPicksLateCandidates) {
