@@ -83,9 +83,14 @@ std::vector<tpch::LineItemRow> PredicateBenchRows(size_t suite_index) {
   tpch::LineItemGenerator gen(5);
   const auto& pred = tpch::PredicateSuite()[suite_index];
   // ~2% matching so the selection paths see both outcomes.
-  auto rows = gen.GeneratePartition(kPredicateBenchRows,
-                                    kPredicateBenchRows / 50, pred);
-  return *rows;
+  auto partition = gen.GenerateColumnarPartition(
+      kPredicateBenchRows, kPredicateBenchRows / 50, pred);
+  std::vector<tpch::LineItemRow> rows;
+  rows.reserve(partition->num_rows());
+  for (uint32_t row = 0; row < partition->num_rows(); ++row) {
+    rows.push_back(partition->RowAt(row));
+  }
+  return rows;
 }
 
 /// Per-row tree interpretation over variant tuples (the original path and

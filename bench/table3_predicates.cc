@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
               DMR_ASSIGN_OR_RETURN(
                   exec::PredicateProgram program,
                   exec::PredicateProgram::Compile(*pred.predicate));
-              for (const auto& partition : dataset->columnar) {
+              for (const auto& partition : dataset->partitions) {
                 DMR_ASSIGN_OR_RETURN(uint64_t matches,
                                      exec::CountMatches(program, partition));
                 cell.matches += matches;
@@ -90,12 +90,12 @@ int main(int argc, char** argv) {
               }
             } else {
               for (const auto& partition : dataset->partitions) {
-                for (const auto& row : partition) {
+                for (uint32_t row = 0; row < partition.num_rows(); ++row) {
                   DMR_ASSIGN_OR_RETURN(
                       bool matched,
                       expr::EvaluatePredicate(*pred.predicate,
                                               tpch::LineItemSchema(),
-                                              tpch::ToTuple(row)));
+                                              partition.TupleAt(row)));
                   if (matched) ++cell.matches;
                   ++cell.total;
                 }

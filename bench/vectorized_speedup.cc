@@ -77,11 +77,11 @@ int main(int argc, char** argv) {
             auto start = std::chrono::steady_clock::now();
             const auto& schema = tpch::LineItemSchema();
             for (const auto& partition : dataset->partitions) {
-              for (const auto& row : partition) {
+              for (uint32_t row = 0; row < partition.num_rows(); ++row) {
                 DMR_ASSIGN_OR_RETURN(
                     bool matched,
                     expr::EvaluatePredicate(*pred.predicate, schema,
-                                            tpch::ToTuple(row)));
+                                            partition.TupleAt(row)));
                 if (matched) ++cell.matches_interp;
               }
             }
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
                 exec::PredicateProgram::Compile(*pred.predicate));
             // dmr-lint: allow(wall-clock) real-throughput measurement
             start = std::chrono::steady_clock::now();
-            for (const auto& partition : dataset->columnar) {
+            for (const auto& partition : dataset->partitions) {
               DMR_ASSIGN_OR_RETURN(uint64_t matches,
                                    exec::CountMatches(program, partition));
               cell.matches_vectorized += matches;

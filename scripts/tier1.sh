@@ -23,7 +23,7 @@
 # count or sample digest; the JSON must not change across thread counts,
 # and the simulated cells are banded against configs/baselines/), then the
 # concurrency-sensitive tests under ThreadSanitizer and the
-# sim/mapred/obs/parser tests under ASan+UBSan.
+# sim/mapred/obs/parser/dataset-reader tests under ASan+UBSan.
 #
 # Usage: scripts/tier1.sh [--no-tsan] [--no-asan]
 set -euo pipefail
@@ -271,19 +271,19 @@ python3 scripts/check_layout_pruning.py \
   "${obs_dir}/layout_metrics_t1.json"
 
 if [[ "${run_tsan}" == "1" ]]; then
-  echo "== tier-1: ThreadSanitizer pass (pool + kernel + metrics + vectorized + ledger tests) =="
+  echo "== tier-1: ThreadSanitizer pass (pool + kernel + metrics + vectorized + ledger + local runtime tests) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${jobs}" \
     --target parallel_test simulation_test metrics_test vectorized_test \
              ledger_test queue_equivalence_test timeline_test \
-             layout_pruning_test prof_test
+             layout_pruning_test prof_test local_runtime_pin_test
   ctest --preset tsan
 else
   echo "== tier-1: TSan stage skipped (--no-tsan) =="
 fi
 
 if [[ "${run_asan}" == "1" ]]; then
-  echo "== tier-1: ASan+UBSan pass (sim + mapred + obs + parser tests) =="
+  echo "== tier-1: ASan+UBSan pass (sim + mapred + obs + parser + dataset reader tests) =="
   cmake --preset asan
   cmake --build --preset asan -j "${jobs}" \
     --target simulation_test tie_race_test ps_resource_test \
@@ -295,7 +295,8 @@ if [[ "${run_asan}" == "1" ]]; then
              ledger_test analysis_test lint_test \
              lint_diff_test lint_engine_test queue_equivalence_test \
              timeline_test flight_recorder_test layout_pruning_test \
-             prof_test grab_limit_expr_test growth_policy_test parser_test
+             prof_test grab_limit_expr_test growth_policy_test parser_test \
+             dataset_io_test
   ctest --preset asan
 else
   echo "== tier-1: ASan stage skipped (--no-asan) =="

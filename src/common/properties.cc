@@ -1,5 +1,7 @@
 #include "common/properties.h"
 
+#include <cstdio>
+
 #include "common/strings.h"
 
 namespace dmr {
@@ -13,7 +15,11 @@ void Properties::SetInt(std::string_view key, int64_t value) {
 }
 
 void Properties::SetDouble(std::string_view key, double value) {
-  Set(key, std::to_string(value));
+  // %.17g round-trips every double through GetDouble; six fixed decimals
+  // would read 1e-7 back as 0.
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  Set(key, buf);
 }
 
 void Properties::SetBool(std::string_view key, bool value) {

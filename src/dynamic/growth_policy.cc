@@ -35,10 +35,10 @@ int64_t GrowthPolicy::GrabLimit(const mapred::ClusterStatus& cluster) const {
   vars.available_slots = static_cast<double>(cluster.available_map_slots());
   vars.total_slots = static_cast<double>(cluster.total_map_slots);
   double raw = grab_limit_.Evaluate(vars);
-  if (std::isinf(raw) && raw > 0) {
-    return std::numeric_limits<int64_t>::max();
-  }
-  if (raw <= 0.0) return 0;
+  // NaN grants nothing; anything from 2^63 up (infinity included) is past
+  // what llround can represent and means unbounded.
+  if (std::isnan(raw) || raw <= 0.0) return 0;
+  if (raw >= 0x1p63) return std::numeric_limits<int64_t>::max();
   return std::max<int64_t>(1, static_cast<int64_t>(std::llround(raw)));
 }
 

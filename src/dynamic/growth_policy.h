@@ -31,9 +31,10 @@ class GrowthPolicy {
   const std::string& grab_limit_text() const { return grab_limit_.text(); }
 
   /// Max partitions a single intake may add given the cluster state; INT64
-  /// max encodes "unbounded" (the Hadoop policy). Fractional limits round to
-  /// nearest, with a floor of 1 when the raw value is positive so a starved
-  /// job on a nearly-full cluster can still make progress.
+  /// max encodes "unbounded" (the Hadoop policy, or any limit of at least
+  /// 2^63). Fractional limits round to nearest, with a floor of 1 when the
+  /// raw value is positive so a starved job on a nearly-full cluster can
+  /// still make progress; a NaN limit is 0.
   int64_t GrabLimit(const mapred::ClusterStatus& cluster) const;
 
   /// True for the unbounded (Hadoop-style) policy.

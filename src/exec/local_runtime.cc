@@ -20,27 +20,26 @@ LocalRuntime::LocalRuntime(LocalRunOptions options) : options_(options) {
 }
 
 Result<LocalRuntime::PartitionOutput> LocalRuntime::RunMapTask(
-    const std::vector<tpch::LineItemRow>& partition,
-    const expr::ExprPtr& predicate, uint64_t k) const {
+    const tpch::ColumnarPartition& partition, const expr::ExprPtr& predicate,
+    uint64_t k) const {
   PartitionOutput out;
+  const uint32_t num_rows = partition.num_rows();
+  const uint64_t cap = k == 0 ? num_rows : k;
   if (!predicate) {
     // No WHERE clause: every record is a candidate (up to the per-map cap).
-    out.records_seen = partition.size();
-    out.records_matched = partition.size();
-    out.rows_physical = partition.size();
-    uint64_t cap = k == 0 ? partition.size() : k;
-    for (const auto& row : partition) {
-      if (out.emitted.size() >= cap) break;
-      out.emitted.push_back(tpch::ToTuple(row));
+    out.records_seen = num_rows;
+    out.records_matched = num_rows;
+    out.rows_physical = num_rows;
+    for (uint32_t row = 0; row < num_rows && out.emitted.size() < cap;
+         ++row) {
+      out.emitted.push_back(partition.TupleAt(row));
     }
     return out;
   }
-  sampling::SamplingMapper mapper(
-      predicate, &tpch::LineItemSchema(),
-      k == 0 ? static_cast<uint64_t>(partition.size()) : k);
-  for (const auto& row : partition) {
+  sampling::SamplingMapper mapper(predicate, &tpch::LineItemSchema(), cap);
+  for (uint32_t row = 0; row < num_rows; ++row) {
     DMR_ASSIGN_OR_RETURN(bool matched,
-                         mapper.Map(tpch::ToTuple(row), &out.emitted));
+                         mapper.Map(partition.TupleAt(row), &out.emitted));
     (void)matched;
   }
   out.records_seen = mapper.records_seen();
@@ -154,7 +153,7 @@ Result<LocalRunResult> LocalRuntime::Execute(
   for (size_t i = 0; i < dataset.partitions.size(); ++i) {
     InputSplit split;
     split.index = static_cast<int>(i);
-    split.num_records = dataset.partitions[i].size();
+    split.num_records = dataset.partitions[i].num_rows();
     split.size_bytes = split.num_records * tpch::kLineItemRecordBytes;
     splits->Add(split);
   }
@@ -166,20 +165,6 @@ Result<LocalRunResult> LocalRuntime::Execute(
                          PredicateProgram::Compile(*query.predicate));
     program = std::make_unique<PredicateProgram>(std::move(compiled));
   }
-  // Datasets built by MaterializeDataset carry their columnar form; others
-  // (e.g. loaded from disk) are converted here once per Execute.
-  tpch::ColumnarDataset local_columnar;
-  const tpch::ColumnarDataset* columnar = &dataset.columnar;
-  if (vectorized && dataset.columnar.size() != dataset.partitions.size()) {
-    local_columnar.reserve(dataset.partitions.size());
-    for (const auto& rows : dataset.partitions) {
-      DMR_ASSIGN_OR_RETURN(tpch::ColumnarPartition part,
-                           tpch::ColumnarPartition::FromRows(rows));
-      local_columnar.push_back(std::move(part));
-    }
-    columnar = &local_columnar;
-  }
-
   const uint64_t k = query.limit;
   mapred::ClusterStatus status;
   status.total_map_slots = options_.num_threads;
@@ -210,15 +195,13 @@ Result<LocalRunResult> LocalRuntime::Execute(
         const int index = (*splits)[batch[b]].index;
         futures.push_back(std::async(
             std::launch::async,
-            [this, index, &dataset, columnar, &query, k, vectorized,
-             prog = program.get()]() -> Result<PartitionOutput> {
+            [this, &partition = dataset.partitions[index], index, &query, k,
+             vectorized, prog = program.get()]() -> Result<PartitionOutput> {
               if (vectorized) {
-                return RunMapTaskVectorized((*columnar)[index],
-                                            static_cast<uint32_t>(index),
-                                            prog, k);
+                return RunMapTaskVectorized(
+                    partition, static_cast<uint32_t>(index), prog, k);
               }
-              return RunMapTask(dataset.partitions[index], query.predicate,
-                                k);
+              return RunMapTask(partition, query.predicate, k);
             }));
       }
       for (auto& future : futures) {
@@ -306,7 +289,7 @@ Result<LocalRunResult> LocalRuntime::Execute(
     }
     result.rows.reserve(final_refs.size());
     for (sampling::RowRef ref : final_refs) {
-      const tpch::ColumnarPartition& part = (*columnar)[ref.partition];
+      const tpch::ColumnarPartition& part = dataset.partitions[ref.partition];
       expr::Tuple projected;
       projected.reserve(query.projection.size());
       for (int index : query.projection) {

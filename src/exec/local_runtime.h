@@ -26,9 +26,11 @@ struct LocalRunOptions {
   /// Reduce-side trim mode (Algorithm 2 or the footnote's reservoir).
   sampling::SampleMode sample_mode = sampling::SampleMode::kFirstK;
   uint64_t seed = 7;
-  /// Predicate engine for the record-level scan. Both engines produce the
-  /// same result rows in the same order for the same (seed, dataset); the
-  /// interpreted engine remains as the correctness oracle.
+  /// Predicate engine for the record-level scan. Both scan the dataset's
+  /// columnar partitions and produce the same result rows in the same order
+  /// for the same (seed, dataset). The interpreted engine remains as the
+  /// correctness oracle: it evaluates the expression tree per row over
+  /// ColumnarPartition::TupleAt.
   Engine engine = Engine::kVectorized;
   /// Zone-map pruning (DESIGN.md §16): evaluate the compiled predicate
   /// against per-partition stats and skip partitions/batches that provably
@@ -113,12 +115,12 @@ class LocalRuntime {
     uint32_t index_hit = 0;
   };
 
-  /// Applies Algorithm 1 to one partition (interpreted engine).
-  Result<PartitionOutput> RunMapTask(
-      const std::vector<tpch::LineItemRow>& partition,
-      const expr::ExprPtr& predicate, uint64_t k) const;
+  /// Applies Algorithm 1 to one partition, row by row (interpreted engine).
+  Result<PartitionOutput> RunMapTask(const tpch::ColumnarPartition& partition,
+                                     const expr::ExprPtr& predicate,
+                                     uint64_t k) const;
 
-  /// Applies Algorithm 1 to one columnar partition (vectorized engine);
+  /// Applies Algorithm 1 to one partition in batches (vectorized engine);
   /// `program` may be null for predicate-less scans.
   Result<PartitionOutput> RunMapTaskVectorized(
       const tpch::ColumnarPartition& partition, uint32_t partition_id,

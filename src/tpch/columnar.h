@@ -63,10 +63,9 @@ class StringDictionary {
 /// per-slot min/max for the numeric and date columns plus a per-dictionary
 /// value-presence bitmap (bit `code` set <=> `code` occurs in the range).
 /// The partition-level map covers [0, num_rows) and is maintained
-/// incrementally by AppendRow, so both FromRows and the direct-generation
-/// path (LineItemGenerator::GenerateColumnarPartition) populate it for
-/// free; BuildZoneMap produces refined per-range maps for the piggybacked
-/// index (exec/layout_catalog.h).
+/// incrementally by AppendRow, so the generator, the dataset reader and
+/// FromRows all populate it for free; BuildZoneMap produces refined
+/// per-range maps for the piggybacked index (exec/layout_catalog.h).
 ///
 /// Dictionary codes are assigned in first-seen order by StringDictionary,
 /// so the bitmaps — and therefore every zone-map byte — are deterministic
@@ -140,8 +139,10 @@ struct ZoneMapColumns {
 
 /// \brief One LINEITEM partition in columnar form: fixed-width arrays for
 /// numeric and date columns, dictionary codes for string columns. This is
-/// the unit the vectorized engine scans in batches; the row-oriented
-/// std::vector<LineItemRow> form remains the interchange/serde format.
+/// the only in-memory form of a partition: the generator and the dataset
+/// reader append rows straight into it, the vectorized engine scans it in
+/// batches, and the interpreted engine and the on-disk text format read
+/// rows back with TupleAt and RowAt.
 class ColumnarPartition {
  public:
   ColumnarPartition();
@@ -152,7 +153,11 @@ class ColumnarPartition {
   static Result<ColumnarPartition> FromRows(
       const std::vector<LineItemRow>& rows);
 
-  /// Appends one row (the direct-generation path).
+  /// Reserves every column for `rows` rows.
+  void Reserve(uint32_t rows);
+
+  /// Appends one row. Fails, appending nothing, if a date column holds a
+  /// string that is not strict 'YYYY-MM-DD'.
   Status AppendRow(const LineItemRow& row);
 
   uint32_t num_rows() const { return num_rows_; }
@@ -169,7 +174,8 @@ class ColumnarPartition {
   LineItemRow RowAt(uint32_t row) const;
 
   /// Materializes row `row` as a typed tuple in schema order — identical
-  /// to tpch::ToTuple(RowAt(row)) without the intermediate struct.
+  /// to tpch::ToTuple(RowAt(row)) without the intermediate struct. This is
+  /// the row the interpreted engine evaluates.
   expr::Tuple TupleAt(uint32_t row) const;
 
   /// Materializes a single column value of row `row`.
@@ -204,10 +210,6 @@ class ColumnarPartition {
   std::vector<StringDictionary> dicts_;
   ZoneMap zone_map_;
 };
-
-/// \brief A dataset in columnar form, parallel to
-/// MaterializedDataset::partitions.
-using ColumnarDataset = std::vector<ColumnarPartition>;
 
 }  // namespace dmr::tpch
 

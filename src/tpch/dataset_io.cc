@@ -37,8 +37,9 @@ Status WriteDatasetToDirectory(const MaterializedDataset& dataset,
       return Status::IoError("cannot open '" + path.string() +
                              "' for writing");
     }
-    for (const auto& row : dataset.partitions[p]) {
-      out << SerializeRow(row) << '\n';
+    const ColumnarPartition& part = dataset.partitions[p];
+    for (uint32_t row = 0; row < part.num_rows(); ++row) {
+      out << SerializeRow(part.RowAt(row)) << '\n';
     }
     if (!out) {
       return Status::IoError("short write to '" + path.string() + "'");
@@ -64,25 +65,25 @@ Status WriteDatasetToDirectory(const MaterializedDataset& dataset,
              : Status::IoError("short write to MANIFEST in '" + dir + "'");
 }
 
-Result<std::vector<LineItemRow>> ReadPartitionFile(const std::string& path) {
+Result<ColumnarPartition> ReadPartitionFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return Status::IoError("cannot open '" + path + "' for reading");
   }
-  std::vector<LineItemRow> rows;
+  ColumnarPartition part;
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    auto row = ParseRow(line);
-    if (!row.ok()) {
+    Result<LineItemRow> row = ParseRow(line);
+    Status appended = row.ok() ? part.AppendRow(*row) : row.status();
+    if (!appended.ok()) {
       return Status::ParseError(path + ":" + std::to_string(line_no) + ": " +
-                                row.status().message());
+                                appended.message());
     }
-    rows.push_back(*std::move(row));
   }
-  return rows;
+  return part;
 }
 
 Result<MaterializedDataset> ReadDatasetFromDirectory(const std::string& dir) {
@@ -98,6 +99,14 @@ Result<MaterializedDataset> ReadDatasetFromDirectory(const std::string& dir) {
   if (num_partitions < 0) {
     return Status::ParseError("MANIFEST lacks num_partitions");
   }
+  // Each partition needs its own matching.<p> entry, so the count of
+  // entries bounds what the reserves below may ask for.
+  if (static_cast<uint64_t>(num_partitions) > manifest.size()) {
+    return Status::ParseError("MANIFEST num_partitions " +
+                              std::to_string(num_partitions) +
+                              " exceeds its " +
+                              std::to_string(manifest.size()) + " entries");
+  }
 
   MaterializedDataset dataset;
   std::string pred_name = manifest.Get("predicate.name");
@@ -112,10 +121,6 @@ Result<MaterializedDataset> ReadDatasetFromDirectory(const std::string& dir) {
   dataset.partitions.reserve(num_partitions);
   dataset.matching_per_partition.reserve(num_partitions);
   for (int p = 0; p < num_partitions; ++p) {
-    fs::path path = fs::path(dir) / PartitionFileName(p);
-    DMR_ASSIGN_OR_RETURN(std::vector<LineItemRow> rows,
-                         ReadPartitionFile(path.string()));
-    dataset.partitions.push_back(std::move(rows));
     DMR_ASSIGN_OR_RETURN(
         int64_t matching,
         manifest.GetInt("matching." + std::to_string(p), -1));
@@ -123,6 +128,16 @@ Result<MaterializedDataset> ReadDatasetFromDirectory(const std::string& dir) {
       return Status::ParseError("MANIFEST lacks matching count for partition " +
                                 std::to_string(p));
     }
+    fs::path path = fs::path(dir) / PartitionFileName(p);
+    DMR_ASSIGN_OR_RETURN(ColumnarPartition part,
+                         ReadPartitionFile(path.string()));
+    if (static_cast<uint64_t>(matching) > part.num_rows()) {
+      return Status::ParseError(
+          "MANIFEST matching count " + std::to_string(matching) +
+          " exceeds the " + std::to_string(part.num_rows()) + " rows of " +
+          path.string());
+    }
+    dataset.partitions.push_back(std::move(part));
     dataset.matching_per_partition.push_back(
         static_cast<uint64_t>(matching));
   }

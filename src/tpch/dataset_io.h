@@ -20,11 +20,15 @@ namespace dmr::tpch {
 Status WriteDatasetToDirectory(const MaterializedDataset& dataset,
                                const std::string& dir);
 
-/// Reads a dataset directory written by WriteDatasetToDirectory.
+/// Reads a dataset directory written by WriteDatasetToDirectory. A MANIFEST
+/// whose partition count exceeds its entries, or whose matching count for a
+/// partition exceeds that partition's rows, is a ParseError.
 Result<MaterializedDataset> ReadDatasetFromDirectory(const std::string& dir);
 
-/// Reads one partition file (rows in SerializeRow format, one per line).
-Result<std::vector<LineItemRow>> ReadPartitionFile(const std::string& path);
+/// Reads one partition file (rows in SerializeRow format, one per line;
+/// blank lines are skipped). A malformed row, or a date that is not strict
+/// 'YYYY-MM-DD', is a ParseError naming `path:line`.
+Result<ColumnarPartition> ReadPartitionFile(const std::string& path);
 
 /// Name of partition `index`'s file within a dataset directory.
 std::string PartitionFileName(int index);

@@ -63,35 +63,6 @@ LineItemRow LineItemGenerator::NextBaseRow() {
   return row;
 }
 
-Result<std::vector<LineItemRow>> LineItemGenerator::GeneratePartition(
-    uint64_t num_records, uint64_t num_matching, const SkewPredicate& pred) {
-  if (num_matching > num_records) {
-    return Status::InvalidArgument(
-        "num_matching exceeds num_records (" + std::to_string(num_matching) +
-        " > " + std::to_string(num_records) + ")");
-  }
-  std::vector<LineItemRow> rows;
-  rows.reserve(num_records);
-  uint64_t remaining_matching = num_matching;
-  for (uint64_t i = 0; i < num_records; ++i) {
-    LineItemRow row = NextBaseRow();
-    uint64_t remaining_rows = num_records - i;
-    // Exact uniform placement: include this row among the matching set with
-    // probability remaining_matching / remaining_rows.
-    bool matching =
-        remaining_matching > 0 &&
-        rng_.NextBounded(remaining_rows) < remaining_matching;
-    if (matching) {
-      pred.make_matching(&rng_, &row);
-      --remaining_matching;
-    } else {
-      pred.make_non_matching(&rng_, &row);
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 Result<ColumnarPartition> LineItemGenerator::GenerateColumnarPartition(
     uint64_t num_records, uint64_t num_matching, const SkewPredicate& pred) {
   if (num_matching > num_records) {
@@ -100,10 +71,13 @@ Result<ColumnarPartition> LineItemGenerator::GenerateColumnarPartition(
         " > " + std::to_string(num_records) + ")");
   }
   ColumnarPartition part;
+  part.Reserve(static_cast<uint32_t>(num_records));
   uint64_t remaining_matching = num_matching;
   for (uint64_t i = 0; i < num_records; ++i) {
     LineItemRow row = NextBaseRow();
     uint64_t remaining_rows = num_records - i;
+    // Exact uniform placement: include this row among the matching set with
+    // probability remaining_matching / remaining_rows.
     bool matching =
         remaining_matching > 0 &&
         rng_.NextBounded(remaining_rows) < remaining_matching;
@@ -120,7 +94,7 @@ Result<ColumnarPartition> LineItemGenerator::GenerateColumnarPartition(
 
 uint64_t MaterializedDataset::total_records() const {
   uint64_t total = 0;
-  for (const auto& p : partitions) total += p.size();
+  for (const auto& p : partitions) total += p.num_rows();
   return total;
 }
 
@@ -145,15 +119,11 @@ Result<MaterializedDataset> MaterializeDataset(const SkewSpec& spec,
   ds.matching_per_partition = matching;
   ds.partitions.reserve(spec.num_partitions);
   LineItemGenerator gen(spec.seed ^ 0xABCD1234ULL);
-  ds.columnar.reserve(spec.num_partitions);
   for (int i = 0; i < spec.num_partitions; ++i) {
-    DMR_ASSIGN_OR_RETURN(
-        std::vector<LineItemRow> rows,
-        gen.GeneratePartition(spec.records_per_partition, matching[i], pred));
-    DMR_ASSIGN_OR_RETURN(ColumnarPartition columnar,
-                         ColumnarPartition::FromRows(rows));
-    ds.columnar.push_back(std::move(columnar));
-    ds.partitions.push_back(std::move(rows));
+    DMR_ASSIGN_OR_RETURN(ColumnarPartition part,
+                         gen.GenerateColumnarPartition(
+                             spec.records_per_partition, matching[i], pred));
+    ds.partitions.push_back(std::move(part));
   }
   return ds;
 }
@@ -239,10 +209,7 @@ Result<SharedDataset> MaterializeDatasetShared(const SkewSpec& spec,
     Result<MaterializedDataset> ds = MaterializeDataset(spec, pred);
     if (ds.ok()) {
       uint64_t bytes = 0;
-      for (const auto& part : ds->partitions) {
-        bytes += part.size() * kLineItemRecordBytes;
-      }
-      for (const auto& col : ds->columnar) bytes += col.MemoryBytes();
+      for (const auto& part : ds->partitions) bytes += part.MemoryBytes();
       prof::AccountAlloc(prof::AllocSite::kDatasetCacheBuild, 1, bytes);
       promise.set_value(
           std::make_shared<const MaterializedDataset>(std::move(*ds)));

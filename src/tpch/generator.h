@@ -16,12 +16,13 @@ namespace dmr::tpch {
 
 /// \brief Deterministic LINEITEM row generator.
 ///
-/// Produces TPC-H-shaped rows. `GeneratePartition` yields a partition with
-/// an exact number of predicate-matching rows, uniformly interleaved with
-/// non-matching rows — the materialization step the paper describes after
-/// fixing each partition's matching count ("we then modified the other
-/// records in each partition ... to ensure that the remaining records
-/// contained random values not satisfying the predicate", Section V-B).
+/// Produces TPC-H-shaped rows. `GenerateColumnarPartition` yields a
+/// partition with an exact number of predicate-matching rows, uniformly
+/// interleaved with non-matching rows — the materialization step the paper
+/// describes after fixing each partition's matching count ("we then
+/// modified the other records in each partition ... to ensure that the
+/// remaining records contained random values not satisfying the
+/// predicate", Section V-B).
 class LineItemGenerator {
  public:
   explicit LineItemGenerator(uint64_t seed);
@@ -31,12 +32,8 @@ class LineItemGenerator {
   LineItemRow NextBaseRow();
 
   /// Generates `num_records` rows, exactly `num_matching` of which satisfy
-  /// `pred.predicate`; matching rows are placed uniformly at random.
-  Result<std::vector<LineItemRow>> GeneratePartition(
-      uint64_t num_records, uint64_t num_matching, const SkewPredicate& pred);
-
-  /// GeneratePartition directly into columnar form — same rows (identical
-  /// RNG stream) without materializing the row vector.
+  /// `pred.predicate`; matching rows are placed uniformly at random. Each
+  /// row is appended to the columnar partition as it is drawn.
   Result<ColumnarPartition> GenerateColumnarPartition(
       uint64_t num_records, uint64_t num_matching, const SkewPredicate& pred);
 
@@ -47,12 +44,10 @@ class LineItemGenerator {
 
 /// \brief A fully materialized dataset (small scales; real record content).
 struct MaterializedDataset {
-  std::vector<std::vector<LineItemRow>> partitions;
-  /// Columnar form of `partitions` (index-parallel) scanned by the
-  /// vectorized engine. Populated by MaterializeDataset; datasets built by
-  /// other means (e.g. loaded from disk) may leave it empty, in which case
-  /// the runtime converts on the fly.
-  ColumnarDataset columnar;
+  /// One columnar partition per input split, the dataset's only in-memory
+  /// form: MaterializeDataset generates into it and ReadDatasetFromDirectory
+  /// parses into it; both predicate engines scan it.
+  std::vector<ColumnarPartition> partitions;
   SkewPredicate predicate;
   std::vector<uint64_t> matching_per_partition;
 

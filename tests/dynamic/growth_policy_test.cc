@@ -97,6 +97,22 @@ TEST(GrowthPolicyTest, PositiveFractionsRoundUpToOne) {
   EXPECT_EQ(c.GrabLimit(Status40(3)), 1);
 }
 
+TEST(GrowthPolicyTest, HugeLimitsAreUnboundedAndNaNIsZero) {
+  // Past what llround can represent: unbounded, not a floor of 1.
+  for (const char* grab : {"10000000000000000000", "9300000000000000000"}) {
+    auto policy = GrowthPolicy::Create("p", "", 0, grab);
+    ASSERT_TRUE(policy.ok()) << grab;
+    EXPECT_EQ(policy->GrabLimit(Status40(40)),
+              std::numeric_limits<int64_t>::max())
+        << grab;
+  }
+  for (const char* grab : {"INF - INF", "0 - INF * 0"}) {
+    auto policy = GrowthPolicy::Create("p", "", 0, grab);
+    ASSERT_TRUE(policy.ok()) << grab;
+    EXPECT_EQ(policy->GrabLimit(Status40(40)), 0) << grab;
+  }
+}
+
 TEST(GrowthPolicyTest, ApplyWritesJobConf) {
   auto la = *PolicyTable::BuiltIn().Find("LA");
   mapred::JobConf conf;

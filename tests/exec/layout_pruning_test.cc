@@ -183,7 +183,7 @@ TEST_F(LayoutPruningTest, RepeatedPredicateStrictlyCheaperAfterIndexLands) {
 /// incrementally maintained partition-level map (the row-major fold).
 TEST_F(LayoutPruningTest, ColumnMajorBuildMatchesIncrementalMap) {
   auto data = MakeData(1, 3000, 0.01, 0.0, /*seed=*/99);
-  const tpch::ColumnarPartition& part = data.columnar[0];
+  const tpch::ColumnarPartition& part = data.partitions[0];
   const tpch::ZoneMap& incremental = part.zone_map();
   tpch::ZoneMap rebuilt = part.BuildZoneMap(0, part.num_rows());
   for (int s = 0; s < tpch::ZoneMap::kI64Slots; ++s) {
@@ -208,7 +208,7 @@ TEST_F(LayoutPruningTest, ColumnMajorBuildMatchesIncrementalMap) {
 /// a false kNoMatch/kAllMatch.
 TEST_F(LayoutPruningTest, SubsetZoneMapIsSoundForOtherPredicates) {
   auto data = MakeData(1, 2048, 0.01, 0.0, /*seed=*/7);
-  const tpch::ColumnarPartition& part = data.columnar[0];
+  const tpch::ColumnarPartition& part = data.partitions[0];
 
   auto quantity_query = Compile(
       "SELECT * FROM lineitem WHERE QUANTITY < 1000 LIMIT 5");

@@ -61,20 +61,18 @@ class VectorizedParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     tpch::LineItemGenerator gen(20120402);
-    rows_ = new std::vector<tpch::LineItemRow>(
-        *gen.GeneratePartition(512, 32, tpch::PredicateSuite()[0]));
-    partition_ = new tpch::ColumnarPartition(
-        *tpch::ColumnarPartition::FromRows(*rows_));
+    partition_ = new tpch::ColumnarPartition(*gen.GenerateColumnarPartition(
+        512, 32, tpch::PredicateSuite()[0]));
     tuples_ = new std::vector<expr::Tuple>();
-    tuples_->reserve(rows_->size());
-    for (const auto& row : *rows_) tuples_->push_back(tpch::ToTuple(row));
+    tuples_->reserve(partition_->num_rows());
+    for (uint32_t row = 0; row < partition_->num_rows(); ++row) {
+      tuples_->push_back(partition_->TupleAt(row));
+    }
   }
 
   static void TearDownTestSuite() {
-    delete rows_;
     delete partition_;
     delete tuples_;
-    rows_ = nullptr;
     partition_ = nullptr;
     tuples_ = nullptr;
   }
@@ -119,12 +117,10 @@ class VectorizedParityTest : public ::testing::Test {
     EXPECT_EQ(actual, expected);
   }
 
-  static std::vector<tpch::LineItemRow>* rows_;
   static tpch::ColumnarPartition* partition_;
   static std::vector<expr::Tuple>* tuples_;
 };
 
-std::vector<tpch::LineItemRow>* VectorizedParityTest::rows_ = nullptr;
 tpch::ColumnarPartition* VectorizedParityTest::partition_ = nullptr;
 std::vector<expr::Tuple>* VectorizedParityTest::tuples_ = nullptr;
 
@@ -629,22 +625,22 @@ TEST(VectorizedReducerTest, RefReducerSelectsSameCandidates) {
 TEST(VectorizedMapperTest, MapMatchesMirrorsPerRowMap) {
   const auto& pred = tpch::PredicateSuite()[0];
   tpch::LineItemGenerator gen(9);
-  auto rows = *gen.GeneratePartition(400, 40, pred);
+  auto part = *gen.GenerateColumnarPartition(400, 40, pred);
   const auto& schema = tpch::LineItemSchema();
   const uint64_t k = 25;
 
   sampling::SamplingMapper per_row(pred.predicate, &schema, k);
   std::vector<expr::Tuple> emitted;
   std::vector<uint32_t> match_rows;
-  for (uint32_t i = 0; i < rows.size(); ++i) {
-    auto matched = per_row.Map(tpch::ToTuple(rows[i]), &emitted);
+  for (uint32_t i = 0; i < part.num_rows(); ++i) {
+    auto matched = per_row.Map(part.TupleAt(i), &emitted);
     ASSERT_TRUE(matched.ok());
     if (*matched) match_rows.push_back(i);
   }
 
   sampling::SamplingMapper batch(nullptr, &schema, k);
   std::vector<sampling::RowRef> refs;
-  batch.MapMatches(rows.size(), match_rows, /*partition=*/3, &refs);
+  batch.MapMatches(part.num_rows(), match_rows, /*partition=*/3, &refs);
 
   EXPECT_EQ(batch.records_seen(), per_row.records_seen());
   EXPECT_EQ(batch.records_matched(), per_row.records_matched());
@@ -653,7 +649,7 @@ TEST(VectorizedMapperTest, MapMatchesMirrorsPerRowMap) {
   for (size_t i = 0; i < refs.size(); ++i) {
     EXPECT_EQ(refs[i].partition, 3u);
     EXPECT_EQ(refs[i].row, match_rows[i]);
-    EXPECT_EQ(tpch::ToTuple(rows[refs[i].row]), emitted[i]);
+    EXPECT_EQ(part.TupleAt(refs[i].row), emitted[i]);
   }
 }
 
@@ -682,10 +678,11 @@ TEST(VectorizedCacheTest, SharedDatasetIsMemoized) {
   ASSERT_TRUE(fresh.ok());
   ASSERT_EQ((*first)->partitions.size(), fresh->partitions.size());
   for (size_t p = 0; p < fresh->partitions.size(); ++p) {
-    ASSERT_EQ((*first)->partitions[p].size(), fresh->partitions[p].size());
-    for (size_t i = 0; i < fresh->partitions[p].size(); ++i) {
-      EXPECT_EQ(tpch::SerializeRow((*first)->partitions[p][i]),
-                tpch::SerializeRow(fresh->partitions[p][i]));
+    const tpch::ColumnarPartition& memo = (*first)->partitions[p];
+    ASSERT_EQ(memo.num_rows(), fresh->partitions[p].num_rows());
+    for (uint32_t i = 0; i < memo.num_rows(); ++i) {
+      EXPECT_EQ(tpch::SerializeRow(memo.RowAt(i)),
+                tpch::SerializeRow(fresh->partitions[p].RowAt(i)));
     }
   }
 }

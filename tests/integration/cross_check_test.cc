@@ -97,8 +97,9 @@ TEST(CrossCheckTest, SimOutputModelMatchesRealMapperCounts) {
     sampling::SamplingMapper mapper(data.predicate.predicate,
                                     &tpch::LineItemSchema(), k);
     std::vector<expr::Tuple> out;
-    for (const auto& row : data.partitions[p]) {
-      ASSERT_TRUE(mapper.Map(tpch::ToTuple(row), &out).ok());
+    const tpch::ColumnarPartition& part = data.partitions[p];
+    for (uint32_t row = 0; row < part.num_rows(); ++row) {
+      ASSERT_TRUE(mapper.Map(part.TupleAt(row), &out).ok());
     }
     mapred::InputSplit split;
     split.num_matching = data.matching_per_partition[p];

@@ -139,6 +139,20 @@ TEST_F(JobClientTest, RejectsNonPositiveEvalInterval) {
   EXPECT_FALSE(provider->initialized_);
 }
 
+TEST_F(JobClientTest, AcceptsTinyEvalInterval) {
+  // 1e-7 s is a valid interval and must survive the JobConf round trip.
+  auto provider = std::make_shared<ScriptedProvider>(
+      std::vector<InputResponse>{InputResponse::EndOfInput()});
+  JobSubmission sub = MakeSubmission(provider);
+  sub.conf.set_eval_interval(1e-7);
+  ASSERT_TRUE(client_.Submit(std::move(sub), nullptr).ok());
+  EXPECT_TRUE(provider->initialized_);
+  // The loop ticks every 1e-7 s while the first map runs.
+  const uint64_t before = sim_.events_fired();
+  sim_.RunUntil(1e-5);
+  EXPECT_GE(sim_.events_fired() - before, 99u);
+}
+
 TEST_F(JobClientTest, StaticJobBypassesProviderLoop) {
   JobSubmission sub;
   sub.conf.set_dynamic_job(false);

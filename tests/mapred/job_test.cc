@@ -66,6 +66,18 @@ TEST(JobConfTest, DefaultsAndAccessors) {
   EXPECT_EQ(conf.input_file(), "lineitem");
 }
 
+TEST(JobConfTest, DoublesRoundTripExactly) {
+  // Six fixed decimals would read 1e-7 back as 0 and 0.3333333333 as
+  // 0.333333.
+  for (double v : {1e-7, 0.3333333333, 2.0000004}) {
+    JobConf conf;
+    conf.set_eval_interval(v);
+    conf.set_work_threshold_pct(v);
+    EXPECT_EQ(conf.eval_interval(), v);
+    EXPECT_EQ(conf.work_threshold_pct(), v);
+  }
+}
+
 TEST(JobTest, AddAndTakeLocalSplits) {
   Job job(1, JobConf(),
           Table({MakeSplit(0, 2), MakeSplit(1, 3), MakeSplit(2, 2)}, 7),

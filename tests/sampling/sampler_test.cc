@@ -143,13 +143,13 @@ TEST(MapReducePipelineTest, EndToEndOverGeneratedPartition) {
   // Algorithm 1 + Algorithm 2 over real generated data.
   tpch::LineItemGenerator gen(5);
   const auto& pred = tpch::PredicateSuite()[0];
-  auto rows = *gen.GeneratePartition(20000, 120, pred);
+  auto part = *gen.GenerateColumnarPartition(20000, 120, pred);
 
   const uint64_t k = 50;
   SamplingMapper mapper(pred.predicate, &tpch::LineItemSchema(), k);
   std::vector<expr::Tuple> candidates;
-  for (const auto& row : rows) {
-    ASSERT_TRUE(mapper.Map(tpch::ToTuple(row), &candidates).ok());
+  for (uint32_t row = 0; row < part.num_rows(); ++row) {
+    ASSERT_TRUE(mapper.Map(part.TupleAt(row), &candidates).ok());
   }
   EXPECT_EQ(mapper.records_matched(), 120u);
   EXPECT_EQ(candidates.size(), k);  // capped

@@ -73,11 +73,11 @@ TEST(GeneratorTest, OrderKeysIncrease) {
 TEST(GeneratorTest, PartitionHasExactMatchingCount) {
   LineItemGenerator gen(33);
   const auto& pred = PredicateSuite()[1];
-  auto rows = *gen.GeneratePartition(5000, 37, pred);
-  ASSERT_EQ(rows.size(), 5000u);
+  auto part = *gen.GenerateColumnarPartition(5000, 37, pred);
+  ASSERT_EQ(part.num_rows(), 5000u);
   int matching = 0;
-  for (const auto& row : rows) {
-    if (Matches(pred, row)) ++matching;
+  for (uint32_t i = 0; i < part.num_rows(); ++i) {
+    if (Matches(pred, part.RowAt(i))) ++matching;
   }
   EXPECT_EQ(matching, 37);
 }
@@ -85,20 +85,24 @@ TEST(GeneratorTest, PartitionHasExactMatchingCount) {
 TEST(GeneratorTest, ZeroMatchingPartition) {
   LineItemGenerator gen(34);
   const auto& pred = PredicateSuite()[2];
-  auto rows = *gen.GeneratePartition(1000, 0, pred);
-  for (const auto& row : rows) EXPECT_FALSE(Matches(pred, row));
+  auto part = *gen.GenerateColumnarPartition(1000, 0, pred);
+  for (uint32_t i = 0; i < part.num_rows(); ++i) {
+    EXPECT_FALSE(Matches(pred, part.RowAt(i)));
+  }
 }
 
 TEST(GeneratorTest, AllMatchingPartition) {
   LineItemGenerator gen(35);
   const auto& pred = PredicateSuite()[0];
-  auto rows = *gen.GeneratePartition(500, 500, pred);
-  for (const auto& row : rows) EXPECT_TRUE(Matches(pred, row));
+  auto part = *gen.GenerateColumnarPartition(500, 500, pred);
+  for (uint32_t i = 0; i < part.num_rows(); ++i) {
+    EXPECT_TRUE(Matches(pred, part.RowAt(i)));
+  }
 }
 
 TEST(GeneratorTest, RejectsMatchingAboveRecords) {
   LineItemGenerator gen(36);
-  EXPECT_TRUE(gen.GeneratePartition(10, 11, PredicateSuite()[0])
+  EXPECT_TRUE(gen.GenerateColumnarPartition(10, 11, PredicateSuite()[0])
                   .status()
                   .IsInvalidArgument());
 }
@@ -106,10 +110,10 @@ TEST(GeneratorTest, RejectsMatchingAboveRecords) {
 TEST(GeneratorTest, MatchingRowsAreSpreadThroughPartition) {
   LineItemGenerator gen(37);
   const auto& pred = PredicateSuite()[0];
-  auto rows = *gen.GeneratePartition(10000, 100, pred);
+  auto part = *gen.GenerateColumnarPartition(10000, 100, pred);
   int first_half = 0;
-  for (size_t i = 0; i < 5000; ++i) {
-    if (Matches(pred, rows[i])) ++first_half;
+  for (uint32_t i = 0; i < 5000; ++i) {
+    if (Matches(pred, part.RowAt(i))) ++first_half;
   }
   // Uniform placement: expect ~50 in each half, not all clumped.
   EXPECT_GT(first_half, 25);
@@ -130,9 +134,11 @@ TEST(MaterializeDatasetTest, BuildsConsistentDataset) {
 
   // Ground truth per partition must match the materialized rows.
   for (size_t p = 0; p < dataset.partitions.size(); ++p) {
+    const ColumnarPartition& part = dataset.partitions[p];
+    EXPECT_EQ(part.num_rows(), 2000u);
     uint64_t matching = 0;
-    for (const auto& row : dataset.partitions[p]) {
-      if (Matches(dataset.predicate, row)) ++matching;
+    for (uint32_t i = 0; i < part.num_rows(); ++i) {
+      if (Matches(dataset.predicate, part.RowAt(i))) ++matching;
     }
     EXPECT_EQ(matching, dataset.matching_per_partition[p]) << "partition " << p;
   }
