@@ -114,7 +114,8 @@ struct BenchOptions {
         } else {
           char* end = nullptr;
           long parsed = std::strtol(value, &end, 10);
-          if (end == value || *end != '\0' || parsed < 1 || parsed > 4096) {
+          if (end == value || *end != '\0' || parsed < 1 ||
+              parsed > exec::ThreadPool::kMaxThreads) {
             std::fprintf(stderr, "bad --threads value: %s (want 1..4096 or auto)\n",
                          value);
             std::exit(2);

@@ -311,7 +311,6 @@ int main(int argc, char** argv) {
         exec::LocalRunOptions opts;
         opts.num_threads = host_threads;
         opts.engine = exec::Engine::kVectorized;
-        opts.zone_map_pruning = variants[v].pruned;
         opts.layout_catalog = variants[v].pruned ? &catalog : nullptr;
         HostRun run =
             bench::UnwrapOrDie(RunHost(query, *dataset, policy, opts),

@@ -276,7 +276,8 @@ if [[ "${run_tsan}" == "1" ]]; then
   cmake --build --preset tsan -j "${jobs}" \
     --target parallel_test simulation_test metrics_test vectorized_test \
              ledger_test queue_equivalence_test timeline_test \
-             layout_pruning_test prof_test local_runtime_pin_test
+             layout_pruning_test prof_test local_runtime_pin_test \
+             local_runtime_test
   ctest --preset tsan
 else
   echo "== tier-1: TSan stage skipped (--no-tsan) =="

@@ -21,7 +21,9 @@ namespace dmr::exec {
 
 /// \brief Options for local execution.
 struct LocalRunOptions {
-  /// Worker threads = "map slots" of the local mini-cluster.
+  /// "Map slots" of the local mini-cluster: the provider sees this many
+  /// slots, and each Execute runs its map tasks on a ThreadPool of
+  /// max(1, min(num_threads, partitions)) workers.
   int num_threads = 4;
   /// Reduce-side trim mode (Algorithm 2 or the footnote's reservoir).
   sampling::SampleMode sample_mode = sampling::SampleMode::kFirstK;
@@ -32,18 +34,15 @@ struct LocalRunOptions {
   /// correctness oracle: it evaluates the expression tree per row over
   /// ColumnarPartition::TupleAt.
   Engine engine = Engine::kVectorized;
-  /// Zone-map pruning (DESIGN.md §16): evaluate the compiled predicate
-  /// against per-partition stats and skip partitions/batches that provably
-  /// cannot match. Vectorized engine only. Match counts, sampled rows and
-  /// the provider's counter stream are byte-identical with pruning on or
-  /// off — a pruned partition still reports its rows as seen and zero
-  /// matched, exactly like a real scan; only the physical cost changes.
-  bool zone_map_pruning = false;
-  /// Piggybacked adaptive indexing (Richter et al.): the first full scan
-  /// of a partition registers per-batch refined zone maps here as a side
-  /// effect; repeated predicates then scan only qualifying batches. Null
-  /// disables; only consulted when zone_map_pruning is on. The catalog
-  /// must outlive the runtime and belong to this dataset.
+  /// Zone-map pruning with piggybacked adaptive indexing (DESIGN.md §16,
+  /// Richter et al.), vectorized engine only; null scans every row. When
+  /// set, a map task skips partitions and batches whose zone maps prove the
+  /// predicate cannot match, and the first full scan of a partition
+  /// registers its per-batch zone maps here, so repeated predicates scan
+  /// only qualifying batches. Match counts, sampled rows and the provider's
+  /// counter stream are byte-identical either way: a pruned partition still
+  /// reports its rows as seen. The catalog must outlive the runtime and
+  /// belong to this dataset.
   LayoutCatalog* layout_catalog = nullptr;
   /// Observability scope for the exec.* pruning/indexing counters
   /// (null = off, the usual zero-overhead contract).
@@ -65,7 +64,8 @@ struct LocalRunResult {
   double estimated_selectivity = -1.0;
   /// Physical-cost counters of the adaptive-layout path. records_scanned
   /// above is the logical count (unchanged by pruning); this is what the
-  /// engine actually touched. Equal to records_scanned when pruning is off.
+  /// engine actually touched. Equal to records_scanned without a layout
+  /// catalog.
   uint64_t rows_physically_scanned = 0;
   /// Partitions skipped whole (or resolved whole) by the partition-level
   /// zone map.
@@ -82,12 +82,15 @@ struct LocalRunResult {
 /// machine — the record-level counterpart of the cluster simulator.
 ///
 /// Sampling queries run the paper's exact loop, synchronously: the Input
-/// Provider picks an initial uniform batch of partitions, a pool of worker
-/// threads applies Algorithm 1 to each, and the provider is re-evaluated
-/// with the accumulated counters until it declares end-of-input; Algorithm 2
-/// then trims the candidates to k. Because rounds are synchronous, the
-/// policy's EvaluationInterval and WorkThreshold do not apply here — only
-/// its GrabLimit shapes the growth (with AS = idle worker threads).
+/// Provider picks an initial uniform batch of partitions, a ThreadPool
+/// applies Algorithm 1 to each granted partition and retires the outputs in
+/// grant order, and the provider is re-evaluated with the accumulated
+/// counters until it declares end-of-input; Algorithm 2 then trims the
+/// candidates to k. Both engines ship candidates as RowRef positions, and
+/// only the final sample's projected columns are read back. Because rounds
+/// are synchronous, the policy's EvaluationInterval and WorkThreshold do not
+/// apply here — only its GrabLimit shapes the growth (with AS = idle map
+/// slots).
 class LocalRuntime {
  public:
   explicit LocalRuntime(LocalRunOptions options);
@@ -101,10 +104,8 @@ class LocalRuntime {
 
  private:
   struct PartitionOutput {
-    /// Interpreted path: copied candidate tuples.
-    std::vector<expr::Tuple> emitted;
-    /// Vectorized path: candidate positions; rows materialize post-reduce.
-    std::vector<sampling::RowRef> refs;
+    /// The first k matches, by position; rows materialize post-reduce.
+    std::vector<sampling::RowRef> candidates;
     uint64_t records_seen = 0;
     uint64_t records_matched = 0;
     // Adaptive-layout accounting (see LocalRunResult).
@@ -115,16 +116,14 @@ class LocalRuntime {
     uint32_t index_hit = 0;
   };
 
-  /// Applies Algorithm 1 to one partition, row by row (interpreted engine).
+  /// Applies Algorithm 1 to one partition: finds its matching rows (every
+  /// row without a predicate, `predicate` per row on the interpreted
+  /// engine, `program` on the vectorized one) and emits the first k.
   Result<PartitionOutput> RunMapTask(const tpch::ColumnarPartition& partition,
-                                     const expr::ExprPtr& predicate,
+                                     uint32_t partition_id,
+                                     const expr::Expression* predicate,
+                                     const PredicateProgram* program,
                                      uint64_t k) const;
-
-  /// Applies Algorithm 1 to one partition in batches (vectorized engine);
-  /// `program` may be null for predicate-less scans.
-  Result<PartitionOutput> RunMapTaskVectorized(
-      const tpch::ColumnarPartition& partition, uint32_t partition_id,
-      const PredicateProgram* program, uint64_t k) const;
 
   LocalRunOptions options_;
 };

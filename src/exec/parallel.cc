@@ -1,14 +1,41 @@
 #include "exec/parallel.h"
 
 #include <atomic>
+#include <charconv>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 
 namespace dmr::exec {
 
+namespace {
+
+// Every wait re-checks its predicate at least this often. The predicates
+// decide what happens, so this changes no outcome; it turns a lost wakeup
+// (older glibc can drop a pthread_cond_signal wakeup, sourceware bug 25847)
+// into a delay of one interval instead of a hang.
+constexpr std::chrono::milliseconds kRecheckInterval{10};
+
+template <typename Pred>
+void WaitUntil(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+               Pred ready) {
+  while (!cv.wait_for(lock, kRecheckInterval, ready)) {
+  }
+}
+
+}  // namespace
+
 int ThreadPool::HardwareThreads() {
   if (const char* env = std::getenv("DMR_THREADS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
+    // from_chars takes no whitespace or '+', so a value that parses whole
+    // into 1..kMaxThreads is all digits; anything else (4x, -3, an int
+    // overflow) falls back to the hardware count.
+    const char* end = env + std::strlen(env);
+    int n = 0;
+    auto [ptr, ec] = std::from_chars(env, end, n);
+    if (ec == std::errc() && ptr == end && n >= 1 && n <= kMaxThreads) {
+      return n;
+    }
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
@@ -35,7 +62,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    space_ready_.wait(lock, [this] {
+    WaitUntil(space_ready_, lock, [this] {
       return queue_.size() < queue_capacity_ || shutdown_;
     });
     if (shutdown_) return;  // tasks submitted after shutdown are dropped
@@ -47,7 +74,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
+  WaitUntil(idle_, lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -55,7 +82,8 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      task_ready_.wait(lock, [this] { return !queue_.empty() || shutdown_; });
+      WaitUntil(task_ready_, lock,
+                [this] { return !queue_.empty() || shutdown_; });
       if (queue_.empty()) {
         if (shutdown_) return;
         continue;

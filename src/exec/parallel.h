@@ -20,7 +20,9 @@ namespace dmr::exec {
 /// a single queue, which keeps the pool simple and the scheduling overhead
 /// negligible next to experiment-cell granularity (milliseconds to minutes).
 /// Submit blocks once `queue_capacity` tasks are waiting, providing natural
-/// backpressure for producers that enumerate huge grids.
+/// backpressure for producers that enumerate huge grids. Every wait
+/// re-checks its condition every 10 ms, so a lost condition-variable wakeup
+/// delays the pool instead of hanging it.
 ///
 /// Used by the experiment harness to fan independent simulation cells out
 /// across hardware threads. Each cell must build its own Simulation (the
@@ -46,8 +48,12 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
+  /// Largest worker count a caller may ask for (`--threads`, DMR_THREADS).
+  static constexpr int kMaxThreads = 4096;
+
   /// Worker count used for `num_threads <= 0`: the DMR_THREADS environment
-  /// variable when set to a positive integer, else hardware concurrency.
+  /// variable when it is all digits with a value in 1..kMaxThreads, else
+  /// hardware concurrency.
   static int HardwareThreads();
 
  private:

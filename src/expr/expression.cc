@@ -220,8 +220,8 @@ Result<Value> LikeExpr::Evaluate(const Schema& schema,
 }
 
 std::string LikeExpr::ToString() const {
-  return "(" + operand_->ToString() + (negated_ ? " NOT LIKE '" : " LIKE '") +
-         pattern_ + "')";
+  return "(" + operand_->ToString() + (negated_ ? " NOT LIKE " : " LIKE ") +
+         ValueToString(Value(pattern_)) + ")";
 }
 
 Result<bool> EvaluatePredicate(const Expression& expr, const Schema& schema,

@@ -119,7 +119,7 @@ class NotExpr : public Expression {
       : Expression(Kind::kNot), operand_(std::move(operand)) {}
   Result<Value> Evaluate(const Schema& schema, const Tuple& row) const override;
   std::string ToString() const override {
-    return "NOT (" + operand_->ToString() + ")";
+    return "(NOT " + operand_->ToString() + ")";
   }
   const ExprPtr& operand() const { return operand_; }
 

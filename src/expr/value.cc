@@ -1,6 +1,7 @@
 #include "expr/value.h"
 
-#include <cstdio>
+#include <charconv>
+#include <string_view>
 
 #include "common/strings.h"
 
@@ -33,17 +34,56 @@ ValueType TypeOf(const Value& v) {
   }
 }
 
+namespace {
+
+/// The shortest decimal that reads back as `d`, in plain notation and with a
+/// decimal point, so it lexes as a double again: 0.1 -> "0.1", 10 -> "10.0",
+/// 1e-08 -> "0.00000001", 1234567.5 -> "1234567.5".
+std::string DoubleToString(double d) {
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), d,
+                                  std::chars_format::scientific)
+                        .ptr;
+  // Shortest round-trip digits as [-]D[.DDD]e(+|-)XX, or inf/nan.
+  const std::string_view sci(buf, static_cast<size_t>(end - buf));
+  const size_t e = sci.find('e');
+  if (e == std::string_view::npos) return std::string(sci);
+  std::string digits;
+  for (char c : sci.substr(0, e)) {
+    if (c >= '0' && c <= '9') digits += c;
+  }
+  int exponent = 0;  // from_chars reads a '-' sign but not a '+'
+  std::from_chars(sci.data() + e + (sci[e + 1] == '+' ? 2 : 1), end, exponent);
+  // The point goes after digit exponent + 1: zeros in front for a negative
+  // exponent, and behind so that a digit follows the point.
+  size_t point = 1;
+  if (exponent < 0) {
+    digits.insert(0, static_cast<size_t>(-exponent), '0');
+  } else {
+    point += static_cast<size_t>(exponent);
+  }
+  if (point >= digits.size()) digits.append(point - digits.size() + 1, '0');
+  digits.insert(point, 1, '.');
+  return sci[0] == '-' ? "-" + digits : digits;
+}
+
+}  // namespace
+
 std::string ValueToString(const Value& v) {
   switch (v.index()) {
     case 0:
       return std::to_string(std::get<int64_t>(v));
-    case 1: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", std::get<double>(v));
-      return buf;
+    case 1:
+      return DoubleToString(std::get<double>(v));
+    case 2: {
+      // SQL quoting: a quote inside the string is doubled.
+      std::string out = "'";
+      for (char c : std::get<std::string>(v)) {
+        out += c;
+        if (c == '\'') out += c;
+      }
+      return out + "'";
     }
-    case 2:
-      return "'" + std::get<std::string>(v) + "'";
     default:
       return std::get<bool>(v) ? "true" : "false";
   }

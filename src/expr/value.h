@@ -23,7 +23,9 @@ using Value = std::variant<int64_t, double, std::string, bool>;
 
 ValueType TypeOf(const Value& v);
 
-/// Renders a value for diagnostics ("42", "3.14", "'abc'", "true").
+/// Renders a value as the HiveQL literal that parses back to it: "42",
+/// "3.14", "10.0", "'it''s'", "true". A double gets the shortest digits that
+/// read back as the same double, in plain notation with a decimal point.
 std::string ValueToString(const Value& v);
 
 /// Numeric coercion; errors on strings/bools.

@@ -1,6 +1,7 @@
 #include "hive/lexer.h"
 
 #include <cctype>
+#include <cmath>
 
 #include "common/strings.h"
 
@@ -73,7 +74,7 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       std::string num = sql.substr(start, i - start);
       if (has_dot) {
         tok.kind = TokenKind::kDecimal;
-        if (!ParseDouble(num, &tok.decimal)) {
+        if (!ParseDouble(num, &tok.decimal) || !std::isfinite(tok.decimal)) {
           return fail("malformed number '" + num + "'");
         }
       } else {

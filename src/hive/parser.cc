@@ -13,10 +13,12 @@ namespace {
 using expr::BinaryOp;
 using expr::ExprPtr;
 
-/// Cap on both parser recursion and expression-tree height. Real queries
+/// Cap on both parenthesis nesting and expression-tree height. Real queries
 /// nest a few levels; without the cap a deeply nested or very long WHERE
 /// clause overflows the stack, in the parser or later in any recursive
-/// walk (or destructor) of the tree it built.
+/// walk (or destructor) of the tree it built. The rendered form of a tree
+/// (SelectStatement::ToString) opens at most one parenthesis per node, so
+/// it always parses again under the same cap.
 constexpr int kMaxDepth = 256;
 
 /// A parsed sub-expression with the height of its tree.
@@ -190,15 +192,18 @@ class Parser {
     return left;
   }
 
+  // NOT and unary-minus chains loop instead of recursing; the height cap
+  // bounds them.
   Result<Sub> ParseNot() {
-    if (TakeKeyword("NOT")) {
-      if (++depth_ > kMaxDepth) return TooDeep();
-      DMR_ASSIGN_OR_RETURN(Sub operand, ParseNot());
-      --depth_;
-      return Node(std::make_shared<expr::NotExpr>(operand.expr),
-                  {operand.height});
+    int nots = 0;
+    while (TakeKeyword("NOT")) ++nots;
+    DMR_ASSIGN_OR_RETURN(Sub operand, ParseComparison());
+    for (; nots > 0; --nots) {
+      DMR_ASSIGN_OR_RETURN(
+          operand, Node(std::make_shared<expr::NotExpr>(operand.expr),
+                        {operand.height}));
     }
-    return ParseComparison();
+    return operand;
   }
 
   Result<Sub> ParseComparison() {
@@ -306,14 +311,15 @@ class Parser {
   }
 
   Result<Sub> ParseUnary() {
-    if (TakeOp("-")) {
-      if (++depth_ > kMaxDepth) return TooDeep();
-      DMR_ASSIGN_OR_RETURN(Sub operand, ParseUnary());
-      --depth_;
-      return Node(std::make_shared<expr::NegateExpr>(operand.expr),
-                  {operand.height});
+    int negations = 0;
+    while (TakeOp("-")) ++negations;
+    DMR_ASSIGN_OR_RETURN(Sub operand, ParsePrimary());
+    for (; negations > 0; --negations) {
+      DMR_ASSIGN_OR_RETURN(
+          operand, Node(std::make_shared<expr::NegateExpr>(operand.expr),
+                        {operand.height}));
     }
-    return ParsePrimary();
+    return operand;
   }
 
   Result<Sub> ParsePrimary() {
@@ -334,6 +340,9 @@ class Parser {
           ++index_;
           return Sub{expr::Lit(false)};
         }
+        // NOT is reserved: after "(" it always reads as the operator, so a
+        // column named NOT would not survive rendering and re-parsing.
+        if (tok.IsKeyword("NOT")) break;
         return Sub{expr::Col(Take().text)};
       }
       case TokenKind::kOperator:
@@ -351,7 +360,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t index_ = 0;
-  int depth_ = 0;  // open ParseOr/NOT/unary-minus levels
+  int depth_ = 0;  // open ParseOr levels (WHERE and parentheses)
 };
 
 }  // namespace

@@ -34,7 +34,7 @@ PhaseRegistry& Phases() {
 
 // ---------------------------------------------------------------------------
 // Per-thread timer trees. The registry owns every state (so trees survive
-// thread exit — std::async workers are born and die per batch wave); the
+// thread exit — LocalRuntime's pool workers are born and die per query); the
 // owning thread touches its state without locks. Collect()/ResetForTest()
 // synchronize with worker threads through the g_enabled acquire/release
 // flag plus the quiesced-call contract in the header.

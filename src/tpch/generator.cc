@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -180,29 +180,26 @@ Result<SharedDataset> MaterializeDatasetShared(const SkewSpec& spec) {
 
 Result<SharedDataset> MaterializeDatasetShared(const SkewSpec& spec,
                                                const SkewPredicate& pred) {
-  // Keyed futures rather than finished values: a second thread asking for a
-  // dataset that is still being generated blocks on the same generation
+  // One entry per key, built once: a second thread asking for a dataset that
+  // is still being generated waits in call_once on the same generation
   // instead of starting its own.
+  struct Entry {
+    std::once_flag built;
+    Result<SharedDataset> dataset = Status::Internal("dataset not built");
+  };
   static std::mutex mu;
   static auto& entries =
-      *new std::unordered_map<std::string,
-                              std::shared_future<Result<SharedDataset>>>();
-  const std::string key = DatasetCacheKey(spec, pred);
-  std::promise<Result<SharedDataset>> promise;
-  std::shared_future<Result<SharedDataset>> future;
-  bool owner = false;
+      *new std::unordered_map<std::string, std::unique_ptr<Entry>>();
+  Entry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(key);
-    if (it == entries.end()) {
-      owner = true;
-      future = promise.get_future().share();
-      entries.emplace(key, future);
-    } else {
-      future = it->second;
-    }
+    std::unique_ptr<Entry>& slot = entries[DatasetCacheKey(spec, pred)];
+    if (!slot) slot = std::make_unique<Entry>();
+    entry = slot.get();
   }
-  if (owner) {
+  bool hit = true;
+  std::call_once(entry->built, [&] {
+    hit = false;
     static const prof::PhaseId kMaterializePhase =
         prof::RegisterPhase("tpch", "materialize_dataset");
     prof::ScopedTimer prof_frame(kMaterializePhase);
@@ -211,15 +208,14 @@ Result<SharedDataset> MaterializeDatasetShared(const SkewSpec& spec,
       uint64_t bytes = 0;
       for (const auto& part : ds->partitions) bytes += part.MemoryBytes();
       prof::AccountAlloc(prof::AllocSite::kDatasetCacheBuild, 1, bytes);
-      promise.set_value(
-          std::make_shared<const MaterializedDataset>(std::move(*ds)));
+      entry->dataset =
+          std::make_shared<const MaterializedDataset>(std::move(*ds));
     } else {
-      promise.set_value(ds.status());
+      entry->dataset = ds.status();
     }
-  } else {
-    prof::AccountAlloc(prof::AllocSite::kDatasetCacheHit, 1, 0);
-  }
-  return future.get();
+  });
+  if (hit) prof::AccountAlloc(prof::AllocSite::kDatasetCacheHit, 1, 0);
+  return entry->dataset;
 }
 
 }  // namespace dmr::tpch

@@ -132,7 +132,6 @@ TEST_F(LayoutPruningTest, DifferentialFuzzPrunedVsOracle) {
 
     LayoutCatalog catalog;
     LocalRunOptions pruned = vectorized;
-    pruned.zone_map_pruning = true;
     pruned.layout_catalog = &catalog;
     auto first = LocalRuntime(pruned).Execute(query, data, policy);
     ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -161,7 +160,6 @@ TEST_F(LayoutPruningTest, RepeatedPredicateStrictlyCheaperAfterIndexLands) {
   LocalRunOptions options;
   options.num_threads = 2;
   options.engine = Engine::kVectorized;
-  options.zone_map_pruning = true;
   options.layout_catalog = &catalog;
 
   auto first = LocalRuntime(options).Execute(query, data, policy);

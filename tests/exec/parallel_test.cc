@@ -70,12 +70,22 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingTasks) {
 }
 
 TEST(ThreadPoolTest, HardwareThreadsHonorsEnvOverride) {
+  ::unsetenv("DMR_THREADS");
+  const int hardware = ThreadPool::HardwareThreads();
+  EXPECT_GE(hardware, 1);
   ::setenv("DMR_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::HardwareThreads(), 3);
-  ::setenv("DMR_THREADS", "not-a-number", 1);
-  EXPECT_GE(ThreadPool::HardwareThreads(), 1);
+  ::setenv("DMR_THREADS", "4096", 1);
+  EXPECT_EQ(ThreadPool::HardwareThreads(), ThreadPool::kMaxThreads);
+  // Only an all-digit value in 1..4096 (the --threads range) overrides;
+  // anything else falls back to the hardware count. No pool is built from
+  // these values.
+  for (const char* bad : {"not-a-number", "99999999", "4x", "-3", "0",
+                          "3000000000", "", " 3", "+3", "4097"}) {
+    ::setenv("DMR_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::HardwareThreads(), hardware) << "'" << bad << "'";
+  }
   ::unsetenv("DMR_THREADS");
-  EXPECT_GE(ThreadPool::HardwareThreads(), 1);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

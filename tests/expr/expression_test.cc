@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "expr/value.h"
 
 namespace dmr::expr {
@@ -178,7 +181,25 @@ TEST(ExpressionTest, PredicateMustBeBoolean) {
 TEST(ExpressionTest, ToStringRendersSql) {
   auto e = Bin(BinaryOp::kAnd, Bin(BinaryOp::kGt, Col("PRICE"), Lit(10.0)),
                std::make_shared<LikeExpr>(Col("NAME"), "w%"));
-  EXPECT_EQ(e->ToString(), "((PRICE > 10) AND (NAME LIKE 'w%'))");
+  // A double literal keeps its decimal point, so it re-parses as a double.
+  EXPECT_EQ(e->ToString(), "((PRICE > 10.0) AND (NAME LIKE 'w%'))");
+}
+
+TEST(ExpressionTest, DoublesRenderAsShortestPlainDecimals) {
+  EXPECT_EQ(ValueToString(Value(0.1)), "0.1");
+  EXPECT_EQ(ValueToString(Value(0.0)), "0.0");
+  EXPECT_EQ(ValueToString(Value(-2.5)), "-2.5");
+  EXPECT_EQ(ValueToString(Value(1e-8)), "0.00000001");
+  EXPECT_EQ(ValueToString(Value(1e23)), "1" + std::string(23, '0') + ".0");
+  EXPECT_EQ(ValueToString(Value(2.0 / 3.0)), "0.6666666666666666");
+  // Every finite double reads back exactly, however large or small.
+  for (double d : {0.1234567, 1234567.5, 1e23, 5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -123456789012345680.0}) {
+    const std::string text = ValueToString(Value(d));
+    EXPECT_EQ(text.find_first_of("eE"), std::string::npos) << text;
+    EXPECT_NE(text.find('.'), std::string::npos) << text;
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), d) << text;
+  }
 }
 
 TEST(ExpressionTest, RowNarrowerThanSchemaErrors) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "common/random.h"
 #include "hive/lexer.h"
 
 namespace dmr::hive {
@@ -85,7 +89,7 @@ TEST(ParserTest, NotBetweenInLike) {
   EXPECT_NE(s.where, nullptr);
   std::string text = s.where->ToString();
   EXPECT_NE(text.find("BETWEEN"), std::string::npos);
-  EXPECT_NE(text.find("NOT ((b IN"), std::string::npos);
+  EXPECT_NE(text.find("(NOT (b IN"), std::string::npos);
   EXPECT_NE(text.find("LIKE 'x%'"), std::string::npos);
   EXPECT_NE(text.find("NOT LIKE '%y'"), std::string::npos);
 }
@@ -108,12 +112,37 @@ TEST(ParserTest, BooleanLiterals) {
 }
 
 TEST(ParserTest, ToStringRoundTrips) {
-  const char* sql =
-      "SELECT ORDERKEY, SUPPKEY FROM LINEITEM WHERE (TAX > 0.08) "
-      "LIMIT 100";
-  SelectStatement s = MustSelect(sql);
-  SelectStatement again = MustSelect(s.ToString());
-  EXPECT_EQ(s.ToString(), again.ToString());
+  // The rendered text names the predicate that ran (EXPLAIN, the JobConf's
+  // sampling.predicate): it must parse back to a statement that renders
+  // identically, quotes and every digit of a literal included.
+  const struct {
+    const char* sql;
+    const char* rendered;
+  } kCases[] = {
+      {"SELECT ORDERKEY, SUPPKEY FROM LINEITEM WHERE (TAX > 0.08) LIMIT 100",
+       "SELECT ORDERKEY, SUPPKEY FROM LINEITEM WHERE (TAX > 0.08) LIMIT 100"},
+      {"SELECT * FROM lineitem WHERE SHIPMODE = 'it''s'",
+       "SELECT * FROM lineitem WHERE (SHIPMODE = 'it''s')"},
+      {"SELECT * FROM lineitem WHERE COMMENT LIKE '%o''clock%' LIMIT 5",
+       "SELECT * FROM lineitem WHERE (COMMENT LIKE '%o''clock%') LIMIT 5"},
+      {"SELECT * FROM lineitem WHERE DISCOUNT > 0.1234567",
+       "SELECT * FROM lineitem WHERE (DISCOUNT > 0.1234567)"},
+      {"SELECT * FROM lineitem WHERE PRICE < 1234567.5 OR TAX > 0.00000001",
+       "SELECT * FROM lineitem WHERE ((PRICE < 1234567.5) OR "
+       "(TAX > 0.00000001))"},
+      {"SELECT a FROM t WHERE a > 10.0 AND b = 10",
+       "SELECT a FROM t WHERE ((a > 10.0) AND (b = 10))"},
+      // NOT binds looser than a comparison, so a NOT operand keeps its
+      // parentheses.
+      {"SELECT a FROM t WHERE (NOT a) = b",
+       "SELECT a FROM t WHERE ((NOT a) = b)"},
+  };
+  for (const auto& c : kCases) {
+    SelectStatement s = MustSelect(c.sql);
+    EXPECT_EQ(s.ToString(), c.rendered);
+    SelectStatement again = MustSelect(s.ToString());
+    EXPECT_EQ(again.ToString(), s.ToString()) << c.sql;
+  }
 }
 
 TEST(ParserTest, SetStatement) {
@@ -186,6 +215,121 @@ TEST(ParserTest, DeepWhereIsAParseErrorNotACrash) {
 
 TEST(ParserTest, ParseSelectRejectsNonSelect) {
   EXPECT_TRUE(ParseSelect("SET a = b").status().IsInvalidArgument());
+}
+
+/// Seeded mutational fuzzing of the HiveQL front end. Every input must come
+/// back as a statement or a ParseError (never a crash, hang or sanitizer
+/// report), and every accepted SELECT or EXPLAIN must render to text that
+/// parses again and renders identically.
+class ParserFuzzTest : public ::testing::Test {
+ protected:
+  const std::string& Pick(const std::vector<std::string>& words) {
+    return words[rng_.NextBounded(words.size())];
+  }
+
+  std::string Mutate(std::string text, const std::vector<std::string>& seeds) {
+    const int edits = 1 + static_cast<int>(rng_.NextBounded(2));
+    for (int e = 0; e < edits; ++e) {
+      size_t pos = rng_.NextBounded(text.size() + 1);
+      if (rng_.NextBounded(2) == 0) {  // snap to a token boundary
+        pos = std::min(text.find(' ', pos), text.size());
+      }
+      switch (rng_.NextBounded(7)) {
+        case 0:
+          text.insert(pos, Pick(kDictionary));
+          break;
+        case 1:
+        case 2:
+          text.insert(pos, " " + Pick(kDictionary) + " ");
+          break;
+        case 3:
+          text.erase(pos, rng_.NextBounded(8));
+          break;
+        case 4:
+          if (!text.empty()) {
+            text[rng_.NextBounded(text.size())] =
+                static_cast<char>(rng_.NextBounded(256));
+          }
+          break;
+        case 5: {  // replace the word at pos
+          const size_t begin = text.rfind(' ', pos == 0 ? 0 : pos - 1);
+          const size_t from = begin == std::string::npos ? 0 : begin + 1;
+          const size_t end = std::min(text.find(' ', from), text.size());
+          text.replace(from, end - from, Pick(kDictionary));
+          break;
+        }
+        default: {  // splice in a slice of another seed
+          const std::string& other = Pick(seeds);
+          const size_t from = rng_.NextBounded(other.size());
+          text.insert(pos, other.substr(from, rng_.NextBounded(40)));
+          break;
+        }
+      }
+    }
+    return text;
+  }
+
+  /// The text a statement renders to; empty for SET, which has none.
+  static std::string Render(const Statement& stmt) {
+    if (const auto* select = std::get_if<SelectStatement>(&stmt)) {
+      return select->ToString();
+    }
+    if (const auto* explain = std::get_if<ExplainStatement>(&stmt)) {
+      return "EXPLAIN " + explain->select.ToString();
+    }
+    return "";
+  }
+
+  inline static const std::vector<std::string> kDictionary = {
+      "''", "'", "'it''s'", "0.1234567", "1234567.5", "0.00000001", "10.0",
+      "0.1", "10", "1e-08", "9223372036854775807", "9223372036854775808",
+      std::string(400, '9') + ".5", "0." + std::string(400, '0') + "1",
+      "(", ")", "((", "))", "(((", ")))", "NOT", "NOT NOT", "AND", "OR",
+      "IN", "BETWEEN", "LIKE", "SELECT", "FROM", "WHERE", "LIMIT", "EXPLAIN",
+      "SET", "TRUE", "FALSE", "*", "-", "- -", "--", "+", "/", ",", ";", ".",
+      "=", "<>", "!=", "<=", "%", "_", "\n"};
+
+  Rng rng_{20120402};
+};
+
+TEST_F(ParserFuzzTest, MutatedStatementsParseOrFailAndRoundTrip) {
+  const std::vector<std::string> seeds = {
+      // The paper's query template and the benchmark's query.
+      "SELECT ORDERKEY, PARTKEY, SUPPKEY FROM LINEITEM "
+      "WHERE DISCOUNT > 0.10 LIMIT 10000;",
+      "SELECT * FROM lineitem WHERE DISCOUNT > 0.10 LIMIT 40",
+      "SET dynamic.job.policy = LA;",
+      "EXPLAIN SELECT ORDERKEY FROM lineitem WHERE TAX > 0.08 LIMIT 10",
+      "SELECT a FROM t WHERE b IN (1, 2.5, 'x', -3) AND c NOT IN ('y')",
+      "SELECT a FROM t WHERE a BETWEEN -1 AND 1.5 OR b NOT BETWEEN 2 AND 3",
+      "SELECT * FROM t WHERE SHIPMODE LIKE '%o''clock%' AND c NOT LIKE 'w%'",
+      "SELECT a, b FROM t WHERE NOT (a = 1) OR NOT b * -2 >= (c - 0.5) / 4",
+  };
+  int accepted = 0;
+  int rendered = 0;
+  int refused = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string input = Mutate(Pick(seeds), seeds);
+    Result<Statement> stmt = ParseStatement(input);
+    if (!stmt.ok()) {
+      ++refused;
+      EXPECT_TRUE(stmt.status().IsParseError())
+          << stmt.status().ToString() << "\ninput: " << input;
+      continue;
+    }
+    ++accepted;
+    const std::string text = Render(*stmt);
+    if (text.empty()) continue;
+    ++rendered;
+    Result<Statement> again = ParseStatement(text);
+    ASSERT_TRUE(again.ok()) << again.status().ToString() << "\ninput: "
+                            << input << "\nrendered: " << text;
+    EXPECT_EQ(Render(*again), text) << "input: " << input;
+  }
+  // Both paths ran: the fuzzer neither only breaks nor only keeps inputs.
+  EXPECT_GT(rendered, 250) << accepted << " accepted, " << refused
+                           << " refused";
+  EXPECT_GT(refused, 1000) << accepted << " accepted";
 }
 
 }  // namespace
