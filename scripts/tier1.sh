@@ -11,9 +11,10 @@
 # tie-shuffle + queue-kind digest invariance check (fig5 metrics AND the
 # virtual-time telemetry timelines must be byte-identical across shuffle
 # seeds and queue implementations, at the default thread count), the
-# metrics + timeline thread-count invariance (byte-identical at
-# --threads=1 and --threads=4) + dmr-analyze timeline smoke (both runs
-# checked against a baseline emitted from them), the paper-driver
+# metrics + timeline thread-count invariance (fig5, and fig8's multi-user
+# Fair-scheduler cells, byte-identical at --threads=1 and --threads=4) +
+# dmr-analyze timeline smoke (both fig5 runs checked against a baseline
+# emitted from them), the paper-driver
 # thread-count invariance (all 14 paper drivers' stdout and --json
 # byte-identical at --threads=1 and --threads=4, less the line echoing the
 # JSON path), the profiling
@@ -163,6 +164,20 @@ done
 diff "${obs_dir}/metrics_t1.json" "${obs_dir}/metrics_t4.json"
 diff "${obs_dir}/timeline_t1.json" "${obs_dir}/timeline_t4.json"
 echo "fig5 metrics and timeline byte-identical at --threads=1 and --threads=4"
+# fig8 runs the Fair scheduler with delay scheduling on 10-user cells, so
+# its ledger, critical paths and timeline cover pools, delay holds and
+# remote launches that fig5's single user never reaches. Its metrics
+# document is ~41 MB: compare with cmp, not diff.
+for threads in 1 4; do
+  ./build/bench/bench_fig8_hetero_fair \
+    --threads="${threads}" \
+    --metrics="${obs_dir}/fig8_metrics_t${threads}.json" \
+    --timeline="${obs_dir}/fig8_timeline_t${threads}.json" > /dev/null
+done
+cmp "${obs_dir}/fig8_metrics_t1.json" "${obs_dir}/fig8_metrics_t4.json"
+cmp "${obs_dir}/fig8_timeline_t1.json" "${obs_dir}/fig8_timeline_t4.json"
+rm -f "${obs_dir}"/fig8_metrics_t*.json "${obs_dir}"/fig8_timeline_t*.json
+echo "fig8 metrics and timeline byte-identical at --threads=1 and --threads=4"
 # Two identical runs through the timeline analyzer: the markdown must
 # render and an emitted baseline must accept both runs it was built from.
 ./build/src/obs/dmr-analyze timeline \

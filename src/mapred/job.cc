@@ -22,6 +22,7 @@ Job::Job(int id, JobConf conf, std::shared_ptr<const SplitTable> input,
          MapOutputModel output_model, double submit_time)
     : id_(id),
       conf_(std::move(conf)),
+      sample_size_(conf_.sample_size()),
       submit_time_(submit_time),
       input_(std::move(input)),
       splits_total_(static_cast<int>(input_->size())),

@@ -47,6 +47,8 @@ class Job {
 
   int id() const { return id_; }
   const JobConf& conf() const { return conf_; }
+  /// conf().sample_size(), read once at construction (0: not sampling).
+  uint64_t sample_size() const { return sample_size_; }
   JobState state() const { return state_; }
   void set_state(JobState s) { state_ = s; }
   double submit_time() const { return submit_time_; }
@@ -149,8 +151,11 @@ class Job {
   uint64_t output_records() const { return output_records_; }
   void set_result_records(uint64_t n) { result_records_ = n; }
 
-  // --- scheduler scratch state (fair scheduler delay scheduling) ---------
+  // --- scheduler scratch state (fair scheduler pools, delay scheduling) --
 
+  /// The fair scheduler's pool id: conf().user() interned, -1 until that
+  /// scheduler first sees the job.
+  int pool_id = -1;
   bool delay_waiting = false;
   double delay_wait_start = 0.0;
 
@@ -183,6 +188,7 @@ class Job {
 
   int id_;
   JobConf conf_;
+  uint64_t sample_size_;
   JobState state_ = JobState::kMapping;
   double submit_time_;
   double finish_time_ = 0.0;

@@ -439,7 +439,7 @@ void JobTracker::OnAttemptDone(const AttemptPtr& attempt, bool failed) {
                       job->ComputeMapOutput(attempt->split));
   // The first such instant is the boundary between useful and wasted
   // slot time; the recorders keep only that one.
-  uint64_t k = job->conf().sample_size();
+  uint64_t k = job->sample_size();
   if (k > 0 && job->output_records() >= k) {
     Report({.step = LifecycleStep::kSampleSatisfiable, .job = job->id()});
   }
@@ -483,7 +483,7 @@ void JobTracker::LaunchReduce(Job* job, int node_id) {
 void JobTracker::OnReduceComplete(Job* job, int node_id) {
   cluster_->node(node_id)->ReleaseReduceSlot();
 
-  uint64_t k = job->conf().sample_size();
+  uint64_t k = job->sample_size();
   uint64_t produced = job->output_records();
   job->set_result_records(k > 0 ? std::min(k, produced) : produced);
   job->set_state(JobState::kSucceeded);

@@ -80,119 +80,106 @@ void EventGraph::FlushPending() {
               if (a.node != b.node) return a.node < b.node;
               return a.slot < b.slot;
             });
-  // Swap the batch out so an Apply can never observe a half-flushed buffer.
-  std::vector<LifecycleRecord> batch;
-  batch.swap(pending_);
-  for (const LifecycleRecord& rec : batch) Apply(rec);
+  // Apply never records, so the batch stays whole while it is applied.
+  for (const LifecycleRecord& rec : pending_) Apply(rec);
+  pending_.clear();
 }
 
 void EventGraph::Apply(const LifecycleRecord& rec) {
   const int job = rec.job;
   const double t = rec.t;
+  JobEvents& entry = JobAt(job);
   switch (rec.step) {
     case LifecycleStep::kSubmit:
-      submit_[job] = AddEvent(EventType::kSubmit, t, job, -1, -1, -1);
+      entry.submit = AddEvent(EventType::kSubmit, t, job, -1, -1, -1);
       break;
     case LifecycleStep::kProviderDecision: {
       int32_t id = AddEvent(EventType::kProviderDecision, t, job, -1, -1, -1);
       // The decision waits on the eval timer since the previous decision
       // (or submit) and on the map completions it evaluated.
-      AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
-      if (auto it = last_done_.find(job); it != last_done_.end()) {
-        AddParent(id, it->second, EdgeCategory::kProvider);
-      }
-      last_provider_[job] = id;
+      AddParent(id, InputSourceOf(entry), EdgeCategory::kProvider);
+      AddParent(id, entry.last_done, EdgeCategory::kProvider);
+      entry.last_provider = id;
       break;
     }
     case LifecycleStep::kSplitQueued: {
       int32_t id = AddEvent(EventType::kSplitAdded, t, job, rec.split, -1, -1);
-      AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
-      available_[{job, rec.split}] = id;
+      AddParent(id, InputSourceOf(entry), EdgeCategory::kProvider);
+      SetAvailable(entry, rec.split, id);
       break;
     }
     case LifecycleStep::kMapLaunch:
     case LifecycleStep::kBackupLaunch: {
-      const std::pair<int, int> slot{rec.node, rec.slot};
       int32_t id = AddEvent(EventType::kAttemptLaunched, t, job, rec.split,
                             rec.node, rec.slot);
       // The launch was gated by the split existing (retry: the prior
       // failure) and by the slot being free; whichever came later binds.
-      if (auto it = available_.find({job, rec.split});
-          it != available_.end()) {
-        AddParent(id, it->second, EdgeCategory::kQueueing);
+      if (int32_t available = AvailableOf(entry, rec.split); available >= 0) {
+        AddParent(id, available, EdgeCategory::kQueueing);
       } else if (rec.step == LifecycleStep::kBackupLaunch) {
         // Backups copy an already-running split; hang them off the input.
-        AddParent(id, InputSourceOf(job), EdgeCategory::kQueueing);
+        AddParent(id, InputSourceOf(entry), EdgeCategory::kQueueing);
       }
-      if (auto it = slot_release_.find(slot); it != slot_release_.end()) {
-        AddParent(id, it->second, EdgeCategory::kQueueing);
-      }
-      open_launch_[slot] = id;
+      SlotEvents& slot = SlotAt(rec.node, rec.slot);
+      AddParent(id, slot.release, EdgeCategory::kQueueing);
+      slot.open_launch = id;
       break;
     }
     case LifecycleStep::kAttemptEnd: {
-      const std::pair<int, int> slot{rec.node, rec.slot};
       int32_t id = AddEvent(EventType::kAttemptDone, t, job, rec.split,
                             rec.node, rec.slot);
-      if (auto it = open_launch_.find(slot); it != open_launch_.end()) {
-        AddParent(id, it->second, EdgeCategory::kExecution);
-        open_launch_.erase(it);
-      }
-      slot_release_[slot] = id;
+      SlotEvents& slot = SlotAt(rec.node, rec.slot);
+      AddParent(id, slot.open_launch, EdgeCategory::kExecution);
+      slot.open_launch = -1;
+      slot.release = id;
       if (rec.outcome == Outcome::kOk) {
-        last_done_[job] = id;
-        available_.erase({job, rec.split});
+        entry.last_done = id;
+        SetAvailable(entry, rec.split, -1);
       } else if (rec.outcome == Outcome::kFailed) {
         // The retry's launch will wait on this failure.
-        available_[{job, rec.split}] = id;
+        SetAvailable(entry, rec.split, id);
       }
       break;
     }
     case LifecycleStep::kSampleSatisfiable: {
-      if (satisfiable_.count(job) != 0) break;
+      if (entry.satisfiable >= 0) break;
       int32_t id =
           AddEvent(EventType::kSampleSatisfiable, t, job, -1, -1, -1);
-      if (auto it = last_done_.find(job); it != last_done_.end()) {
-        AddParent(id, it->second, EdgeCategory::kBarrier);
-      } else {
-        AddParent(id, InputSourceOf(job), EdgeCategory::kBarrier);
-      }
-      satisfiable_[job] = id;
+      AddParent(id,
+                entry.last_done >= 0 ? entry.last_done : InputSourceOf(entry),
+                EdgeCategory::kBarrier);
+      entry.satisfiable = id;
       break;
     }
     case LifecycleStep::kInputFinalized: {
       int32_t id = AddEvent(EventType::kInputFinalized, t, job, -1, -1, -1);
-      if (auto it = satisfiable_.find(job); it != satisfiable_.end()) {
-        AddParent(id, it->second, EdgeCategory::kProvider);
-      }
-      AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
-      finalized_[job] = id;
+      AddParent(id, entry.satisfiable, EdgeCategory::kProvider);
+      AddParent(id, InputSourceOf(entry), EdgeCategory::kProvider);
+      entry.finalized = id;
       break;
     }
     case LifecycleStep::kReduceStart: {
       int32_t id = AddEvent(EventType::kReduceStarted, t, job, -1, -1, -1);
       // Map-phase barrier: the reduce waits for the input set to be final
       // and for the last map of the job to drain.
-      if (auto it = finalized_.find(job); it != finalized_.end()) {
-        AddParent(id, it->second, EdgeCategory::kBarrier);
-      }
-      if (auto it = last_done_.find(job); it != last_done_.end()) {
-        AddParent(id, it->second, EdgeCategory::kBarrier);
-      } else {
-        AddParent(id, InputSourceOf(job), EdgeCategory::kBarrier);
-      }
-      reduce_[job] = id;
+      AddParent(id, entry.finalized, EdgeCategory::kBarrier);
+      AddParent(id,
+                entry.last_done >= 0 ? entry.last_done : InputSourceOf(entry),
+                EdgeCategory::kBarrier);
+      entry.reduce = id;
       break;
     }
     case LifecycleStep::kJobComplete: {
       int32_t id = AddEvent(EventType::kJobCompleted, t, job, -1, -1, -1);
-      if (auto it = reduce_.find(job); it != reduce_.end()) {
-        AddParent(id, it->second, EdgeCategory::kReduce);
-      } else if (auto it2 = last_done_.find(job); it2 != last_done_.end()) {
-        AddParent(id, it2->second, EdgeCategory::kExecution);
+      if (entry.reduce >= 0) {
+        AddParent(id, entry.reduce, EdgeCategory::kReduce);
+      } else if (entry.last_done >= 0) {
+        AddParent(id, entry.last_done, EdgeCategory::kExecution);
       } else {
-        AddParent(id, InputSourceOf(job), EdgeCategory::kProvider);
+        AddParent(id, InputSourceOf(entry), EdgeCategory::kProvider);
       }
+      // No attempt of a completed job launches again.
+      std::vector<int32_t>().swap(entry.available);
       break;
     }
     default:
@@ -202,7 +189,8 @@ void EventGraph::Apply(const LifecycleRecord& rec) {
 
 int32_t EventGraph::AddEvent(EventType type, double t, int job, int detail,
                              int node, int slot) {
-  events_.push_back(Event{type, t, job, detail, node, slot, {}});
+  events_.push_back(Event{.type = type, .job = job, .t = t, .detail = detail,
+                          .node = node, .slot = slot});
   return static_cast<int32_t>(events_.size() - 1);
 }
 
@@ -210,15 +198,52 @@ void EventGraph::AddParent(int32_t child, int32_t parent,
                            EdgeCategory category) {
   if (parent < 0) return;
   DMR_CHECK(parent < child) << "event graph parent must precede child";
-  events_[child].parents.emplace_back(parent, category);
+  Event& e = events_[child];
+  DMR_CHECK(e.num_parents < kMaxParents)
+      << "event graph event " << child << " already has " << kMaxParents
+      << " parents";
+  e.parents[e.num_parents] = parent;
+  e.categories[e.num_parents] = category;
+  ++e.num_parents;
 }
 
-int32_t EventGraph::InputSourceOf(int job) const {
-  if (auto it = last_provider_.find(job); it != last_provider_.end()) {
-    return it->second;
+EventGraph::JobEvents& EventGraph::JobAt(int job) {
+  DMR_CHECK(job >= 0) << "event graph record without a job";
+  if (static_cast<size_t>(job) >= jobs_.size()) {
+    jobs_.resize(static_cast<size_t>(job) + 1);
   }
-  if (auto it = submit_.find(job); it != submit_.end()) return it->second;
-  return -1;
+  return jobs_[job];
+}
+
+EventGraph::SlotEvents& EventGraph::SlotAt(int node, int slot) {
+  DMR_CHECK(node >= 0 && slot >= 0) << "event graph attempt without a slot";
+  if (static_cast<size_t>(node) >= slots_.size()) {
+    slots_.resize(static_cast<size_t>(node) + 1);
+  }
+  std::vector<SlotEvents>& slots = slots_[node];
+  if (static_cast<size_t>(slot) >= slots.size()) {
+    slots.resize(static_cast<size_t>(slot) + 1);
+  }
+  return slots[slot];
+}
+
+int32_t EventGraph::AvailableOf(const JobEvents& entry, int split) {
+  if (split < 0 || static_cast<size_t>(split) >= entry.available.size()) {
+    return -1;
+  }
+  return entry.available[split];
+}
+
+void EventGraph::SetAvailable(JobEvents& entry, int split, int32_t id) {
+  DMR_CHECK(split >= 0) << "event graph split record without a split";
+  if (static_cast<size_t>(split) >= entry.available.size()) {
+    entry.available.resize(static_cast<size_t>(split) + 1, -1);
+  }
+  entry.available[split] = id;
+}
+
+int32_t EventGraph::InputSourceOf(const JobEvents& entry) {
+  return entry.last_provider >= 0 ? entry.last_provider : entry.submit;
 }
 
 std::vector<EventGraph::JobPath> EventGraph::AnalyzeCriticalPaths() const {
@@ -232,8 +257,10 @@ std::vector<EventGraph::JobPath> EventGraph::AnalyzeCriticalPaths() const {
     JobPath path;
     path.job = events_[i].job;
     path.finish_time = events_[i].t;
-    if (auto it = submit_.find(path.job); it != submit_.end()) {
-      path.response_time = path.finish_time - events_[it->second].t;
+    // The completion registered the job, so its entry exists.
+    const int32_t submit = jobs_[path.job].submit;
+    if (submit >= 0) {
+      path.response_time = path.finish_time - events_[submit].t;
     }
 
     // Walk binding parents back to a root. Parent ids are strictly smaller
@@ -249,7 +276,7 @@ std::vector<EventGraph::JobPath> EventGraph::AnalyzeCriticalPaths() const {
       step.detail = e.detail;
       step.node = e.node;
 
-      if (e.parents.empty()) {
+      if (e.num_parents == 0) {
         rev.push_back(step);
         path.root_job = e.job;
         path.root_type = e.type;
@@ -257,38 +284,37 @@ std::vector<EventGraph::JobPath> EventGraph::AnalyzeCriticalPaths() const {
       }
       // Binding parent: latest timestamp; ties break towards the
       // later-recorded event (deterministic, matches DES causal order).
-      size_t best = 0;
-      for (size_t p = 1; p < e.parents.size(); ++p) {
-        const Event& cand = events_[e.parents[p].first];
-        const Event& cur_best = events_[e.parents[best].first];
+      int best = 0;
+      for (int p = 1; p < e.num_parents; ++p) {
+        const Event& cand = events_[e.parents[p]];
+        const Event& cur_best = events_[e.parents[best]];
         if (cand.t > cur_best.t ||
-            (cand.t == cur_best.t &&
-             e.parents[p].first > e.parents[best].first)) {
+            (cand.t == cur_best.t && e.parents[p] > e.parents[best])) {
           best = p;
         }
       }
-      const Event& bind = events_[e.parents[best].first];
+      const Event& bind = events_[e.parents[best]];
       step.dur = e.t - bind.t;
-      step.category = e.parents[best].second;
-      if (e.parents.size() >= 2) {
+      step.category = e.categories[best];
+      if (e.num_parents >= 2) {
         double runner_up = -1.0;
-        for (size_t p = 0; p < e.parents.size(); ++p) {
+        for (int p = 0; p < e.num_parents; ++p) {
           if (p == best) continue;
-          runner_up = std::max(runner_up, events_[e.parents[p].first].t);
+          runner_up = std::max(runner_up, events_[e.parents[p]].t);
         }
         step.slack = bind.t - runner_up;
       } else {
         step.slack = step.dur;
       }
       rev.push_back(step);
-      cur = e.parents[best].first;
+      cur = e.parents[best];
     }
 
     std::reverse(rev.begin(), rev.end());
     path.steps = std::move(rev);
     if (!path.steps.empty()) {
       path.path_time = path.finish_time - path.steps.front().t;
-      if (submit_.count(path.job) == 0) path.response_time = path.path_time;
+      if (submit < 0) path.response_time = path.path_time;
       // Skip the root step: it has dur 0 and a meaningless category.
       for (size_t s = 1; s < path.steps.size(); ++s) {
         path.breakdown[path.steps[s].category] += path.steps[s].dur;

@@ -1,10 +1,10 @@
 #ifndef DMR_OBS_CRITICAL_PATH_H_
 #define DMR_OBS_CRITICAL_PATH_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/lifecycle.h"
@@ -62,16 +62,23 @@ class EventGraph {
     kReduce,     // the reduce task running
   };
 
+  /// An event has at most two parents: what it waited on, and for a
+  /// launch, decision, finalize or reduce, the second thing it waited on.
+  static constexpr int kMaxParents = 2;
+
   struct Event {
     EventType type;
-    double t = 0.0;
+    /// Parent edges, in recording order: the first `num_parents` entries
+    /// of `parents` and `categories`.
+    uint8_t num_parents = 0;
+    std::array<EdgeCategory, kMaxParents> categories{};
     int job = -1;
+    double t = 0.0;
     /// Split index for split/attempt events, -1 otherwise.
     int detail = -1;
     int node = -1;
     int slot = -1;
-    /// Parent edges, in recording order.
-    std::vector<std::pair<int32_t, EdgeCategory>> parents;
+    std::array<int32_t, kMaxParents> parents{};
   };
 
   // --- recording (fed by Scope::Record) ---------------------------------
@@ -151,27 +158,46 @@ class EventGraph {
 
   int32_t AddEvent(EventType type, double t, int job, int detail, int node,
                    int slot);
+  /// Appends a parent edge; a third parent is a DMR_CHECK failure.
   void AddParent(int32_t child, int32_t parent, EdgeCategory category);
-  /// Latest provider decision of `job`, or its submit event, or -1.
-  int32_t InputSourceOf(int job) const;
 
-  /// The current instant's records (views cleared), in arrival order.
+  /// Recording-time registries of one job, resolving its semantic ids to
+  /// event indices (-1: none yet).
+  struct JobEvents {
+    int32_t submit = -1;
+    int32_t last_provider = -1;
+    int32_t last_done = -1;
+    int32_t satisfiable = -1;
+    int32_t finalized = -1;
+    int32_t reduce = -1;
+    /// Split availability by split index: the split-added event, re-armed
+    /// to the failed attempt-done while a retry is pending. Freed when the
+    /// job completes.
+    std::vector<int32_t> available;
+  };
+  /// The open launch and the last release of one (node, slot).
+  struct SlotEvents {
+    int32_t open_launch = -1;
+    int32_t release = -1;
+  };
+
+  /// The registries of `job` and of (node, slot), grown on first sight.
+  JobEvents& JobAt(int job);
+  SlotEvents& SlotAt(int node, int slot);
+  /// The availability event of `split` in `entry`, or -1.
+  static int32_t AvailableOf(const JobEvents& entry, int split);
+  static void SetAvailable(JobEvents& entry, int split, int32_t id);
+  /// The job's latest provider decision, or its submit event, or -1.
+  static int32_t InputSourceOf(const JobEvents& entry);
+
+  /// The current instant's records (views cleared), in arrival order. Its
+  /// capacity is kept across instants.
   std::vector<LifecycleRecord> pending_;
   std::vector<Event> events_;
 
-  // Recording-time registries resolving semantic ids to event indices.
-  std::map<int, int32_t> submit_;
-  std::map<int, int32_t> last_provider_;
-  std::map<int, int32_t> last_done_;        // per job
-  std::map<int, int32_t> satisfiable_;
-  std::map<int, int32_t> finalized_;
-  std::map<int, int32_t> reduce_;
-  /// Split availability: the split-added event, re-armed to the failed
-  /// attempt-done when a retry is pending. Keyed by (job, split).
-  std::map<std::pair<int, int>, int32_t> available_;
-  /// Open launch / last release per (node, slot).
-  std::map<std::pair<int, int>, int32_t> open_launch_;
-  std::map<std::pair<int, int>, int32_t> slot_release_;
+  /// Registries by job id and by node, then slot.
+  std::vector<JobEvents> jobs_;
+  std::vector<std::vector<SlotEvents>> slots_;
 };
 
 }  // namespace dmr::obs

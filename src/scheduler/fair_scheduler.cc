@@ -1,8 +1,9 @@
 #include "scheduler/fair_scheduler.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
+#include "common/logging.h"
 #include "mapred/job_tracker.h"
 
 namespace dmr::scheduler {
@@ -11,80 +12,95 @@ using mapred::Job;
 using mapred::LifecycleStep;
 using mapred::MapAssignment;
 
-namespace {
-
-struct Pool {
-  std::string user;
-  std::vector<Job*> jobs;  // submission order
-  int running = 0;
-
-  bool HasDemand() const {
-    for (Job* j : jobs) {
-      if (j->HasPendingSplits()) return true;
-    }
-    return false;
+int FairScheduler::PoolIdOf(Job* job) {
+  if (job->pool_id < 0) {
+    auto [it, inserted] = pool_ids_.try_emplace(
+        job->conf().user(), static_cast<int>(pool_ids_.size()));
+    if (inserted) pool_index_.push_back(-1);
+    job->pool_id = it->second;
   }
-};
+  DMR_CHECK(static_cast<size_t>(job->pool_id) < pool_index_.size())
+      << "job " << job->id() << " carries a pool id this scheduler never "
+      << "assigned";
+  return job->pool_id;
+}
 
-}  // namespace
+bool FairScheduler::HasDemand(const Pool& pool,
+                              const std::vector<Job*>& running_jobs) const {
+  for (int i = pool.first_job; i >= 0; i = next_job_[i]) {
+    if (running_jobs[i]->HasPendingSplits()) return true;
+  }
+  return false;
+}
 
 std::vector<MapAssignment> FairScheduler::AssignMapTasks(
     const std::vector<Job*>& running_jobs, int node_id, int free_slots,
     double now) {
   std::vector<MapAssignment> assignments;
+  if (running_jobs.empty()) return assignments;
 
-  // Group jobs into per-user pools (stable submission order within a pool).
-  std::vector<Pool> pools;
-  std::map<std::string, size_t> pool_index;
-  for (Job* job : running_jobs) {
-    std::string user = job->conf().user();
-    auto it = pool_index.find(user);
-    if (it == pool_index.end()) {
-      pool_index[user] = pools.size();
-      pools.push_back(Pool{user, {}, 0});
-      it = pool_index.find(user);
+  // Group jobs into per-user pools: pools in order of first appearance in
+  // running_jobs, and each pool's jobs in running_jobs (submission) order.
+  pools_.clear();
+  next_job_.assign(running_jobs.size(), -1);
+  for (size_t i = 0; i < running_jobs.size(); ++i) {
+    Job* job = running_jobs[i];
+    const int id = PoolIdOf(job);
+    int& index = pool_index_[id];
+    if (index < 0) {
+      index = static_cast<int>(pools_.size());
+      pools_.push_back(Pool{.id = id, .first_job = static_cast<int>(i)});
+    } else {
+      next_job_[pools_[index].last_job] = static_cast<int>(i);
     }
-    Pool& pool = pools[it->second];
-    pool.jobs.push_back(job);
+    Pool& pool = pools_[index];
+    pool.last_job = static_cast<int>(i);
     pool.running += job->maps_running();
+    pool.demand = pool.demand || job->HasPendingSplits();
   }
-  if (pools.empty()) return assignments;
+  for (const Pool& pool : pools_) pool_index_[pool.id] = -1;
 
+  const bool layout_aware = options_.layout_weight > 0.0;
   int assignable = options_.assign_multiple ? free_slots
                                             : std::min(free_slots, 1);
   for (int slot = 0; slot < assignable; ++slot) {
     // Fair share: equal division among pools that still have demand.
     int demanding = 0;
-    for (const Pool& p : pools) {
-      if (p.HasDemand()) ++demanding;
+    for (const Pool& p : pools_) {
+      if (p.demand) ++demanding;
     }
     if (demanding == 0) break;
     double share = static_cast<double>(options_.total_map_slots) /
                    static_cast<double>(demanding);
 
-    // Serve the most starved demanding pool first.
-    std::vector<Pool*> order;
-    for (Pool& p : pools) {
-      if (p.HasDemand()) order.push_back(&p);
+    // Serve the most starved demanding pool first. A stable insertion
+    // sort: pools that tie keep their order of first appearance.
+    auto starvation = [this, share](int p) {
+      return static_cast<double>(pools_[p].running) / share;
+    };
+    order_.clear();
+    for (int p = 0; p < static_cast<int>(pools_.size()); ++p) {
+      if (!pools_[p].demand) continue;
+      order_.push_back(p);
+      for (size_t pos = order_.size() - 1;
+           pos > 0 && starvation(p) < starvation(order_[pos - 1]); --pos) {
+        std::swap(order_[pos], order_[pos - 1]);
+      }
     }
-    std::stable_sort(order.begin(), order.end(),
-                     [share](const Pool* a, const Pool* b) {
-                       return static_cast<double>(a->running) / share <
-                              static_cast<double>(b->running) / share;
-                     });
 
     bool assigned = false;
     bool held = false;
-    for (Pool* pool : order) {
-      const bool layout_aware = options_.layout_weight > 0.0;
-      for (Job* job : pool->jobs) {
+    for (int p : order_) {
+      Pool& pool = pools_[p];
+      for (int i = pool.first_job; i >= 0; i = next_job_[i]) {
+        Job* job = running_jobs[i];
         if (!job->HasPendingSplits()) continue;
         auto local = layout_aware ? job->TakeBestLayoutPending(node_id)
                                   : job->TakeLocalPending(node_id);
         if (local) {
           assignments.push_back({job, *local, true});
           job->delay_waiting = false;
-          pool->running += 1;
+          pool.running += 1;
           assigned = true;
           break;
         }
@@ -131,10 +147,13 @@ std::vector<MapAssignment> FairScheduler::AssignMapTasks(
         assignments.push_back(
             {job, *any, job->input().IsLocalTo(*any, node_id)});
         job->delay_waiting = false;
-        pool->running += 1;
+        pool.running += 1;
         assigned = true;
         break;
       }
+      // Only the served pool's pending work changed: a pool whose last
+      // pending split was just taken leaves the share and the ranking.
+      if (assigned) pool.demand = HasDemand(pool, running_jobs);
       if (assigned || held) break;
     }
     if (!assigned) break;  // slot held or nothing assignable right now

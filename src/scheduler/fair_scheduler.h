@@ -2,6 +2,7 @@
 #define DMR_SCHEDULER_FAIR_SCHEDULER_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "mapred/task_scheduler.h"
@@ -47,6 +48,13 @@ struct FairSchedulerOptions {
 /// the heartbeating node is skipped until it has waited `locality_wait`
 /// seconds, trading slot occupancy for data locality — exactly the
 /// behaviour whose locality/occupancy trade-off the paper measures.
+///
+/// The pools are formed again at every heartbeat from `running_jobs`, in
+/// member vectors reused across heartbeats. A job's user is interned the
+/// first time the scheduler sees the job, into the job's `pool_id`
+/// scratch; after that a heartbeat allocates nothing but its returned
+/// assignments. A scheduler must therefore only see jobs run by its own
+/// tracker (DESIGN.md §4).
 class FairScheduler : public mapred::TaskScheduler {
  public:
   explicit FairScheduler(FairSchedulerOptions options)
@@ -61,7 +69,40 @@ class FairScheduler : public mapred::TaskScheduler {
   const FairSchedulerOptions& options() const { return options_; }
 
  private:
+  /// One user's pool as formed for the current heartbeat.
+  struct Pool {
+    int id = -1;
+    /// The pool's jobs, in `running_jobs` order: a list through
+    /// `next_job_`, by index into `running_jobs`.
+    int first_job = -1;
+    int last_job = -1;
+    /// Maps running over all of the pool's jobs, plus this heartbeat's
+    /// assignments.
+    int running = 0;
+    /// Some job of the pool has a pending split.
+    bool demand = false;
+  };
+
+  /// The pool id of `job`: its user interned, cached in the job's
+  /// `pool_id` on first sight.
+  int PoolIdOf(mapred::Job* job);
+  /// Whether some job of `pool` has a pending split.
+  bool HasDemand(const Pool& pool,
+                 const std::vector<mapred::Job*>& running_jobs) const;
+
   FairSchedulerOptions options_;
+  /// User name -> pool id, assigned in order of first sight.
+  std::unordered_map<std::string, int> pool_ids_;
+  /// Per pool id: its index in `pools_` while a heartbeat groups its
+  /// jobs, -1 otherwise.
+  std::vector<int> pool_index_;
+  /// This heartbeat's pools, in order of first appearance in
+  /// `running_jobs`.
+  std::vector<Pool> pools_;
+  /// Per `running_jobs` index: the next job of the same pool, or -1.
+  std::vector<int> next_job_;
+  /// The demanding pools (indices into `pools_`), most starved first.
+  std::vector<int> order_;
 };
 
 }  // namespace dmr::scheduler

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -13,9 +14,12 @@
 namespace dmr::hive {
 namespace {
 
-SelectStatement MustSelect(const std::string& sql) {
+/// The parsed statement, or nullopt after failing the test: a failed parse
+/// is never dereferenced, so one bad case cannot end the binary.
+std::optional<SelectStatement> MustSelect(const std::string& sql) {
   auto stmt = ParseSelect(sql);
   EXPECT_TRUE(stmt.ok()) << sql << " -> " << stmt.status().ToString();
+  if (!stmt.ok()) return std::nullopt;
   return *std::move(stmt);
 }
 
@@ -48,46 +52,51 @@ TEST(LexerTest, Errors) {
 }
 
 TEST(ParserTest, MinimalSelect) {
-  SelectStatement s = MustSelect("SELECT * FROM lineitem");
-  EXPECT_TRUE(s.columns.empty());
-  EXPECT_EQ(s.table, "lineitem");
-  EXPECT_EQ(s.where, nullptr);
-  EXPECT_FALSE(s.limit.has_value());
+  std::optional<SelectStatement> s = MustSelect("SELECT * FROM lineitem");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_TRUE(s->columns.empty());
+  EXPECT_EQ(s->table, "lineitem");
+  EXPECT_EQ(s->where, nullptr);
+  EXPECT_FALSE(s->limit.has_value());
 }
 
 TEST(ParserTest, PaperQueryTemplate) {
-  SelectStatement s = MustSelect(
+  std::optional<SelectStatement> s = MustSelect(
       "SELECT ORDERKEY, PARTKEY, SUPPKEY FROM LINEITEM "
       "WHERE DISCOUNT > 0.10 LIMIT 10000;");
-  EXPECT_EQ(s.columns,
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->columns,
             (std::vector<std::string>{"ORDERKEY", "PARTKEY", "SUPPKEY"}));
-  EXPECT_EQ(s.table, "LINEITEM");
-  ASSERT_NE(s.where, nullptr);
-  EXPECT_EQ(s.where->ToString(), "(DISCOUNT > 0.1)");
-  EXPECT_EQ(s.limit, 10000u);
+  EXPECT_EQ(s->table, "LINEITEM");
+  ASSERT_NE(s->where, nullptr);
+  EXPECT_EQ(s->where->ToString(), "(DISCOUNT > 0.1)");
+  EXPECT_EQ(s->limit, 10000u);
 }
 
 TEST(ParserTest, KeywordsAreCaseInsensitive) {
-  SelectStatement s =
+  std::optional<SelectStatement> s =
       MustSelect("select x from t where x > 1 limit 5");
-  EXPECT_EQ(s.columns[0], "x");
-  EXPECT_EQ(s.limit, 5u);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->columns[0], "x");
+  EXPECT_EQ(s->limit, 5u);
 }
 
 TEST(ParserTest, OperatorPrecedence) {
-  SelectStatement s = MustSelect(
+  std::optional<SelectStatement> s = MustSelect(
       "SELECT a FROM t WHERE a > 1 + 2 * 3 AND b = 1 OR c = 2");
+  ASSERT_TRUE(s.has_value());
   // ((a > (1 + (2*3))) AND (b = 1)) OR (c = 2)
-  EXPECT_EQ(s.where->ToString(),
+  EXPECT_EQ(s->where->ToString(),
             "(((a > (1 + (2 * 3))) AND (b = 1)) OR (c = 2))");
 }
 
 TEST(ParserTest, NotBetweenInLike) {
-  SelectStatement s = MustSelect(
+  std::optional<SelectStatement> s = MustSelect(
       "SELECT a FROM t WHERE a BETWEEN 1 AND 5 AND b NOT IN (1, 2) "
       "AND c LIKE 'x%' AND d NOT LIKE '%y' AND NOT e = 1");
-  EXPECT_NE(s.where, nullptr);
-  std::string text = s.where->ToString();
+  ASSERT_TRUE(s.has_value());
+  EXPECT_NE(s->where, nullptr);
+  std::string text = s->where->ToString();
   EXPECT_NE(text.find("BETWEEN"), std::string::npos);
   EXPECT_NE(text.find("(NOT (b IN"), std::string::npos);
   EXPECT_NE(text.find("LIKE 'x%'"), std::string::npos);
@@ -95,20 +104,24 @@ TEST(ParserTest, NotBetweenInLike) {
 }
 
 TEST(ParserTest, ParenthesizedExpressions) {
-  SelectStatement s =
+  std::optional<SelectStatement> s =
       MustSelect("SELECT a FROM t WHERE (a = 1 OR b = 2) AND c = 3");
-  EXPECT_EQ(s.where->ToString(), "(((a = 1) OR (b = 2)) AND (c = 3))");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->where->ToString(), "(((a = 1) OR (b = 2)) AND (c = 3))");
 }
 
 TEST(ParserTest, NegativeNumbersAndArithmetic) {
-  SelectStatement s =
+  std::optional<SelectStatement> s =
       MustSelect("SELECT a FROM t WHERE a * -2 < b - 1");
-  EXPECT_EQ(s.where->ToString(), "((a * -(2)) < (b - 1))");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->where->ToString(), "((a * -(2)) < (b - 1))");
 }
 
 TEST(ParserTest, BooleanLiterals) {
-  SelectStatement s = MustSelect("SELECT a FROM t WHERE TRUE OR false");
-  EXPECT_EQ(s.where->ToString(), "(true OR false)");
+  std::optional<SelectStatement> s =
+      MustSelect("SELECT a FROM t WHERE TRUE OR false");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->where->ToString(), "(true OR false)");
 }
 
 TEST(ParserTest, ToStringRoundTrips) {
@@ -138,10 +151,12 @@ TEST(ParserTest, ToStringRoundTrips) {
        "SELECT a FROM t WHERE ((NOT a) = b)"},
   };
   for (const auto& c : kCases) {
-    SelectStatement s = MustSelect(c.sql);
-    EXPECT_EQ(s.ToString(), c.rendered);
-    SelectStatement again = MustSelect(s.ToString());
-    EXPECT_EQ(again.ToString(), s.ToString()) << c.sql;
+    std::optional<SelectStatement> s = MustSelect(c.sql);
+    if (!s) continue;  // MustSelect failed the test; try the next case
+    EXPECT_EQ(s->ToString(), c.rendered);
+    std::optional<SelectStatement> again = MustSelect(s->ToString());
+    if (!again) continue;
+    EXPECT_EQ(again->ToString(), s->ToString()) << c.sql;
   }
 }
 

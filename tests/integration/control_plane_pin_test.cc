@@ -4,16 +4,22 @@
 // Fair delay scheduling (layout-blind and layout-aware), speculative
 // backups, failed attempts that are requeued and stragglers. A refactor of
 // the control plane that keeps event order keeps every hash below; one that
-// moves a single event, draw or float changes them.
+// moves a single event, draw or float changes them. The Fair cells also run
+// with the obs hub installed, which must leave the simulation as it is and
+// pins the ledger and critical-path JSON the cells leave behind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "dfs/file_system.h"
 #include "dynamic/adaptive_input_provider.h"
+#include "obs/ledger.h"
+#include "obs/metrics.h"
+#include "obs/scope.h"
 #include "sampling/sampling_job.h"
 #include "testbed/testbed.h"
 #include "tpch/dataset_catalog.h"
@@ -38,6 +44,12 @@ class Fnv {
     std::memcpy(&bits, &v, sizeof bits);
     Add(bits);
   }
+  void Add(std::string_view bytes) {
+    for (char c : bytes) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 0x100000001b3ULL;
+    }
+  }
   uint64_t value() const { return h_; }
 
  private:
@@ -49,6 +61,8 @@ struct CellHashes {
   uint64_t jobs = 0;
   uint64_t events_fired = 0;
   int completed = 0;
+  /// The ledger + critical-path JSON of an observed cell (0 when unobserved).
+  uint64_t obs = 0;
   // Coverage of the paths the hashes pin (not pinned themselves).
   int failed = 0;
   int killed = 0;
@@ -188,6 +202,24 @@ CellHashes RunCell(testbed::SchedulerKind scheduler, double layout_weight) {
   return out;
 }
 
+/// RunCell with the obs hub installed as the bench drivers' --metrics
+/// installs it: a metrics registry and a ledger book, whose ledger and
+/// critical-path JSON the cell's testbed seals on destruction.
+CellHashes RunObservedCell(testbed::SchedulerKind scheduler,
+                           double layout_weight) {
+  obs::MetricsRegistry registry;
+  obs::LedgerBook book;
+  obs::Hub::Install(&registry, /*recorder=*/nullptr, &book);
+  CellHashes out = RunCell(scheduler, layout_weight);
+  obs::Hub::Uninstall();
+  EXPECT_EQ(book.num_cells(), 1u);
+  Fnv json;
+  json.Add(book.LedgerJson());
+  json.Add(book.CriticalPathJson());
+  out.obs = json.value();
+  return out;
+}
+
 void ExpectPinned(const CellHashes& got, const CellHashes& want) {
   EXPECT_GT(got.completed, 10);
   EXPECT_GT(got.failed, 0);
@@ -200,6 +232,15 @@ void ExpectPinned(const CellHashes& got, const CellHashes& want) {
   EXPECT_EQ(got.completed, want.completed);
 }
 
+constexpr CellHashes kFairDelayCell = {.history = 0x8c2b21eb6b2ea433,
+                                       .jobs = 0xf786dd00ffa6118f,
+                                       .events_fired = 53422,
+                                       .completed = 225};
+constexpr CellHashes kLayoutAwareFairCell = {.history = 0x843b73a73d398cc1,
+                                             .jobs = 0xa24a57f9b56fbe8a,
+                                             .events_fired = 59053,
+                                             .completed = 255};
+
 TEST(ControlPlanePinTest, FifoCellIsPinned) {
   CellHashes got = RunCell(testbed::SchedulerKind::kFifo, 0.0);
   ExpectPinned(got, {.history = 0xe7fed04f14a9e0a9,
@@ -209,19 +250,24 @@ TEST(ControlPlanePinTest, FifoCellIsPinned) {
 }
 
 TEST(ControlPlanePinTest, FairDelayCellIsPinned) {
-  CellHashes got = RunCell(testbed::SchedulerKind::kFair, 0.0);
-  ExpectPinned(got, {.history = 0x8c2b21eb6b2ea433,
-                     .jobs = 0xf786dd00ffa6118f,
-                     .events_fired = 53422,
-                     .completed = 225});
+  ExpectPinned(RunCell(testbed::SchedulerKind::kFair, 0.0), kFairDelayCell);
 }
 
 TEST(ControlPlanePinTest, LayoutAwareFairCellIsPinned) {
-  CellHashes got = RunCell(testbed::SchedulerKind::kFair, 1.0);
-  ExpectPinned(got, {.history = 0x843b73a73d398cc1,
-                     .jobs = 0xa24a57f9b56fbe8a,
-                     .events_fired = 59053,
-                     .completed = 255});
+  ExpectPinned(RunCell(testbed::SchedulerKind::kFair, 1.0),
+               kLayoutAwareFairCell);
+}
+
+TEST(ControlPlanePinTest, ObservedFairDelayCellIsPinned) {
+  CellHashes got = RunObservedCell(testbed::SchedulerKind::kFair, 0.0);
+  ExpectPinned(got, kFairDelayCell);
+  EXPECT_EQ(got.obs, 0x154523cefef37fa1ULL) << std::hex << "0x" << got.obs;
+}
+
+TEST(ControlPlanePinTest, ObservedLayoutAwareFairCellIsPinned) {
+  CellHashes got = RunObservedCell(testbed::SchedulerKind::kFair, 1.0);
+  ExpectPinned(got, kLayoutAwareFairCell);
+  EXPECT_EQ(got.obs, 0x890c225fbbbabe0bULL) << std::hex << "0x" << got.obs;
 }
 
 }  // namespace

@@ -259,6 +259,77 @@ TEST(EventGraphTest, FailedAttemptRearmsTheSplit) {
   EXPECT_EQ(paths[0].root_job, 1);
 }
 
+TEST(EventGraphTest, EveryTwoParentEventMatchesTheCapturedAnalysis) {
+  // Every event that can have two parents gets both: a provider decision
+  // after a map done, launches after a slot release, input finalized after
+  // sample satisfiable, a reduce after finalize plus a map done. Job ids
+  // arrive out of order (7, 5, 3); job 7's first attempt fails and re-arms
+  // its split, and a backup of the retry is killed. The t=6 instant
+  // arrives out of canonical order.
+  EventGraph graph;
+  graph.Record(At(0.0, LifecycleStep::kSubmit, 7));
+  graph.Record(At(0.25, LifecycleStep::kSubmit, 5));
+  graph.Record(At(0.5, LifecycleStep::kSubmit, 3));
+  graph.Record(At(1.0, LifecycleStep::kProviderDecision, 7));
+  graph.Record(Queued(1.0, 7, 0));
+  graph.Record(Queued(1.0, 7, 1));
+  graph.Record(Launched(1.5, 7, 0, 0, 0));
+  graph.Record(Launched(1.5, 7, 1, 0, 1));
+  graph.Record(Queued(2.0, 3, 0));
+  graph.Record(At(2.5, LifecycleStep::kJobComplete, 5));
+  graph.Record(Ended(3.0, 7, 0, 0, 0, Outcome::kFailed));
+  graph.Record(At(3.0, LifecycleStep::kHeartbeat, -1));
+  graph.Record(Launched(3.5, 7, 0, 1, 0));
+  graph.Record(Launched(4.0, 3, 0, 0, 0));
+  graph.Record(Ended(4.5, 7, 1, 0, 1, Outcome::kOk));
+  graph.Record(At(5.0, LifecycleStep::kProviderDecision, 7));
+  LifecycleRecord backup = Launched(5.5, 7, 0, 0, 1);
+  backup.step = LifecycleStep::kBackupLaunch;
+  graph.Record(backup);
+  graph.Record(At(6.0, LifecycleStep::kSampleSatisfiable, 7));
+  graph.Record(Ended(6.0, 7, 0, 0, 1, Outcome::kKilled));
+  graph.Record(Ended(6.0, 7, 0, 1, 0, Outcome::kOk));
+  graph.Record(At(6.25, LifecycleStep::kSampleSatisfiable, 7));
+  graph.Record(At(6.5, LifecycleStep::kInputFinalized, 7));
+  graph.Record(At(7.0, LifecycleStep::kReduceStart, 7));
+  graph.Record(At(8.0, LifecycleStep::kJobComplete, 3));
+  graph.Record(Ended(8.0, 3, 0, 0, 0, Outcome::kOk));
+  graph.Record(At(9.0, LifecycleStep::kJobComplete, 7));
+
+  // A change to how the graph stores events or registries must reproduce
+  // this analysis byte for byte.
+  const char* kExpected = R"({"jobs": [
+      {"job": 5, "finish_time": 2.5, "response_time": 2.25, "path_time": 2.25, "root_job": 5, "root_type": "submit", "breakdown": {"provider": 2.25}, "path_truncated": false, "path": [
+        {"event": "submit", "t": 0.25, "job": 5},
+        {"event": "job_completed", "t": 2.5, "job": 5, "category": "provider", "dur": 2.25, "slack": 2.25}
+      ]},
+      {"job": 3, "finish_time": 8, "response_time": 7.5, "path_time": 8, "root_job": 7, "root_type": "submit", "breakdown": {"provider": 1, "queueing": 1.5, "execution": 5.5}, "path_truncated": false, "path": [
+        {"event": "submit", "t": 0, "job": 7},
+        {"event": "provider_decision", "t": 1, "job": 7, "category": "provider", "dur": 1, "slack": 1},
+        {"event": "split_added", "t": 1, "job": 7, "split": 0, "category": "provider", "dur": 0, "slack": 0},
+        {"event": "attempt_launched", "t": 1.5, "job": 7, "split": 0, "node": 0, "category": "queueing", "dur": 0.5, "slack": 0.5},
+        {"event": "attempt_done", "t": 3, "job": 7, "split": 0, "node": 0, "category": "execution", "dur": 1.5, "slack": 1.5},
+        {"event": "attempt_launched", "t": 4, "job": 3, "split": 0, "node": 0, "category": "queueing", "dur": 1, "slack": 1},
+        {"event": "attempt_done", "t": 8, "job": 3, "split": 0, "node": 0, "category": "execution", "dur": 4, "slack": 4},
+        {"event": "job_completed", "t": 8, "job": 3, "category": "execution", "dur": 0, "slack": 0}
+      ]},
+      {"job": 7, "finish_time": 9, "response_time": 9, "path_time": 9, "root_job": 7, "root_type": "submit", "breakdown": {"provider": 1.5, "queueing": 1, "execution": 4, "barrier": 0.5, "reduce": 2}, "path_truncated": false, "path": [
+        {"event": "submit", "t": 0, "job": 7},
+        {"event": "provider_decision", "t": 1, "job": 7, "category": "provider", "dur": 1, "slack": 1},
+        {"event": "split_added", "t": 1, "job": 7, "split": 0, "category": "provider", "dur": 0, "slack": 0},
+        {"event": "attempt_launched", "t": 1.5, "job": 7, "split": 0, "node": 0, "category": "queueing", "dur": 0.5, "slack": 0.5},
+        {"event": "attempt_done", "t": 3, "job": 7, "split": 0, "node": 0, "category": "execution", "dur": 1.5, "slack": 1.5},
+        {"event": "attempt_launched", "t": 3.5, "job": 7, "split": 0, "node": 1, "category": "queueing", "dur": 0.5, "slack": 0.5},
+        {"event": "attempt_done", "t": 6, "job": 7, "split": 0, "node": 1, "category": "execution", "dur": 2.5, "slack": 2.5},
+        {"event": "sample_satisfiable", "t": 6, "job": 7, "category": "barrier", "dur": 0, "slack": 0},
+        {"event": "input_finalized", "t": 6.5, "job": 7, "category": "provider", "dur": 0.5, "slack": 1},
+        {"event": "reduce_started", "t": 7, "job": 7, "category": "barrier", "dur": 0.5, "slack": 0.5},
+        {"event": "job_completed", "t": 9, "job": 7, "category": "reduce", "dur": 2, "slack": 2}
+      ]}
+    ]})";
+  EXPECT_EQ(graph.AnalysisToJson(), kExpected);
+}
+
 // --- end-to-end properties over the real simulated cluster ---------------
 
 /// Runs a (policy, z) grid of small single-user sampling jobs with the obs

@@ -217,6 +217,64 @@ TEST(FairSchedulerTest, NonStrictDelaySkipsToNextJob) {
   EXPECT_EQ(assignments[0].job->id(), 2);
 }
 
+TEST(FairSchedulerTest, TiedPoolsServeInOrderOfFirstAppearance) {
+  // alice is seen first, then her job completes; bob submits, then alice
+  // again. With equal running counts the tie goes to the pool that comes
+  // first in running_jobs (bob), not to the user seen first.
+  FairScheduler fair(FairOpts(/*wait=*/0.0, /*multiple=*/false));
+  auto first = MakeJob(1, "alice", {MakeSplit(0, 0)});
+  auto served = fair.AssignMapTasks({first.get()}, 0, 1, 0.0);
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_EQ(served[0].job->id(), 1);
+
+  auto bob = MakeJob(2, "bob", {MakeSplit(0, 0)});
+  auto again = MakeJob(3, "alice", {MakeSplit(0, 0)});
+  auto assignments =
+      fair.AssignMapTasks({bob.get(), again.get()}, 0, 1, 3.0);
+  ASSERT_EQ(assignments.size(), 1u);
+  EXPECT_EQ(assignments[0].job->id(), 2);
+}
+
+TEST(FairSchedulerTest, DrainedPoolLeavesTheRankingMidHeartbeat) {
+  // alice (running 0) takes her only split first. She then ranks ahead of
+  // bob (running 1 < 2) but has no demand left, so bob's pool gets every
+  // remaining slot of the heartbeat.
+  FairScheduler fair(FairOpts(/*wait=*/0.0, /*multiple=*/true));
+  auto alice = MakeJob(1, "alice", {MakeSplit(0, 0)});
+  auto bob = MakeJob(2, "bob", {MakeSplit(0, 0), MakeSplit(1, 0),
+                                MakeSplit(2, 0)});
+  bob->OnMapLaunched(/*local=*/true);
+  bob->OnMapLaunched(/*local=*/true);
+  auto assignments =
+      fair.AssignMapTasks({alice.get(), bob.get()}, 0, 3, 0.0);
+  ASSERT_EQ(assignments.size(), 3u);
+  EXPECT_EQ(assignments[0].job->id(), 1);
+  EXPECT_EQ(assignments[1].job->id(), 2);
+  EXPECT_EQ(assignments[2].job->id(), 2);
+  EXPECT_FALSE(alice->HasPendingSplits());
+  EXPECT_EQ(bob->pending_count(), 1);
+}
+
+TEST(FairSchedulerTest, OneUsersJobsShareOnePoolAcrossOtherUsersJobs) {
+  // alice's two jobs, with bob's between them in submission order, form one
+  // pool running 2 tasks against bob's 1: bob is served first, then the
+  // pools tie at 2 and alice's first job goes (first appearance, then
+  // submission order within the pool), then bob again at 2 against 3.
+  FairScheduler fair(FairOpts(/*wait=*/0.0, /*multiple=*/true));
+  auto alice1 = MakeJob(1, "alice", {MakeSplit(0, 0), MakeSplit(1, 0)});
+  auto bob = MakeJob(2, "bob", {MakeSplit(0, 0), MakeSplit(1, 0)});
+  auto alice2 = MakeJob(3, "alice", {MakeSplit(0, 0), MakeSplit(1, 0)});
+  alice1->OnMapLaunched(/*local=*/true);
+  bob->OnMapLaunched(/*local=*/true);
+  alice2->OnMapLaunched(/*local=*/true);
+  auto assignments = fair.AssignMapTasks(
+      {alice1.get(), bob.get(), alice2.get()}, 0, 3, 0.0);
+  ASSERT_EQ(assignments.size(), 3u);
+  EXPECT_EQ(assignments[0].job->id(), 2);
+  EXPECT_EQ(assignments[1].job->id(), 1);
+  EXPECT_EQ(assignments[2].job->id(), 2);
+}
+
 TEST(FairSchedulerTest, EmptyJobListIsFine) {
   FairScheduler fair(FairOpts());
   EXPECT_TRUE(fair.AssignMapTasks({}, 0, 4, 0.0).empty());
