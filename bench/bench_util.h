@@ -20,13 +20,9 @@
 #include "exec/parallel.h"
 #include "prof/prof.h"
 #include "sim/simulation.h"
+#include "obs/book.h"
 #include "obs/flight_recorder.h"
-#include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/scope.h"
-#include "obs/timeline.h"
-#include "obs/trace.h"
 
 namespace dmr::bench {
 
@@ -328,12 +324,12 @@ class JsonWriter {
 
 /// \brief The driver-side observability session behind --trace/--metrics.
 ///
-/// Construct one right after BenchOptions::Parse; it installs the global
-/// obs::Hub so every Testbed the driver creates (including from worker
-/// threads) auto-attaches a per-cell Scope. Finish() — also run by the
+/// Construct one right after BenchOptions::Parse; it installs an obs::Book
+/// on the global obs::Hub so every Testbed the driver creates (including
+/// from worker threads) opens a cell in it. Finish() — also run by the
 /// destructor — snapshots the metrics into a Report, writes the requested
-/// files and uninstalls the hub. With neither flag given the session is
-/// inert and costs nothing.
+/// files and uninstalls the hub. With no observability flag given the
+/// session is inert and costs nothing.
 class ObsSession {
  public:
   ObsSession(const BenchOptions& options, std::string driver)
@@ -344,14 +340,9 @@ class ObsSession {
         profile_path_(options.profile_path),
         dump_flight_(options.dump_flight_recorder) {
     if (!options.obs_enabled()) return;
-    registry_ = std::make_unique<obs::MetricsRegistry>();
-    if (!trace_path_.empty()) {
-      recorder_ = std::make_unique<obs::TraceRecorder>();
-    }
-    book_ = std::make_unique<obs::LedgerBook>();
-    if (!timeline_path_.empty() || dump_flight_) {
-      timelines_ = std::make_unique<obs::TimelineBook>();
-    }
+    std::optional<obs::TimelineOptions> timeline;
+    if (!timeline_path_.empty() || dump_flight_) timeline.emplace();
+    book_ = std::make_unique<obs::Book>(!trace_path_.empty(), timeline);
     if (!profile_path_.empty()) {
       // Session-level ring: records the profile seal (and any timer-stack
       // imbalance) so post-mortems state whether profiling was live.
@@ -359,8 +350,7 @@ class ObsSession {
       obs::RegisterFlightRecorderForFatalDump(prof_flight_.get(),
                                               "prof/" + driver_);
     }
-    obs::Hub::Install(registry_.get(), recorder_.get(), book_.get(),
-                      timelines_.get());
+    obs::Hub::Install(book_.get());
     installed_ = true;
   }
 
@@ -375,15 +365,15 @@ class ObsSession {
     if (!installed_) return;
     installed_ = false;
     obs::Hub::Uninstall();
-    if (recorder_ != nullptr) {
-      CheckOk(recorder_->WriteJson(trace_path_), "trace output");
+    if (!trace_path_.empty()) {
+      CheckOk(book_->WriteTrace(trace_path_), "trace output");
       std::printf("\ntrace written to %s (%zu events, %zu cells)\n",
-                  trace_path_.c_str(), recorder_->num_events(),
-                  recorder_->num_streams());
+                  trace_path_.c_str(), book_->num_trace_events(),
+                  book_->num_cells());
     }
     obs::Report report;
     report.SetInfo("driver", driver_);
-    report.SetSnapshot(registry_->TakeSnapshot());
+    report.SetSnapshot(book_->TakeSnapshot());
     // Slot-time attribution + per-job critical paths for every cell;
     // Resolve() inside LedgerJson asserts the sum-to-total invariant.
     report.AddJsonSection("ledger", book_->LedgerJson());
@@ -430,13 +420,13 @@ class ObsSession {
       if (dump_flight_) prof_flight_->DumpText(stdout, "prof/" + driver_);
       obs::UnregisterFlightRecorderForFatalDump(prof_flight_.get());
     }
-    if (timelines_ != nullptr) {
-      if (dump_flight_) timelines_->DumpFlightRecorders(stdout);
+    if (!timeline_path_.empty() || dump_flight_) {
+      if (dump_flight_) book_->DumpFlightRecorders(stdout);
       if (!timeline_path_.empty()) {
         // Standalone file (kept out of the metrics report: timelines are
         // an order of magnitude bigger than the end-of-run aggregates).
         std::string text = "{\"driver\": \"" + driver_ +
-                           "\",\n \"timeline\": " + timelines_->ToJson() +
+                           "\",\n \"timeline\": " + book_->TimelineJson() +
                            "}\n";
         std::FILE* f = std::fopen(timeline_path_.c_str(), "w");
         if (f == nullptr) {
@@ -460,10 +450,7 @@ class ObsSession {
   std::string timeline_path_;
   std::string profile_path_;
   bool dump_flight_ = false;
-  std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::unique_ptr<obs::TraceRecorder> recorder_;
-  std::unique_ptr<obs::LedgerBook> book_;
-  std::unique_ptr<obs::TimelineBook> timelines_;
+  std::unique_ptr<obs::Book> book_;
   std::unique_ptr<obs::FlightRecorder> prof_flight_;
   bool installed_ = false;
 };

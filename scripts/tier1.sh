@@ -151,10 +151,10 @@ done
 echo "fig5 metrics+timeline digest identical across {calendar, heap} x {base + 5 shuffle seeds}"
 
 echo "== tier-1: metrics + timeline thread-count invariance + dmr-analyze timeline smoke =="
-# The virtual-time timelines sample simulation state only, and the metrics
-# merge per-thread shards order-independently (bucket counts, exact
-# histogram sums), so both documents must be byte-identical whether the
-# experiment cells run serially or on a worker pool.
+# The virtual-time timelines sample simulation state only, and the book
+# folds each cell's metrics into the run totals order-independently (bucket
+# counts, exact histogram sums), so both documents must be byte-identical
+# whether the experiment cells run serially or on a worker pool.
 for threads in 1 4; do
   ./build/bench/bench_fig5_single_user \
     --threads="${threads}" \
@@ -286,11 +286,11 @@ python3 scripts/check_layout_pruning.py \
   "${obs_dir}/layout_metrics_t1.json"
 
 if [[ "${run_tsan}" == "1" ]]; then
-  echo "== tier-1: ThreadSanitizer pass (pool + kernel + metrics + vectorized + ledger + local runtime tests) =="
+  echo "== tier-1: ThreadSanitizer pass (pool + kernel + metrics + book + vectorized + ledger + local runtime tests) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${jobs}" \
-    --target parallel_test simulation_test metrics_test vectorized_test \
-             ledger_test queue_equivalence_test timeline_test \
+    --target parallel_test simulation_test metrics_test book_test \
+             vectorized_test ledger_test queue_equivalence_test timeline_test \
              layout_pruning_test prof_test local_runtime_pin_test \
              local_runtime_test
   ctest --preset tsan
@@ -307,7 +307,7 @@ if [[ "${run_asan}" == "1" ]]; then
              input_splits_test sampling_input_provider_test \
              adaptive_input_provider_test speculative_execution_test \
              fault_injection_test replication_test control_plane_pin_test \
-             metrics_test trace_test \
+             obs_integration_test metrics_test book_test trace_test \
              ledger_test analysis_test lint_test \
              lint_diff_test lint_engine_test queue_equivalence_test \
              timeline_test flight_recorder_test layout_pruning_test \

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "obs/ledger.h"
 
 namespace dmr::cluster {
 
@@ -32,22 +31,14 @@ void Node::EmitSlotOccupancy() {
 int Node::AcquireMapSlot() {
   const int slot = state_->AcquireMapSlot(id_);
   EmitSlotOccupancy();
-  if (obs_ != nullptr) {
-    if (obs::Ledger* ledger = obs_->ledger()) {
-      ledger->OnSlotAcquired(id_, slot, sim_->Now());
-    }
-  }
+  if (obs_ != nullptr) obs_->ledger()->OnSlotAcquired(id_, slot, sim_->Now());
   return slot;
 }
 
 void Node::ReleaseMapSlot(int slot) {
   state_->ReleaseMapSlot(id_, slot);
   EmitSlotOccupancy();
-  if (obs_ != nullptr) {
-    if (obs::Ledger* ledger = obs_->ledger()) {
-      ledger->OnSlotReleased(id_, slot, sim_->Now());
-    }
-  }
+  if (obs_ != nullptr) obs_->ledger()->OnSlotReleased(id_, slot, sim_->Now());
 }
 
 void Node::AcquireReduceSlot() { state_->AcquireReduceSlot(id_); }

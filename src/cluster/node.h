@@ -6,7 +6,7 @@
 
 #include "cluster/cluster_config.h"
 #include "cluster/node_state.h"
-#include "obs/scope.h"
+#include "obs/book.h"
 #include "sim/ps_resource.h"
 #include "sim/simulation.h"
 
@@ -53,7 +53,7 @@ class Node {
 
   /// Attaches observability (nullable; emits a per-node slot-occupancy
   /// counter track when a trace stream is present).
-  void set_obs(obs::Scope* obs) { obs_ = obs; }
+  void set_obs(obs::Cell* obs) { obs_ = obs; }
 
  private:
   void EmitSlotOccupancy();
@@ -61,7 +61,7 @@ class Node {
   int id_;
   NodeStateTable* state_;
   sim::Simulation* sim_;
-  obs::Scope* obs_ = nullptr;
+  obs::Cell* obs_ = nullptr;
   std::unique_ptr<sim::PsResource> cpu_;
   std::vector<std::unique_ptr<sim::PsResource>> disks_;
 };

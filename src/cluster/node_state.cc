@@ -1,7 +1,5 @@
 #include "cluster/node_state.h"
 
-#include <limits>
-
 #include "common/logging.h"
 
 namespace dmr::cluster {
@@ -13,11 +11,7 @@ NodeStateTable::NodeStateTable(int num_nodes, int map_slots_per_node,
       reduce_slots_(reduce_slots_per_node),
       used_map_(static_cast<std::size_t>(num_nodes), 0),
       map_busy_(static_cast<std::size_t>(num_nodes), 0),
-      used_reduce_(static_cast<std::size_t>(num_nodes), 0),
-      last_heartbeat_(static_cast<std::size_t>(num_nodes),
-                      -std::numeric_limits<double>::infinity()),
-      local_launches_(static_cast<std::size_t>(num_nodes), 0),
-      remote_launches_(static_cast<std::size_t>(num_nodes), 0) {
+      used_reduce_(static_cast<std::size_t>(num_nodes), 0) {
   DMR_CHECK_GE(num_nodes, 1);
   DMR_CHECK_GE(map_slots_per_node, 1);
   DMR_CHECK_LE(map_slots_per_node, 64)

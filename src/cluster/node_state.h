@@ -10,10 +10,10 @@ namespace dmr::cluster {
 /// \brief Struct-of-arrays storage for the hot per-node scheduling state.
 ///
 /// Every heartbeat the scheduler and tracker consult the same few fields —
-/// free map/reduce slots, last-heartbeat time, locality tallies — for many
-/// nodes in a row. Keeping those fields inside the Node objects means one
-/// pointer chase and a mostly-cold cache line per node per query; at 10k
-/// nodes that dominates the scheduling path. This table packs each field
+/// free map and reduce slots — for many nodes in a row. Keeping those
+/// fields inside the Node objects means one pointer chase and a mostly-cold
+/// cache line per node per query; at 10k nodes that dominates the
+/// scheduling path. This table packs each field
 /// into its own contiguous array (indexed by node id) so scans touch dense
 /// memory, and maintains cluster-wide totals incrementally so the
 /// aggregate queries (Cluster::free_map_slots and friends, the monitor's
@@ -64,28 +64,6 @@ class NodeStateTable {
     return total_reduce_slots() - static_cast<int>(total_used_reduce_);
   }
 
-  /// Virtual time of the last heartbeat the tracker processed for `node`
-  /// (-inf before the first one); the tracker stamps this on every beat.
-  void RecordHeartbeat(int node, double t) { last_heartbeat_[node] = t; }
-  double last_heartbeat(int node) const { return last_heartbeat_[node]; }
-
-  /// Locality tally: how many map launches on `node` read their split
-  /// locally vs. over the network. The delay-scheduling experiments read
-  /// these per node; dmr-analyze reads the totals.
-  void RecordMapLaunch(int node, bool local) {
-    if (local) {
-      ++local_launches_[node];
-      ++total_local_launches_;
-    } else {
-      ++remote_launches_[node];
-      ++total_remote_launches_;
-    }
-  }
-  int64_t local_launches(int node) const { return local_launches_[node]; }
-  int64_t remote_launches(int node) const { return remote_launches_[node]; }
-  int64_t total_local_launches() const { return total_local_launches_; }
-  int64_t total_remote_launches() const { return total_remote_launches_; }
-
  private:
   int num_nodes_;
   int map_slots_;
@@ -93,13 +71,8 @@ class NodeStateTable {
   std::vector<int32_t> used_map_;
   std::vector<uint64_t> map_busy_;  // bit s set = lane s busy
   std::vector<int32_t> used_reduce_;
-  std::vector<double> last_heartbeat_;
-  std::vector<int64_t> local_launches_;
-  std::vector<int64_t> remote_launches_;
   int64_t total_used_map_ = 0;
   int64_t total_used_reduce_ = 0;
-  int64_t total_local_launches_ = 0;
-  int64_t total_remote_launches_ = 0;
 };
 
 }  // namespace dmr::cluster

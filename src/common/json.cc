@@ -50,6 +50,18 @@ std::string JsonQuote(std::string_view s) {
   return out;
 }
 
+void AppendJsonNumber(std::string* out, double value) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
+  out->append(buf, static_cast<size_t>(n));
+}
+
+std::string JsonNumber(double value) {
+  std::string out;
+  AppendJsonNumber(&out, value);
+  return out;
+}
+
 namespace {
 
 /// Recursive-descent parser over a string_view with a cursor.

@@ -51,6 +51,12 @@ Result<JsonValue> JsonParse(std::string_view text);
 /// the codebase.
 std::string JsonQuote(std::string_view s);
 
+/// Renders `value` in `%.17g` form, which round-trips every double. Shared
+/// by every JSON emitter in the codebase.
+std::string JsonNumber(double value);
+/// Appends JsonNumber(value) to `out` without a temporary string.
+void AppendJsonNumber(std::string* out, double value);
+
 }  // namespace dmr::json
 
 #endif  // DMR_COMMON_JSON_H_

@@ -106,10 +106,9 @@ Result<FileInfo> FileSystem::CreateFile(const std::string& name,
 
 void FileSystem::CountPlacement(const FileInfo& file) {
   if (obs_ == nullptr) return;
-  const obs::StandardMetrics& m = obs_->m();
-  obs_->Count(m.dfs_files_created);
-  obs_->Count(m.dfs_partitions_placed, file.num_partitions());
-  obs_->Count(m.dfs_bytes_placed,
+  obs_->Count(obs::Counter::kDfsFilesCreated);
+  obs_->Count(obs::Counter::kDfsPartitionsPlaced, file.num_partitions());
+  obs_->Count(obs::Counter::kDfsBytesPlaced,
               static_cast<int64_t>(file.total_bytes()));
 }
 

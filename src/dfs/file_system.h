@@ -8,7 +8,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "obs/scope.h"
+#include "obs/book.h"
 
 namespace dmr::dfs {
 
@@ -136,7 +136,7 @@ class FileSystem {
 
   /// Attaches observability (nullable; counts files/partitions/bytes
   /// entering the namespace when set).
-  void set_obs(obs::Scope* obs) { obs_ = obs; }
+  void set_obs(obs::Cell* obs) { obs_ = obs; }
 
  private:
   /// Counts one registered file's placement into the dfs.* metrics.
@@ -144,7 +144,7 @@ class FileSystem {
 
   int num_nodes_;
   int disks_per_node_;
-  obs::Scope* obs_ = nullptr;
+  obs::Cell* obs_ = nullptr;
   std::map<std::string, FileInfo> files_;
 };
 

@@ -14,6 +14,15 @@ using mapred::InputResponse;
 using mapred::JobProgress;
 using mapred::SplitId;
 
+namespace {
+
+/// Safety-factor cap applied to the skew inflation term.
+constexpr double kMaxSkewInflation = 3.0;
+/// Lower bound on the load-scaled grab (keeps starved jobs alive).
+constexpr int64_t kMinGrab = 1;
+
+}  // namespace
+
 AdaptiveInputProvider::AdaptiveInputProvider(uint64_t seed, Options options)
     : options_(options), rng_(seed) {}
 
@@ -45,9 +54,9 @@ int64_t AdaptiveInputProvider::LoadScaledGrab(
     const ClusterStatus& cluster) const {
   double as = static_cast<double>(cluster.available_map_slots());
   double ts = static_cast<double>(cluster.total_map_slots);
-  if (ts <= 0.0) return options_.min_grab;
+  if (ts <= 0.0) return kMinGrab;
   double raw = as * as / ts;
-  return std::max<int64_t>(options_.min_grab,
+  return std::max<int64_t>(kMinGrab,
                            static_cast<int64_t>(std::llround(raw)));
 }
 
@@ -133,7 +142,7 @@ InputResponse AdaptiveInputProvider::EvaluateImpl(
   // Projected yield of in-flight work, discounted when the data looks
   // skewed (an unreliable estimate should not talk us into waiting).
   double inflation =
-      1.0 + std::min(skew_cv_, options_.max_skew_inflation - 1.0);
+      1.0 + std::min(skew_cv_, kMaxSkewInflation - 1.0);
   double expected_pending =
       selectivity * static_cast<double>(progress.pending_records);
   double expected_total =

@@ -31,10 +31,6 @@ namespace dmr::dynamic {
 class AdaptiveInputProvider : public mapred::InputProvider {
  public:
   struct Options {
-    /// Safety-factor cap applied to the skew inflation term.
-    double max_skew_inflation = 3.0;
-    /// Lower bound on the load-scaled grab (keeps starved jobs alive).
-    int64_t min_grab = 1;
     /// Per-split stats hints (DESIGN.md §16): deterministic cheapest-first
     /// grab and per-split yield projection, as in
     /// SamplingInputProvider::Options::use_split_hints.
@@ -70,7 +66,7 @@ class AdaptiveInputProvider : public mapred::InputProvider {
   mapred::InputResponse EvaluateImpl(const mapred::JobProgress& progress,
                                      const mapred::ClusterStatus& cluster);
 
-  /// Load-adaptive grab limit: AS^2 / TS, floored at options_.min_grab.
+  /// Load-adaptive grab limit: AS^2 / TS, floored at kMinGrab.
   int64_t LoadScaledGrab(const mapred::ClusterStatus& cluster) const;
 
   /// Draws up to `count` splits uniformly without replacement.

@@ -7,7 +7,7 @@
 #include "common/logging.h"
 #include "dynamic/sampling_input_provider.h"
 #include "exec/parallel.h"
-#include "obs/scope.h"
+#include "obs/book.h"
 #include "prof/prof.h"
 #include "tpch/lineitem.h"
 
@@ -212,17 +212,17 @@ Result<LocalRunResult> LocalRuntime::Execute(
   result.candidate_records = candidates.size();
 
   if (options_.obs != nullptr) {
-    obs::Scope* s = options_.obs;
-    s->Count(s->m().exec_partitions_pruned,
+    obs::Cell* s = options_.obs;
+    s->Count(obs::Counter::kExecPartitionsPruned,
              static_cast<int64_t>(result.partitions_pruned));
-    s->Count(s->m().exec_batches_pruned,
+    s->Count(obs::Counter::kExecBatchesPruned,
              static_cast<int64_t>(result.batches_pruned));
-    s->Count(s->m().exec_rows_skipped,
+    s->Count(obs::Counter::kExecRowsSkipped,
              static_cast<int64_t>(result.records_scanned -
                                   result.rows_physically_scanned));
-    s->Count(s->m().exec_index_builds,
+    s->Count(obs::Counter::kExecIndexBuilds,
              static_cast<int64_t>(result.index_builds));
-    s->Count(s->m().exec_index_hits,
+    s->Count(obs::Counter::kExecIndexHits,
              static_cast<int64_t>(result.index_hits));
   }
 

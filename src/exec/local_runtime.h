@@ -14,7 +14,7 @@
 #include "tpch/generator.h"
 
 namespace dmr::obs {
-class Scope;
+class Cell;
 }  // namespace dmr::obs
 
 namespace dmr::exec {
@@ -44,9 +44,9 @@ struct LocalRunOptions {
   /// reports its rows as seen. The catalog must outlive the runtime and
   /// belong to this dataset.
   LayoutCatalog* layout_catalog = nullptr;
-  /// Observability scope for the exec.* pruning/indexing counters
+  /// Observability cell for the exec.* pruning/indexing counters
   /// (null = off, the usual zero-overhead contract).
-  obs::Scope* obs = nullptr;
+  obs::Cell* obs = nullptr;
 };
 
 /// \brief Outcome of a local run.

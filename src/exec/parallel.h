@@ -100,29 +100,6 @@ Result<std::vector<T>> ParallelMap(
   return values;
 }
 
-/// \brief Evaluates a rows x cols grid of independent cells on the pool and
-/// returns results as `grid[row][col]`, preserving the serial iteration
-/// order. The workhorse of the bench drivers: rows are typically policies,
-/// columns scales/skews/fractions.
-template <typename T>
-Result<std::vector<std::vector<T>>> ParallelGrid(
-    ThreadPool* pool, size_t rows, size_t cols,
-    const std::function<Result<T>(size_t row, size_t col)>& fn) {
-  DMR_ASSIGN_OR_RETURN(
-      std::vector<T> flat,
-      (ParallelMap<T>(pool, rows * cols, [&](size_t i) {
-        return fn(i / cols, i % cols);
-      })));
-  std::vector<std::vector<T>> grid(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    grid[r].reserve(cols);
-    for (size_t c = 0; c < cols; ++c) {
-      grid[r].push_back(std::move(flat[r * cols + c]));
-    }
-  }
-  return grid;
-}
-
 }  // namespace dmr::exec
 
 #endif  // DMR_EXEC_PARALLEL_H_

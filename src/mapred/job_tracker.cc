@@ -50,7 +50,7 @@ void ApplyLayoutCost(const cluster::ClusterConfig& config,
 }  // namespace
 
 JobTracker::JobTracker(cluster::Cluster* cluster, TaskScheduler* scheduler,
-                       obs::Scope* obs)
+                       obs::Cell* obs)
     : cluster_(cluster),
       sim_(cluster->simulation()),
       scheduler_(scheduler),
@@ -201,7 +201,6 @@ void JobTracker::Heartbeat(int node_id) {
       prof::RegisterPhase("mapred", "heartbeat");
   prof::ScopedTimer prof_frame(kHeartbeatPhase);
   cluster::Node* node = cluster_->node(node_id);
-  cluster_->state().RecordHeartbeat(node_id, sim_->Now());
 
   // Launch queued reduce tasks first (they are few and cheap).
   while (!reduce_ready_.empty() && node->free_reduce_slots() > 0) {
@@ -292,7 +291,6 @@ void JobTracker::LaunchMap(Job* job, SplitId split_id, int node_id,
   } else {
     ++total_remote_maps_;
   }
-  cluster_->state().RecordMapLaunch(node_id, local);
 
   const auto& config = cluster_->config();
   double cpu_demand =

@@ -16,7 +16,7 @@
 #include "mapred/job_history.h"
 #include "mapred/task_scheduler.h"
 #include "mapred/types.h"
-#include "obs/scope.h"
+#include "obs/book.h"
 #include "sim/simulation.h"
 
 namespace dmr::mapred {
@@ -35,11 +35,11 @@ class JobTracker {
   using CompletionCallback = std::function<void(const JobStats&)>;
 
   /// \param scheduler  not owned; must outlive the tracker.
-  /// \param obs        nullable observability scope (not owned). When null,
+  /// \param obs        nullable observability cell (not owned). When null,
   ///                   lifecycle steps reach only the history
   ///                   (zero-overhead-when-off).
   JobTracker(cluster::Cluster* cluster, TaskScheduler* scheduler,
-             obs::Scope* obs = nullptr);
+             obs::Cell* obs = nullptr);
 
   /// Begins the per-node heartbeat cycle (staggered across nodes).
   void Start();
@@ -96,7 +96,7 @@ class JobTracker {
   const JobHistory& history() const { return history_; }
 
   /// Reports one lifecycle step at the current virtual time: appends it to
-  /// the history and, with a scope attached, hands it to the scope. The
+  /// the history and, with a cell attached, hands it to the cell. The
   /// JobClient's provider decisions and the scheduler's delay holds too.
   void Report(LifecycleRecord rec);
 
@@ -149,7 +149,7 @@ class JobTracker {
   void EndAttempt(MapAttempt& attempt, Outcome outcome);
   void OnReduceComplete(Job* job, int node_id);
   void CheckReduceReady(Job* job);
-  /// Reports the free-slot demand state (only to a scope: the history has
+  /// Reports the free-slot demand state (only to a cell: the history has
   /// no use for it). Call after any event that can change demand.
   void ReportDemand();
   void PruneMappingJobs();
@@ -159,7 +159,7 @@ class JobTracker {
   cluster::Cluster* cluster_;
   sim::Simulation* sim_;
   TaskScheduler* scheduler_;
-  obs::Scope* obs_;
+  obs::Cell* obs_;
   bool started_ = false;
   Rng fault_rng_;
 

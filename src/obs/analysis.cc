@@ -10,6 +10,7 @@
 
 namespace dmr::obs::analysis {
 
+using json::JsonNumber;
 using json::JsonQuote;
 using json::JsonValue;
 using Type = JsonValue::Kind;
@@ -21,7 +22,6 @@ std::string Format(const char* format, double value) {
   std::snprintf(buf, sizeof(buf), format, value);
   return buf;
 }
-std::string Num(double value) { return Format("%.17g", value); }
 std::string Fixed(double value) { return Format("%.4g", value); }
 /// Integer-valued view numbers (counts, nanoseconds) as printed integers.
 std::string Int(double value) { return Format("%.0f", value); }
@@ -143,8 +143,8 @@ std::string Composition(const Metrics& parts, double path_time) {
   return out;
 }
 
-Status ReadLedgerCell(const JsonValue& cell, const std::string& where,
-                      Row* row) {
+Status ReadLedgerEntry(const JsonValue& cell, const std::string& where,
+                       Row* row) {
   uint64_t n[2];  // nodes, map slots per node
   double v[4];    // makespan, total slot seconds, wasted %, utilization %
   DMR_RETURN_NOT_OK(Ints(cell, {"nodes", "map_slots_per_node"}, n, where));
@@ -184,7 +184,8 @@ Status ReadLedgerCell(const JsonValue& cell, const std::string& where,
 
 Status ReadJobPath(const JsonValue& job, const std::string& cell_where,
                    Row* row, Metrics* parts) {
-  std::string where = cell_where + " job " + Num(job.NumberOr("job", -1));
+  std::string where =
+      cell_where + " job " + JsonNumber(job.NumberOr("job", -1));
   double v[3];  // finish, response and path time
   DMR_RETURN_NOT_OK(Numbers(
       job, {"finish_time", "response_time", "path_time"}, v, where));
@@ -229,7 +230,7 @@ Status ReadReport(const JsonValue& doc, Table* table) {
     for (const JsonValue& cell : cells->items) {
       std::string where = Where(table->source, "ledger cell", cell);
       DMR_ASSIGN_OR_RETURN(Key key, CellKey(cell, where));
-      DMR_RETURN_NOT_OK(ReadLedgerCell(cell, where, &RowAt(&rows, key)));
+      DMR_RETURN_NOT_OK(ReadLedgerEntry(cell, where, &RowAt(&rows, key)));
     }
   }
   if (const JsonValue* critical = doc.Find("critical_path")) {
@@ -272,9 +273,9 @@ Status ReadReport(const JsonValue& doc, Table* table) {
 /// Folds one timeline cell into `rows`. Every series of a cell retains the
 /// same ticks - dropped_ticks points, at tick times strictly monotone and
 /// one sampling interval apart.
-Status ReadTimelineCell(const JsonValue& cell, const JsonValue& windows,
-                        double interval, const std::string& source,
-                        std::map<Key, Row>* rows) {
+Status ReadTimelineEntry(const JsonValue& cell, const JsonValue& windows,
+                         double interval, const std::string& source,
+                         std::map<Key, Row>* rows) {
   std::string where = Where(source, "timeline cell", cell);
   DMR_ASSIGN_OR_RETURN(Key key, CellKey(cell, where));
   DMR_ASSIGN_OR_RETURN(const JsonValue* tl, Obj(cell, "timeline", where));
@@ -311,7 +312,7 @@ Status ReadTimelineCell(const JsonValue& cell, const JsonValue& windows,
                              std::fabs(v[0] - times.back() - interval) >
                                  1e-9 * std::max(1.0, interval))) {
         return Bad(at, "tick times leave the sampling cadence at t=" +
-                           Num(v[0]));
+                           JsonNumber(v[0]));
       }
       times.push_back(v[0]);
       column.push_back(v[spark]);
@@ -377,7 +378,7 @@ Status ReadTimelineCell(const JsonValue& cell, const JsonValue& windows,
     for (size_t w = 0; w < list->items.size(); ++w) {
       const JsonValue& window = list->items[w];
       DMR_ASSIGN_OR_RETURN(double length, Number(window, "window", at));
-      std::string wat = at + " window " + Num(length);
+      std::string wat = at + " window " + JsonNumber(length);
       DMR_ASSIGN_OR_RETURN(const JsonValue* summary,
                            Obj(window, "summary", wat));
       DMR_ASSIGN_OR_RETURN(const JsonValue* points,
@@ -399,7 +400,8 @@ Status ReadTimelineCell(const JsonValue& cell, const JsonValue& windows,
             return v[1] >= 0 && v[1] <= static_cast<double>(count_max) &&
                    v[2] <= v[3] && v[3] <= v[4];
           }));
-      Row& row = RowAt(rows, Key{key[0], key[1], key[2], name, Num(length)});
+      Row& row =
+          RowAt(rows, Key{key[0], key[1], key[2], name, JsonNumber(length)});
       if (row.repeats++ == 0) {
         row.text = "windowed";
         row.spark = std::move(p99s);
@@ -485,7 +487,7 @@ Status ReadTimeline(const JsonValue& doc, Table* table) {
   std::map<Key, Row> rows;
   for (const JsonValue& cell : cells->items) {
     DMR_RETURN_NOT_OK(
-        ReadTimelineCell(cell, *windows, interval, source, &rows));
+        ReadTimelineEntry(cell, *windows, interval, source, &rows));
   }
   for (auto& [key, row] : rows) table->rows.push_back(std::move(row));
   return Status::OK();
@@ -832,8 +834,9 @@ std::string EmitBaseline(Kind kind, const std::vector<Table>& runs,
     const Band& band = spec.bands[i];
     out += (i > 0 ? ", " : "") + JsonQuote(band.metric) + ": " +
            (band.abs > 0.0
-                ? "{\"rel\": " + Num(rel) + ", \"abs\": " + Num(band.abs) + "}"
-                : Num(rel));
+                ? "{\"rel\": " + JsonNumber(rel) +
+                      ", \"abs\": " + JsonNumber(band.abs) + "}"
+                : JsonNumber(rel));
   }
   out += "},\n  \"entries\": [";
   std::set<Key> seen;
@@ -845,7 +848,7 @@ std::string EmitBaseline(Kind kind, const std::vector<Table>& runs,
         auto it = row.metrics.find(band.metric);
         if (it == row.metrics.end()) continue;
         metrics += (metrics.empty() ? "" : ", ") + JsonQuote(band.metric) +
-                   ": " + Num(it->second);
+                   ": " + JsonNumber(it->second);
       }
       if (metrics.empty() || !seen.insert(row.key).second) continue;
       out += first ? "\n    {" : ",\n    {";
@@ -1115,8 +1118,9 @@ Result<TraceCounts> ReadTrace(const JsonValue& doc, const std::string& source) {
       if (id == nullptr || !(id->is_string() || id->is_number())) {
         return Bad(source, "async event without a string or number id");
       }
-      int64_t& open = depth[{cat, id->is_string() ? "s" + id->string_value
-                                                  : Num(id->number_value)}];
+      int64_t& open =
+          depth[{cat, id->is_string() ? "s" + id->string_value
+                                      : JsonNumber(id->number_value)}];
       open += ph == "b" ? 1 : -1;
       if (open < 0) return Bad(source, "async end before begin in " + cat);
       counts.job_spans += ph == "b" && cat == "job";

@@ -1,21 +1,14 @@
 #include "obs/critical_path.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <optional>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace dmr::obs {
 
-namespace {
-
-std::string Num(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
+using json::AppendJsonNumber;
 
 const char* EventGraph::EventTypeName(EventType type) {
   switch (type) {
@@ -317,7 +310,9 @@ std::vector<EventGraph::JobPath> EventGraph::AnalyzeCriticalPaths() const {
       if (submit < 0) path.response_time = path.path_time;
       // Skip the root step: it has dur 0 and a meaningless category.
       for (size_t s = 1; s < path.steps.size(); ++s) {
-        path.breakdown[path.steps[s].category] += path.steps[s].dur;
+        std::optional<double>& seconds =
+            path.breakdown[static_cast<int>(path.steps[s].category)];
+        seconds = seconds.value_or(0.0) + path.steps[s].dur;
       }
     }
     paths.push_back(std::move(path));
@@ -328,21 +323,34 @@ std::vector<EventGraph::JobPath> EventGraph::AnalyzeCriticalPaths() const {
 std::string EventGraph::AnalysisToJson(size_t max_path_steps) const {
   std::vector<JobPath> paths = AnalyzeCriticalPaths();
   std::string out = "{\"jobs\": [";
+  // Every field is appended in place: a cell's analysis runs to megabytes.
+  auto number = [&out](const char* key, double value) {
+    out += key;
+    AppendJsonNumber(&out, value);
+  };
+  auto integer = [&out](const char* key, int value) {
+    out += key;
+    out += std::to_string(value);
+  };
   for (size_t i = 0; i < paths.size(); ++i) {
     const JobPath& p = paths[i];
     if (i > 0) out += ",";
-    out += "\n      {\"job\": " + std::to_string(p.job) +
-           ", \"finish_time\": " + Num(p.finish_time) +
-           ", \"response_time\": " + Num(p.response_time) +
-           ", \"path_time\": " + Num(p.path_time) +
-           ", \"root_job\": " + std::to_string(p.root_job) +
-           ", \"root_type\": \"" + EventTypeName(p.root_type) + "\"";
-    out += ", \"breakdown\": {";
+    integer("\n      {\"job\": ", p.job);
+    number(", \"finish_time\": ", p.finish_time);
+    number(", \"response_time\": ", p.response_time);
+    number(", \"path_time\": ", p.path_time);
+    integer(", \"root_job\": ", p.root_job);
+    out += ", \"root_type\": \"";
+    out += EventTypeName(p.root_type);
+    out += "\", \"breakdown\": {";
     bool first = true;
-    for (const auto& [cat, secs] : p.breakdown) {
+    for (int c = 0; c < kNumEdgeCategories; ++c) {
+      if (!p.breakdown[c].has_value()) continue;
       if (!first) out += ", ";
       first = false;
-      out += std::string("\"") + EdgeCategoryName(cat) + "\": " + Num(secs);
+      out += '"';
+      out += EdgeCategoryName(static_cast<EdgeCategory>(c));
+      number("\": ", *p.breakdown[c]);
     }
     out += "}";
     size_t begin = p.steps.size() > max_path_steps
@@ -354,15 +362,17 @@ std::string EventGraph::AnalysisToJson(size_t max_path_steps) const {
     for (size_t s = begin; s < p.steps.size(); ++s) {
       const PathStep& st = p.steps[s];
       if (s > begin) out += ",";
-      out += "\n        {\"event\": \"" + std::string(EventTypeName(st.type)) +
-             "\", \"t\": " + Num(st.t) + ", \"job\": " +
-             std::to_string(st.job);
-      if (st.detail >= 0) out += ", \"split\": " + std::to_string(st.detail);
-      if (st.node >= 0) out += ", \"node\": " + std::to_string(st.node);
+      out += "\n        {\"event\": \"";
+      out += EventTypeName(st.type);
+      number("\", \"t\": ", st.t);
+      integer(", \"job\": ", st.job);
+      if (st.detail >= 0) integer(", \"split\": ", st.detail);
+      if (st.node >= 0) integer(", \"node\": ", st.node);
       if (s > 0) {
-        out += std::string(", \"category\": \"") +
-               EdgeCategoryName(st.category) + "\", \"dur\": " + Num(st.dur) +
-               ", \"slack\": " + Num(st.slack);
+        out += ", \"category\": \"";
+        out += EdgeCategoryName(st.category);
+        number("\", \"dur\": ", st.dur);
+        number(", \"slack\": ", st.slack);
       }
       out += "}";
     }

@@ -3,7 +3,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +27,7 @@ namespace dmr::obs {
 ///
 /// One EventGraph per experiment cell, written single-threaded by the cell's
 /// simulation (same threading model as TraceStream). Recording is only
-/// reachable through a non-null obs::Scope, so the zero-observer path pays
+/// reachable through a non-null obs::Cell, so the zero-observer path pays
 /// nothing.
 ///
 /// Notifications sharing one virtual timestamp are buffered and applied in a
@@ -61,6 +61,7 @@ class EventGraph {
     kBarrier,    // map-phase barrier before the reduce launch
     kReduce,     // the reduce task running
   };
+  static constexpr int kNumEdgeCategories = 5;
 
   /// An event has at most two parents: what it waited on, and for a
   /// launch, decision, finalize or reduce, the second thing it waited on.
@@ -81,7 +82,7 @@ class EventGraph {
     std::array<int32_t, kMaxParents> parents{};
   };
 
-  // --- recording (fed by Scope::Record) ---------------------------------
+  // --- recording (fed by Cell::Record) ----------------------------------
 
   /// Buffers the lifecycle steps that are graph events and ignores the
   /// rest. A failed attempt re-arms its split (the retry's launch hangs
@@ -123,8 +124,9 @@ class EventGraph {
     EventType root_type = EventType::kSubmit;
     /// Root-first binding chain ending at the job-completed event.
     std::vector<PathStep> steps;
-    /// Seconds per EdgeCategory along the path (sums to path_time).
-    std::map<EdgeCategory, double> breakdown;
+    /// Seconds per EdgeCategory along the path, set for exactly the
+    /// categories the path visits (sums to path_time).
+    std::array<std::optional<double>, kNumEdgeCategories> breakdown;
   };
 
   /// Extracts the critical path of every completed job, in canonical event

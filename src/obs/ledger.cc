@@ -2,22 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
-#include "common/json.h"
 #include "common/logging.h"
 
 namespace dmr::obs {
-
-namespace {
-
-std::string Num(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
 
 const char* SlotCategoryName(SlotCategory category) {
   switch (category) {
@@ -183,125 +171,6 @@ Ledger::Totals Ledger::Resolve() const {
       << totals.sum() << " but nodes*slots*makespan = "
       << totals.expected_total;
   return totals;
-}
-
-LedgerCell* LedgerBook::NewCell(std::string label, int num_nodes,
-                                int map_slots_per_node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.push_back(std::make_unique<LedgerCell>(std::move(label), num_nodes,
-                                                map_slots_per_node));
-  return cells_.back().get();
-}
-
-size_t LedgerBook::num_cells() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cells_.size();
-}
-
-std::vector<const LedgerCell*> LedgerBook::SortedCells() const {
-  std::vector<const LedgerCell*> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted.reserve(cells_.size());
-    for (const auto& cell : cells_) sorted.push_back(cell.get());
-  }
-  // Cell labels are handed out in nondeterministic order under
-  // --threads=N; the driver-provided annotations are the stable identity.
-  std::sort(sorted.begin(), sorted.end(),
-            [](const LedgerCell* a, const LedgerCell* b) {
-              if (a->annotations != b->annotations) {
-                return a->annotations < b->annotations;
-              }
-              return a->label < b->label;
-            });
-  return sorted;
-}
-
-namespace {
-
-std::string AnnotationsJson(const LedgerCell& cell) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : cell.annotations) {
-    if (!first) out += ", ";
-    first = false;
-    out += json::JsonQuote(key) + ": " + json::JsonQuote(value);
-  }
-  out += "}";
-  return out;
-}
-
-}  // namespace
-
-namespace {
-
-// Creation-order labels are handed out nondeterministically under
-// --threads=N; renumbering by sorted position keeps the emitted JSON
-// byte-identical across thread counts.
-std::string SortedLabel(size_t index) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "cell-%04zu", index);
-  return buf;
-}
-
-}  // namespace
-
-std::string LedgerBook::LedgerJson() const {
-  std::vector<const LedgerCell*> sorted = SortedCells();
-  std::string out = "{\"cells\": [";
-  bool first = true;
-  size_t index = 0;
-  for (const LedgerCell* cell : sorted) {
-    if (!cell->ledger.sealed()) continue;
-    Ledger::Totals totals = cell->ledger.Resolve();
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"label\": " + json::JsonQuote(SortedLabel(index++)) +
-           ", \"annotations\": " + AnnotationsJson(*cell) +
-           ",\n     \"nodes\": " + std::to_string(cell->ledger.num_nodes()) +
-           ", \"map_slots_per_node\": " +
-           std::to_string(cell->ledger.map_slots_per_node()) +
-           ", \"makespan\": " + Num(totals.makespan) +
-           ", \"total_slot_seconds\": " + Num(totals.expected_total) +
-           ",\n     \"categories\": {";
-    for (int c = 0; c < kNumSlotCategories; ++c) {
-      if (c > 0) out += ", ";
-      out += std::string("\"") +
-             SlotCategoryName(static_cast<SlotCategory>(c)) +
-             "\": " + Num(totals.seconds[c]);
-    }
-    double busy = totals.seconds[0] + totals.seconds[1] + totals.seconds[2];
-    double wasted_pct =
-        busy > 0.0 ? 100.0 * totals.seconds[1] / busy : 0.0;
-    double util_pct = totals.expected_total > 0.0
-                          ? 100.0 * busy / totals.expected_total
-                          : 0.0;
-    out += "},\n     \"wasted_pct\": " + Num(wasted_pct) +
-           ", \"utilization_pct\": " + Num(util_pct) +
-           ", \"delay_holds\": " + std::to_string(totals.delay_holds) +
-           ", \"attempts_completed\": " +
-           std::to_string(totals.attempts_completed) +
-           ", \"attempts_speculative\": " +
-           std::to_string(totals.attempts_speculative) + "}";
-  }
-  out += first ? "]}" : "\n  ]}";
-  return out;
-}
-
-std::string LedgerBook::CriticalPathJson() const {
-  std::vector<const LedgerCell*> sorted = SortedCells();
-  std::string out = "{\"cells\": [";
-  bool first = true;
-  size_t index = 0;
-  for (const LedgerCell* cell : sorted) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"label\": " + json::JsonQuote(SortedLabel(index++)) +
-           ", \"annotations\": " + AnnotationsJson(*cell) +
-           ",\n     \"analysis\": " + cell->graph.AnalysisToJson() + "}";
-  }
-  out += first ? "]}" : "\n  ]}";
-  return out;
 }
 
 }  // namespace dmr::obs

@@ -2,16 +2,10 @@
 #define DMR_OBS_LEDGER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
-#include "obs/critical_path.h"
+#include "obs/lifecycle.h"
 
 namespace dmr::obs {
 
@@ -54,7 +48,7 @@ const char* SlotCategoryName(SlotCategory category);
 /// The recording API mirrors the cluster's actual lifecycle:
 ///  - Node::AcquireMapSlot/ReleaseMapSlot mark busy intervals;
 ///  - everything else arrives as JobTracker lifecycle records through
-///    Scope::Record: each attempt's outcome (completed / backup / killed /
+///    Cell::Record: each attempt's outcome (completed / backup / killed /
 ///    failed) just before its slot is released, the instant a job's
 ///    sample first became satisfiable, the cluster-wide demand state after
 ///    every event that can change it (splits pending -> queueing; all
@@ -146,48 +140,6 @@ class Ledger {
   double quiescent_time_ = 0.0;
   bool sealed_ = false;
   double makespan_ = 0.0;
-};
-
-/// \brief One experiment cell's observability state: a labelled Ledger plus
-/// EventGraph, with driver-provided annotations (policy, z, scale, repeat)
-/// used to key cross-run joins in dmr-analyze.
-struct LedgerCell {
-  LedgerCell(std::string label_in, int num_nodes, int map_slots_per_node)
-      : label(std::move(label_in)), ledger(num_nodes, map_slots_per_node) {}
-
-  std::string label;
-  /// Sorted key/value annotations ("cell", "policy", "z", ...).
-  std::map<std::string, std::string> annotations;
-  Ledger ledger;
-  EventGraph graph;
-};
-
-/// \brief Process-wide collector of LedgerCells, installed on the obs::Hub
-/// next to the MetricsRegistry/TraceRecorder. NewCell is thread-safe (cells
-/// are created from parallel experiment workers); each cell is then written
-/// single-threaded by its own simulation.
-///
-/// Rendering sorts cells by their annotations (falling back to label), not
-/// by creation order, so the emitted JSON is byte-stable under --threads=N.
-class LedgerBook {
- public:
-  LedgerCell* NewCell(std::string label, int num_nodes,
-                      int map_slots_per_node);
-
-  /// `{"cells": [{"label":, "annotations":, "makespan":, "total_slot_seconds":,
-  ///   "categories": {...}, "delay_holds":, ...}, ...]}`. Resolves (and
-  /// asserts exhaustiveness for) every sealed cell.
-  std::string LedgerJson() const;
-  /// `{"cells": [{"label":, "annotations":, <EventGraph::AnalysisToJson>}]}`.
-  std::string CriticalPathJson() const;
-
-  size_t num_cells() const;
-
- private:
-  std::vector<const LedgerCell*> SortedCells() const;
-
-  mutable std::mutex mu_;
-  std::deque<std::unique_ptr<LedgerCell>> cells_;
 };
 
 }  // namespace dmr::obs

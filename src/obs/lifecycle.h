@@ -13,7 +13,7 @@ namespace dmr::obs {
 /// LifecycleRecord per step (provider decisions and delay holds reach it
 /// from the JobClient and the fair scheduler) and hands it to two fixed
 /// consumers: its JobHistory, which keeps the steps it has an event kind
-/// for, and, when one is attached, Scope::Record, which feeds every
+/// for, and, when one is attached, Cell::Record, which feeds every
 /// recorder. The comments name the record fields each step sets.
 enum class LifecycleStep : uint8_t {
   kSubmit,             // user

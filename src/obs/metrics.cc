@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <iterator>
 
 namespace dmr::obs {
 
@@ -139,178 +141,95 @@ double HistogramData::Percentile(double q) const {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry
+// Metrics
 
 namespace {
 
-std::atomic<uint64_t> g_next_registry_id{1};
+constexpr const char* kCounterNames[] = {
+    "mapred.heartbeats",        "mapred.jobs_submitted",
+    "mapred.jobs_completed",    "mapred.splits_added",
+    "mapred.maps_launched",     "mapred.maps_completed",
+    "mapred.maps_failed",       "mapred.backups_launched",
+    "mapred.attempts_killed",   "mapred.reduces_launched",
+    "provider.evaluations",     "provider.grows",
+    "provider.waits",           "provider.end_of_input",
+    "sched.decisions",          "sched.delay_holds",
+    "sched.delay_skips",        "dfs.files_created",
+    "dfs.partitions_placed",    "dfs.bytes_placed",
+    "exec.partitions_pruned",   "exec.batches_pruned",
+    "exec.rows_skipped",        "exec.index_builds",
+    "exec.index_hits",          "mapred.splits_pruned",
+    "sim.tie_groups",           "sim.tie_events",
+};
+static_assert(std::size(kCounterNames) == kNumCounters);
+
+constexpr const char* kGaugeNames[] = {"provider.selectivity_estimate",
+                                       "provider.observed_skew_cv"};
+static_assert(std::size(kGaugeNames) == kNumGauges);
+
+constexpr const char* kHistogramNames[] = {
+    "mapred.task_wait", "mapred.task_run", "mapred.job_response"};
+static_assert(std::size(kHistogramNames) == kNumHistograms);
+
+std::atomic<uint64_t> g_gauge_version{0};
 
 }  // namespace
 
-struct MetricsRegistry::Shard {
-  std::vector<int64_t> counters;
-  std::vector<GaugeCell> gauges;
-  std::vector<HistogramData> histograms;
-};
-
-namespace {
-
-/// One-entry thread-local cache: the registry a thread last wrote to and
-/// its shard. Registry ids are never reused, so a stale cache entry can
-/// never alias a new registry.
-struct LocalShardCache {
-  uint64_t registry_id = 0;
-  void* shard = nullptr;
-};
-
-thread_local LocalShardCache tls_shard_cache;
-
-}  // namespace
-
-MetricsRegistry::MetricsRegistry()
-    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Shard* MetricsRegistry::ShardSlow() {
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  tls_shard_cache = {id_, shard};
-  return shard;
+void Metrics::Set(Gauge g, double value) {
+  gauges_[static_cast<int>(g)] = {
+      g_gauge_version.fetch_add(1, std::memory_order_relaxed) + 1, value};
 }
 
-MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
-  if (tls_shard_cache.registry_id == id_) {
-    return *static_cast<Shard*>(tls_shard_cache.shard);
-  }
-  return *ShardSlow();
-}
-
-CounterHandle MetricsRegistry::RegisterCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < counter_names_.size(); ++i) {
-    if (counter_names_[i] == name) {
-      return {static_cast<uint32_t>(i)};
+void Metrics::MergeFrom(const Metrics& other) {
+  for (int i = 0; i < kNumCounters; ++i) counters_[i] += other.counters_[i];
+  for (int i = 0; i < kNumGauges; ++i) {
+    if (other.gauges_[i].version > gauges_[i].version) {
+      gauges_[i] = other.gauges_[i];
     }
   }
-  counter_names_.emplace_back(name);
-  return {static_cast<uint32_t>(counter_names_.size() - 1)};
-}
-
-GaugeHandle MetricsRegistry::RegisterGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < gauge_names_.size(); ++i) {
-    if (gauge_names_[i] == name) {
-      return {static_cast<uint32_t>(i)};
-    }
+  for (int i = 0; i < kNumHistograms; ++i) {
+    histograms_[i].MergeFrom(other.histograms_[i]);
   }
-  gauge_names_.emplace_back(name);
-  return {static_cast<uint32_t>(gauge_names_.size() - 1)};
 }
 
-HistogramHandle MetricsRegistry::RegisterHistogram(std::string_view name,
-                                                   std::string_view unit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < histogram_names_.size(); ++i) {
-    if (histogram_names_[i] == name) {
-      return {static_cast<uint32_t>(i)};
-    }
-  }
-  histogram_names_.emplace_back(name);
-  histogram_units_.emplace_back(unit);
-  return {static_cast<uint32_t>(histogram_names_.size() - 1)};
-}
-
-void MetricsRegistry::Add(CounterHandle h, int64_t delta) {
-  if (!h.valid()) return;
-  Shard& shard = LocalShard();
-  if (h.index >= shard.counters.size()) shard.counters.resize(h.index + 1, 0);
-  shard.counters[h.index] += delta;
-}
-
-void MetricsRegistry::Set(GaugeHandle h, double value) {
-  if (!h.valid()) return;
-  Shard& shard = LocalShard();
-  if (h.index >= shard.gauges.size()) shard.gauges.resize(h.index + 1);
-  shard.gauges[h.index] = {
-      gauge_version_.fetch_add(1, std::memory_order_relaxed) + 1, value};
-}
-
-void MetricsRegistry::Observe(HistogramHandle h, double value) {
-  if (!h.valid()) return;
-  Shard& shard = LocalShard();
-  if (h.index >= shard.histograms.size()) shard.histograms.resize(h.index + 1);
-  shard.histograms[h.index].Observe(value);
-}
-
-size_t MetricsRegistry::num_shards() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shards_.size();
-}
-
-const int64_t* MetricsRegistry::Snapshot::FindCounter(
-    std::string_view name) const {
+const int64_t* Metrics::Snapshot::FindCounter(std::string_view name) const {
   for (const auto& [n, v] : counters) {
     if (n == name) return &v;
   }
   return nullptr;
 }
 
-const MetricsRegistry::HistogramSnapshot*
-MetricsRegistry::Snapshot::FindHistogram(std::string_view name) const {
+const Metrics::HistogramSnapshot* Metrics::Snapshot::FindHistogram(
+    std::string_view name) const {
   for (const auto& h : histograms) {
     if (h.name == name) return &h;
   }
   return nullptr;
 }
 
-MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
+Metrics::Snapshot Metrics::TakeSnapshot() const {
   Snapshot snap;
-
-  std::vector<int64_t> counters(counter_names_.size(), 0);
-  std::vector<GaugeCell> gauges(gauge_names_.size());
-  std::vector<HistogramData> hists(histogram_names_.size());
-  for (const auto& shard : shards_) {
-    for (size_t i = 0; i < shard->counters.size(); ++i) {
-      counters[i] += shard->counters[i];
-    }
-    for (size_t i = 0; i < shard->gauges.size(); ++i) {
-      if (shard->gauges[i].version > gauges[i].version) {
-        gauges[i] = shard->gauges[i];
-      }
-    }
-    for (size_t i = 0; i < shard->histograms.size(); ++i) {
-      hists[i].MergeFrom(shard->histograms[i]);
-    }
-  }
-
-  snap.counters.reserve(counters.size());
-  for (size_t i = 0; i < counters.size(); ++i) {
-    snap.counters.emplace_back(counter_names_[i], counters[i]);
+  for (int i = 0; i < kNumCounters; ++i) {
+    snap.counters.emplace_back(kCounterNames[i], counters_[i]);
   }
   std::sort(snap.counters.begin(), snap.counters.end());
-
-  snap.gauges.reserve(gauges.size());
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    snap.gauges.emplace_back(gauge_names_[i], gauges[i].value);
+  for (int i = 0; i < kNumGauges; ++i) {
+    snap.gauges.emplace_back(kGaugeNames[i], gauges_[i].value);
   }
   std::sort(snap.gauges.begin(), snap.gauges.end());
-
-  snap.histograms.reserve(hists.size());
-  for (size_t i = 0; i < hists.size(); ++i) {
+  for (int i = 0; i < kNumHistograms; ++i) {
+    const HistogramData& data = histograms_[i];
     HistogramSnapshot h;
-    h.name = histogram_names_[i];
-    h.unit = histogram_units_[i];
-    h.count = hists[i].count();
-    h.sum = hists[i].sum();
-    h.min = hists[i].min();
-    h.max = hists[i].max();
-    h.mean = hists[i].Mean();
-    h.p50 = hists[i].Percentile(50.0);
-    h.p95 = hists[i].Percentile(95.0);
-    h.p99 = hists[i].Percentile(99.0);
+    h.name = kHistogramNames[i];
+    h.unit = "sim_s";
+    h.count = data.count();
+    h.sum = data.sum();
+    h.min = data.min();
+    h.max = data.max();
+    h.mean = data.Mean();
+    h.p50 = data.Percentile(50.0);
+    h.p95 = data.Percentile(95.0);
+    h.p99 = data.Percentile(99.0);
     snap.histograms.push_back(std::move(h));
   }
   std::sort(snap.histograms.begin(), snap.histograms.end(),

@@ -2,10 +2,7 @@
 #define DMR_OBS_METRICS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -13,22 +10,56 @@
 
 namespace dmr::obs {
 
-/// Typed, index-based metric handles. A handle is obtained once via
-/// Register* (which dedupes by name) and then used on the hot path: an
-/// increment through a handle is an array index plus an add — no map
-/// lookup, no string hashing, no lock.
-struct CounterHandle {
-  uint32_t index = UINT32_MAX;
-  bool valid() const { return index != UINT32_MAX; }
+/// The fixed metric table: every counter, gauge and histogram a cell
+/// records, by index. Names are in metrics.cc; snapshots sort by name.
+enum class Counter : uint8_t {
+  // JobTracker lifecycle.
+  kHeartbeats,
+  kJobsSubmitted,
+  kJobsCompleted,
+  kSplitsAdded,
+  kMapsLaunched,
+  kMapsCompleted,
+  kMapsFailed,
+  kBackupsLaunched,
+  kAttemptsKilled,
+  kReducesLaunched,
+  // Input-provider decisions (recorded by the JobClient loop).
+  kProviderEvaluations,
+  kProviderGrows,
+  kProviderWaits,
+  kProviderEndOfInput,
+  // Scheduler.
+  kSchedDecisions,
+  kSchedDelayHolds,
+  kSchedDelaySkips,
+  // DFS placement.
+  kDfsFilesCreated,
+  kDfsPartitionsPlaced,
+  kDfsBytesPlaced,
+  // Adaptive layout (DESIGN.md §16): the exec.* set by the record-level
+  // LocalRuntime, splits_pruned by the simulator's per-split cost model.
+  kExecPartitionsPruned,
+  kExecBatchesPruned,
+  kExecRowsSkipped,
+  kExecIndexBuilds,
+  kExecIndexHits,
+  kSplitsPruned,
+  // Virtual-time tie-race totals, recorded once per cell at teardown
+  // (see sim::TieStats).
+  kSimTieGroups,
+  kSimTieEvents,
 };
-struct GaugeHandle {
-  uint32_t index = UINT32_MAX;
-  bool valid() const { return index != UINT32_MAX; }
-};
-struct HistogramHandle {
-  uint32_t index = UINT32_MAX;
-  bool valid() const { return index != UINT32_MAX; }
-};
+inline constexpr int kNumCounters = 28;
+
+/// Last-set values (diagnostic only).
+enum class Gauge : uint8_t { kSelectivityEstimate, kObservedSkewCv };
+inline constexpr int kNumGauges = 2;
+
+/// Latencies in simulated seconds. Host time of the decision code (which
+/// runs in zero simulated time) is the prof phases' job.
+enum class Histogram : uint8_t { kTaskWait, kTaskRun, kJobResponse };
+inline constexpr int kNumHistograms = 3;
 
 /// \brief The exact sum of doubles, whatever the order they are added or
 /// merged in. Every finite double is an integer multiple of 2^-1074, so
@@ -52,13 +83,13 @@ class ExactSum {
 };
 
 /// \brief HDR-style log-bucketed latency histogram state, merged across
-/// shards at snapshot time.
+/// cells into the run totals.
 ///
 /// Values are bucketed by binary exponent with kSubBuckets linear
 /// sub-buckets per octave (~3 % relative precision at 32 sub-buckets),
-/// so merging shards is a commutative sum of bucket counts, and the sum
-/// is exact (ExactSum) — snapshot results, sum and mean included, are
-/// identical regardless of which worker recorded what.
+/// so merging is a commutative sum of bucket counts, and the sum is exact
+/// (ExactSum) — snapshot results, sum and mean included, are identical
+/// regardless of which cell recorded what.
 class HistogramData {
  public:
   static constexpr int kSubBuckets = 32;
@@ -99,45 +130,26 @@ class HistogramData {
   double max_ = 0.0;
 };
 
-/// \brief A registry of named counters, gauges and latency histograms with
-/// per-thread (per-ThreadPool-worker) shards.
+/// \brief One cell's metrics, or a run's totals: counters, gauges and
+/// histograms indexed by the fixed metric table. Recording is an array
+/// index plus an add; a Metrics belongs to one writer.
 ///
-/// Design for the simulator's hot path (heartbeats, task launches):
-///  * **Pre-registered handles.** Register* is called at setup (Scope
-///    construction) under a lock; increments then index straight into the
-///    calling thread's shard.
-///  * **Per-worker shards.** Each writer thread lazily gets its own shard
-///    (one pointer compare on the fast path via a thread-local cache), so
-///    parallel experiment cells never contend on metric cache lines.
-///  * **Deterministic merge.** TakeSnapshot sums counters, histogram
-///    buckets and exact histogram sums across shards and sorts metrics by
-///    name, so the snapshot is byte-stable for a given workload regardless
-///    of thread schedule. Gauges are last-writer-wins (a global version
-///    stamp picks the most recent set) and are the one knowingly
-///    schedule-dependent exception.
-///
-/// Threading contract: Register*/Add/Set/Observe may be called from any
-/// thread; TakeSnapshot must only run at a quiescent point (no concurrent
-/// writers — e.g. after ThreadPool::Wait()).
-class MetricsRegistry {
+/// MergeFrom is deterministic: it sums counters and histogram buckets and
+/// merges the exact histogram sums, so totals do not depend on which cell
+/// recorded what or in which order cells merge. A gauge keeps its most
+/// recent set: every Set takes a process-wide version stamp and a merge
+/// keeps the higher one (the one knowingly schedule-dependent value).
+class Metrics {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  void Add(Counter c, int64_t delta = 1) {
+    counters_[static_cast<int>(c)] += delta;
+  }
+  void Set(Gauge g, double value);
+  void Observe(Histogram h, double value) {
+    histograms_[static_cast<int>(h)].Observe(value);
+  }
 
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Registration dedupes by name: re-registering an existing metric of
-  /// the same type returns the original handle, so independently
-  /// constructed Scopes share one metric namespace.
-  CounterHandle RegisterCounter(std::string_view name);
-  GaugeHandle RegisterGauge(std::string_view name);
-  HistogramHandle RegisterHistogram(std::string_view name,
-                                    std::string_view unit = "s");
-
-  void Add(CounterHandle h, int64_t delta = 1);
-  void Set(GaugeHandle h, double value);
-  void Observe(HistogramHandle h, double value);
+  void MergeFrom(const Metrics& other);
 
   struct HistogramSnapshot {
     std::string name;
@@ -157,33 +169,18 @@ class MetricsRegistry {
     const HistogramSnapshot* FindHistogram(std::string_view name) const;
   };
 
-  /// Merges all shards; see the threading contract above.
+  /// Every metric of the table, sorted by name.
   Snapshot TakeSnapshot() const;
 
-  size_t num_shards() const;
-
  private:
-  struct Shard;
-  struct GaugeCell {
-    uint64_t version = 0;
+  struct GaugeValue {
+    uint64_t version = 0;  // 0: never set
     double value = 0.0;
   };
 
-  Shard* ShardSlow();
-  Shard& LocalShard();
-
-  const uint64_t id_;  // process-unique, guards the thread-local cache
-
-  mutable std::mutex mu_;
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<std::string> histogram_names_;
-  std::vector<std::string> histogram_units_;
-  /// Per-thread metric shards (each belongs to the thread that faulted it
-  /// in via LocalShard), with mu_ guarding the list itself for the
-  /// registration/snapshot seams.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> gauge_version_{0};
+  std::array<int64_t, kNumCounters> counters_{};
+  std::array<GaugeValue, kNumGauges> gauges_{};
+  std::array<HistogramData, kNumHistograms> histograms_;
 };
 
 }  // namespace dmr::obs

@@ -7,15 +7,10 @@
 
 namespace dmr::obs {
 
+using json::JsonNumber;
 using json::JsonQuote;
 
 namespace {
-
-std::string Num(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 std::string Fixed(double value) {
   char buf[40];
@@ -40,16 +35,12 @@ void Report::SetInfo(std::string_view key, int64_t value) {
 }
 
 void Report::SetInfo(std::string_view key, double value) {
-  std::string s = Num(value);
+  std::string s = JsonNumber(value);
   info_.push_back({std::string(key), Fixed(value), s});
 }
 
-void Report::SetSnapshot(MetricsRegistry::Snapshot snapshot) {
+void Report::SetSnapshot(Metrics::Snapshot snapshot) {
   snapshot_ = std::move(snapshot);
-}
-
-void Report::AddSeries(SeriesStats stats) {
-  series_.push_back(std::move(stats));
 }
 
 void Report::AddJsonSection(std::string_view name, std::string json) {
@@ -112,20 +103,6 @@ std::string Report::ToText() const {
     }
   }
 
-  if (!series_.empty()) {
-    out += "== resource series ==\n";
-    size_t key_w = 0;
-    for (const auto& s : series_) key_w = std::max(key_w, s.name.size());
-    for (const auto& s : series_) {
-      std::string line = "  " + s.name;
-      Pad(&line, key_w + 4);
-      out += line + "n=" + std::to_string(s.count) +
-             " mean=" + Fixed(s.mean) + " p50=" + Fixed(s.p50) +
-             " p95=" + Fixed(s.p95) + " p99=" + Fixed(s.p99) +
-             " max=" + Fixed(s.max) + "\n";
-    }
-  }
-
   // Raw JSON sections are only rendered in full by ToJson(); surface their
   // presence here so a text report never hides data silently.
   if (!sections_.empty()) {
@@ -166,7 +143,7 @@ std::string Report::ToJson() const {
   for (size_t i = 0; i < snapshot_.gauges.size(); ++i) {
     if (i > 0) out += ", ";
     out += JsonQuote(snapshot_.gauges[i].first) + ": " +
-           Num(snapshot_.gauges[i].second);
+           JsonNumber(snapshot_.gauges[i].second);
   }
   out += "},\n";
 
@@ -177,25 +154,18 @@ std::string Report::ToJson() const {
     out += "\n    {\"name\": " + JsonQuote(h.name) +
            ", \"unit\": " + JsonQuote(h.unit) +
            ", \"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + Num(h.sum) + ", \"min\": " + Num(h.min) +
-           ", \"max\": " + Num(h.max) + ", \"mean\": " + Num(h.mean) +
-           ", \"p50\": " + Num(h.p50) + ", \"p95\": " + Num(h.p95) +
-           ", \"p99\": " + Num(h.p99) + "}";
+           ", \"sum\": " + JsonNumber(h.sum) +
+           ", \"min\": " + JsonNumber(h.min) +
+           ", \"max\": " + JsonNumber(h.max) +
+           ", \"mean\": " + JsonNumber(h.mean) +
+           ", \"p50\": " + JsonNumber(h.p50) +
+           ", \"p95\": " + JsonNumber(h.p95) +
+           ", \"p99\": " + JsonNumber(h.p99) + "}";
   }
   out += snapshot_.histograms.empty() ? "],\n" : "\n  ],\n";
 
-  out += "  \"series\": [";
-  for (size_t i = 0; i < series_.size(); ++i) {
-    const auto& s = series_[i];
-    if (i > 0) out += ",";
-    out += "\n    {\"name\": " + JsonQuote(s.name) +
-           ", \"unit\": " + JsonQuote(s.unit) +
-           ", \"count\": " + std::to_string(s.count) +
-           ", \"mean\": " + Num(s.mean) + ", \"min\": " + Num(s.min) +
-           ", \"max\": " + Num(s.max) + ", \"p50\": " + Num(s.p50) +
-           ", \"p95\": " + Num(s.p95) + ", \"p99\": " + Num(s.p99) + "}";
-  }
-  out += series_.empty() ? "]" : "\n  ]";
+  // No program attaches resource series; the key stays for readers.
+  out += "  \"series\": []";
 
   for (const auto& [name, value] : sections_) {
     out += ",\n  " + JsonQuote(name) + ": " + value;

@@ -12,52 +12,33 @@
 
 namespace dmr::obs {
 
-/// \brief A per-run structured summary sink: metric snapshot + resource
-/// time-series digests + arbitrary pre-rendered JSON sections (e.g. the
-/// job-history timeline), rendered as a text table or a JSON document.
-///
-/// The obs layer deliberately knows nothing about mapred/cluster types;
-/// the Testbed does the glue (it digests ClusterMonitor's TimeSeries into
-/// SeriesStats and attaches JobHistory::ToJson() as a raw section).
+/// \brief A per-run structured summary sink: metric snapshot + arbitrary
+/// pre-rendered JSON sections (the ledger, critical-path and profile
+/// sections), rendered as a text table or a JSON document.
 class Report {
  public:
-  /// Digest of one sampled time series (e.g. ClusterMonitor cpu_percent).
-  struct SeriesStats {
-    std::string name;
-    std::string unit;
-    size_t count = 0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-  };
-
   /// Free-form run metadata (driver name, cell grid, threads, ...).
   void SetInfo(std::string_view key, std::string_view value);
   void SetInfo(std::string_view key, int64_t value);
   void SetInfo(std::string_view key, double value);
 
   /// Attaches the merged metric snapshot (counters/gauges/histograms).
-  void SetSnapshot(MetricsRegistry::Snapshot snapshot);
-
-  void AddSeries(SeriesStats stats);
+  void SetSnapshot(Metrics::Snapshot snapshot);
 
   /// Attaches a pre-rendered JSON value under `name` in the JSON output;
   /// ignored by the text rendering. `json` must be a valid JSON value.
   void AddJsonSection(std::string_view name, std::string json);
 
-  /// Fixed-width text tables (info, counters, histograms, series).
+  /// Fixed-width text tables (info, counters, histograms, sections).
   std::string ToText() const;
 
   /// `{"info": {...}, "counters": {...}, "gauges": {...},
-  ///   "histograms": [...], "series": [...], <raw sections...>}`.
+  ///   "histograms": [...], "series": [], <raw sections...>}`.
   std::string ToJson() const;
 
   Status WriteJson(const std::string& path) const;
 
-  const MetricsRegistry::Snapshot& snapshot() const { return snapshot_; }
+  const Metrics::Snapshot& snapshot() const { return snapshot_; }
 
  private:
   struct InfoEntry {
@@ -67,8 +48,7 @@ class Report {
   };
 
   std::vector<InfoEntry> info_;
-  MetricsRegistry::Snapshot snapshot_;
-  std::vector<SeriesStats> series_;
+  Metrics::Snapshot snapshot_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
 

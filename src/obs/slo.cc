@@ -9,15 +9,7 @@
 
 namespace dmr::obs {
 
-namespace {
-
-std::string Num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
+using json::JsonNumber;
 
 int SloMonitor::AddRule(const SloRule& rule) {
   rules_.push_back(rule);
@@ -94,10 +86,10 @@ std::string SloMonitor::ToJson() const {
     first = false;
     out += "\n      {\"name\": " + json::JsonQuote(rule.name) +
            ", \"series\": " + json::JsonQuote(rule.series) +
-           ", \"window\": " + Num(rule.window) +
-           ", \"quantile\": " + Num(rule.quantile) +
-           ", \"max\": " + Num(rule.max_value) +
-           ", \"budget_fraction\": " + Num(rule.budget_fraction) +
+           ", \"window\": " + JsonNumber(rule.window) +
+           ", \"quantile\": " + JsonNumber(rule.quantile) +
+           ", \"max\": " + JsonNumber(rule.max_value) +
+           ", \"budget_fraction\": " + JsonNumber(rule.budget_fraction) +
            ", \"evaluated_ticks\": " + std::to_string(state.evaluated_ticks) +
            ", \"breached_ticks\": " + std::to_string(state.breached_ticks) +
            ", \"budget_burned\": " +
@@ -109,10 +101,10 @@ std::string SloMonitor::ToJson() const {
   for (const Breach& breach : breaches_) {
     if (!first) out += ",";
     first = false;
-    out += "\n      {\"t\": " + Num(breach.t) +
+    out += "\n      {\"t\": " + JsonNumber(breach.t) +
            ", \"rule\": " + std::to_string(breach.rule) + ", \"kind\": " +
            (breach.burn ? "\"budget_burn\"" : "\"threshold\"") +
-           ", \"measured\": " + Num(breach.measured) + "}";
+           ", \"measured\": " + JsonNumber(breach.measured) + "}";
   }
   out += first ? "]}" : "\n    ]}";
   return out;

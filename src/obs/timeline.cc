@@ -11,15 +11,7 @@
 
 namespace dmr::obs {
 
-namespace {
-
-std::string Num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
+using json::JsonNumber;
 
 /// One polled series: a callback plus its ring of (t, value, rate) points.
 struct Timeline::ProbeSeries {
@@ -256,7 +248,11 @@ void Timeline::Sample(double now) {
       state.p90_max = std::max(state.p90_max, p90);
       state.p99_max = std::max(state.p99_max, p99);
     }
-    if (series->history.size() > max_window && !series->history.empty()) {
+    if (series->history.size() > max_window) {
+      // The retired tick's buffer becomes the next open tick, so a steady
+      // series observes without allocating.
+      series->open_tick = std::move(series->history.front());
+      series->open_tick.clear();
       series->history.pop_front();
     }
   }
@@ -311,7 +307,7 @@ std::string Timeline::ToJson() const {
   DMR_CHECK(sealed_) << "Timeline::ToJson before Seal";
   std::string out = "{\"ticks\": " + std::to_string(ticks_) +
                     ", \"dropped_ticks\": " + std::to_string(dropped_ticks_) +
-                    ", \"sealed_at\": " + Num(sealed_at_);
+                    ", \"sealed_at\": " + JsonNumber(sealed_at_);
 
   // Emission iterates index vectors sorted by series name — registration
   // order is a program detail, not part of the output contract.
@@ -336,16 +332,18 @@ std::string Timeline::ToJson() const {
            (p->kind == SeriesKind::kCounter ? "\"counter\"" : "\"gauge\"") +
            ",\n       \"summary\": {\"ticks\": " +
            std::to_string(p->sampled_ticks) + ", \"min\": " +
-           Num(p->min_value) + ", \"max\": " + Num(p->max_value) +
-           ", \"mean\": " + Num(mean) + ", \"last\": " +
-           Num(p->prev_value) + ", \"t_at_max\": " + Num(p->t_at_max) +
+           JsonNumber(p->min_value) +
+           ", \"max\": " + JsonNumber(p->max_value) +
+           ", \"mean\": " + JsonNumber(mean) +
+           ", \"last\": " + JsonNumber(p->prev_value) +
+           ", \"t_at_max\": " + JsonNumber(p->t_at_max) +
            "}, \"points\": [";
     bool first_point = true;
     for (const ProbeSeries::Point& point : p->points) {
       if (!first_point) out += ", ";
       first_point = false;
-      out += "[" + Num(point.t) + ", " + Num(point.value) + ", " +
-             Num(point.rate) + "]";
+      out += "[" + JsonNumber(point.t) + ", " + JsonNumber(point.value) + ", " +
+             JsonNumber(point.rate) + "]";
     }
     out += "]}";
   }
@@ -370,18 +368,20 @@ std::string Timeline::ToJson() const {
       if (!first_window) out += ",";
       first_window = false;
       const WindowState& state = s->windows[w];
-      out += "\n       {\"window\": " + Num(options_.windows[w]) +
+      out += "\n       {\"window\": " + JsonNumber(options_.windows[w]) +
              ", \"summary\": {\"count_max\": " +
              std::to_string(state.count_max) + ", \"p50_max\": " +
-             Num(state.p50_max) + ", \"p90_max\": " + Num(state.p90_max) +
-             ", \"p99_max\": " + Num(state.p99_max) + "}, \"points\": [";
+             JsonNumber(state.p50_max) +
+             ", \"p90_max\": " + JsonNumber(state.p90_max) +
+             ", \"p99_max\": " + JsonNumber(state.p99_max) +
+             "}, \"points\": [";
       bool first_point = true;
       for (const WindowState::Point& point : s->windows[w].points) {
         if (!first_point) out += ", ";
         first_point = false;
-        out += "[" + Num(point.t) + ", " + std::to_string(point.count) +
-               ", " + Num(point.p50) + ", " + Num(point.p90) + ", " +
-               Num(point.p99) + "]";
+        out += "[" + JsonNumber(point.t) + ", " + std::to_string(point.count) +
+               ", " + JsonNumber(point.p50) + ", " +
+               JsonNumber(point.p90) + ", " + JsonNumber(point.p99) + "]";
       }
       out += "]}";
     }
@@ -389,119 +389,6 @@ std::string Timeline::ToJson() const {
   }
   out += first ? "]}" : "\n     ]}";
   return out;
-}
-
-TimelineCell::TimelineCell(std::string label_in,
-                           const TimelineOptions& options)
-    : label(std::move(label_in)),
-      timeline(options),
-      flight(options.flight_capacity, &arena),
-      slo(&timeline) {
-  slo.AttachFlightRecorder(&flight);
-  RegisterFlightRecorderForFatalDump(&flight, label);
-}
-
-TimelineCell::~TimelineCell() {
-  UnregisterFlightRecorderForFatalDump(&flight);
-}
-
-TimelineBook::TimelineBook(const TimelineOptions& options)
-    : options_(options) {}
-
-TimelineBook::~TimelineBook() = default;
-
-TimelineCell* TimelineBook::NewCell(std::string_view label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.push_back(
-      std::make_unique<TimelineCell>(std::string(label), options_));
-  return cells_.back().get();
-}
-
-std::vector<const TimelineCell*> TimelineBook::SortedCells() const {
-  std::vector<const TimelineCell*> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted.reserve(cells_.size());
-    for (const auto& cell : cells_) sorted.push_back(cell.get());
-  }
-  // Labels are handed out in nondeterministic order under --threads=N;
-  // the driver-provided annotations are the stable identity (same rule as
-  // LedgerBook::SortedCells).
-  std::sort(sorted.begin(), sorted.end(),
-            [](const TimelineCell* a, const TimelineCell* b) {
-              if (a->annotations != b->annotations) {
-                return a->annotations < b->annotations;
-              }
-              return a->label < b->label;
-            });
-  return sorted;
-}
-
-namespace {
-
-std::string AnnotationsJson(const TimelineCell& cell) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : cell.annotations) {
-    if (!first) out += ", ";
-    first = false;
-    out += json::JsonQuote(key) + ": " + json::JsonQuote(value);
-  }
-  out += "}";
-  return out;
-}
-
-std::string SortedLabel(size_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "cell-%04zu", index);
-  return buf;
-}
-
-}  // namespace
-
-std::string TimelineBook::ToJson() const {
-  std::string out = "{\"interval\": " + Num(options_.interval) +
-                    ", \"windows\": [";
-  bool first = true;
-  for (double w : options_.windows) {
-    if (!first) out += ", ";
-    first = false;
-    out += Num(w);
-  }
-  out += "],\n  \"cells\": [";
-  std::vector<const TimelineCell*> sorted = SortedCells();
-  first = true;
-  size_t index = 0;
-  for (const TimelineCell* cell : sorted) {
-    if (!cell->timeline.sealed()) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"label\": " + json::JsonQuote(SortedLabel(index++)) +
-           ", \"annotations\": " + AnnotationsJson(*cell) +
-           ",\n     \"timeline\": " + cell->timeline.ToJson() +
-           ",\n     \"slo\": " + cell->slo.ToJson() +
-           ",\n     \"flight_recorder\": " + cell->flight.ToJson() + "}";
-  }
-  out += first ? "]}" : "\n  ]}\n";
-  return out;
-}
-
-void TimelineBook::DumpFlightRecorders(std::FILE* out) const {
-  std::vector<const TimelineCell*> sorted = SortedCells();
-  std::fprintf(out, "=== flight recorder dump (%zu cells) ===\n",
-               sorted.size());
-  size_t index = 0;
-  for (const TimelineCell* cell : sorted) {
-    std::string label = SortedLabel(index++);
-    // Include the stable annotations so the dump is self-describing.
-    std::string ann;
-    for (const auto& [key, value] : cell->annotations) {
-      ann += " " + key + "=" + value;
-    }
-    std::fprintf(out, "cell %s%s\n", label.c_str(), ann.c_str());
-    cell->flight.DumpText(out, label);
-  }
-  std::fprintf(out, "=== end flight recorder dump ===\n");
 }
 
 }  // namespace dmr::obs

@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,8 +75,8 @@ class Timeline {
 
   const TimelineOptions& options() const { return options_; }
 
-  /// Registers a probe polled once per tick. Dedupes by name (the
-  /// existing kind/unit/fn win, matching MetricsRegistry's contract).
+  /// Registers a probe polled once per tick. Dedupes by name (the first
+  /// registration's kind/unit/fn win).
   void AddProbe(std::string_view name, std::string_view unit,
                 SeriesKind kind, std::function<double()> fn);
 
@@ -103,8 +101,8 @@ class Timeline {
   /// Latest polled value of a probe series; false when unknown/no tick.
   bool LatestProbeValue(std::string_view series, double* out) const;
 
-  /// Marks the end of the run; ToJson refuses unsealed timelines the
-  /// same way LedgerBook skips unsealed cells.
+  /// Marks the end of the run; ToJson refuses unsealed timelines (the
+  /// book skips unsealed cells).
   void Seal(double now);
   bool sealed() const { return sealed_; }
 
@@ -138,62 +136,6 @@ class Timeline {
   uint64_t dropped_ticks_ = 0;
   double sealed_at_ = 0.0;
   bool sealed_ = false;
-};
-
-/// \brief One experiment cell's timeline state: the sampler, its
-/// arena-backed flight recorder, and the SLO monitor, plus the
-/// driver-provided annotations that key cross-run joins in
-/// `dmr-analyze timeline`.
-struct TimelineCell {
-  TimelineCell(std::string label_in, const TimelineOptions& options);
-  ~TimelineCell();
-
-  TimelineCell(const TimelineCell&) = delete;
-  TimelineCell& operator=(const TimelineCell&) = delete;
-
-  std::string label;
-  std::map<std::string, std::string> annotations;
-  /// Declared before `flight` — the recorder's ring is carved from it.
-  sim::Arena arena;
-  Timeline timeline;
-  FlightRecorder flight;
-  SloMonitor slo;
-};
-
-/// \brief The driver-lifetime collection of TimelineCells, mirroring
-/// LedgerBook: Testbeds open a cell each via Hub, the ObsSession renders
-/// the whole book at teardown. NewCell is thread-safe (parallel cells);
-/// emission sorts cells by annotations then label so output is stable
-/// under --threads=N.
-class TimelineBook {
- public:
-  explicit TimelineBook(const TimelineOptions& options = TimelineOptions());
-  ~TimelineBook();
-
-  TimelineBook(const TimelineBook&) = delete;
-  TimelineBook& operator=(const TimelineBook&) = delete;
-
-  const TimelineOptions& options() const { return options_; }
-
-  TimelineCell* NewCell(std::string_view label);
-
-  /// Cells sorted by (annotations, label); see LedgerBook::SortedCells.
-  std::vector<const TimelineCell*> SortedCells() const;
-
-  /// {"interval":.., "windows":[..], "cells":[{label, annotations,
-  /// ticks, series, windowed, slo, flight_recorder}, ...]} — unsealed
-  /// cells are skipped; cell labels are re-issued in sorted order so the
-  /// text is independent of construction order.
-  std::string ToJson() const;
-
-  /// Dumps every cell's flight recorder (sorted order) — the
-  /// --dump-flight-recorder path.
-  void DumpFlightRecorders(std::FILE* out) const;
-
- private:
-  TimelineOptions options_;
-  mutable std::mutex mu_;
-  std::deque<std::unique_ptr<TimelineCell>> cells_;
 };
 
 }  // namespace dmr::obs

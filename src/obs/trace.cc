@@ -6,6 +6,7 @@
 
 namespace dmr::obs {
 
+using json::JsonNumber;
 using json::JsonQuote;
 
 namespace {
@@ -16,12 +17,6 @@ namespace {
 std::string Micros(double seconds) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e6);
-  return buf;
-}
-
-std::string Number(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
 }
 
@@ -42,7 +37,7 @@ TraceArgs& TraceArgs::Set(std::string_view key, const char* value) {
   return Raw(key, JsonQuote(value));
 }
 TraceArgs& TraceArgs::Set(std::string_view key, double value) {
-  return Raw(key, Number(value));
+  return Raw(key, JsonNumber(value));
 }
 TraceArgs& TraceArgs::Set(std::string_view key, int value) {
   return Raw(key, std::to_string(value));
@@ -140,47 +135,17 @@ void TraceStream::Instant(double ts, int pid, int tid, std::string_view name,
 void TraceStream::Counter(double ts, int pid, std::string_view name,
                           std::string_view series, double value) {
   std::string ev = Header('C', ts, pid, 0, name, /*cat=*/"");
-  ev += ", \"args\": {" + JsonQuote(series) + ": " + Number(value) + "}}";
+  ev += ", \"args\": {" + JsonQuote(series) + ": " + JsonNumber(value) + "}}";
   Push(std::move(ev));
 }
 
 // ---------------------------------------------------------------------------
-// TraceRecorder
 
-TraceRecorder::TraceRecorder() = default;
-TraceRecorder::~TraceRecorder() = default;
-
-TraceStream* TraceRecorder::NewStream(std::string_view label, int num_pids) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (num_pids < 1) num_pids = 1;
-  auto stream = std::unique_ptr<TraceStream>(
-      new TraceStream(std::string(label), next_pid_base_, num_pids,
-                      next_id_base_));
-  next_pid_base_ += num_pids;
-  // Generous id namespace per stream: a cell never opens 2^32 async spans.
-  next_id_base_ += uint64_t{1} << 32;
-  streams_.push_back(std::move(stream));
-  return streams_.back().get();
-}
-
-size_t TraceRecorder::num_streams() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return streams_.size();
-}
-
-size_t TraceRecorder::num_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& s : streams_) n += s->num_events();
-  return n;
-}
-
-std::string TraceRecorder::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::string TraceJson(const std::vector<const TraceStream*>& streams) {
   std::string out = "{\"traceEvents\": [\n";
   bool first = true;
-  for (const auto& stream : streams_) {
-    for (const auto& event : stream->events_) {
+  for (const TraceStream* stream : streams) {
+    for (const std::string& event : stream->events()) {
       if (!first) out += ",\n";
       first = false;
       out += event;
@@ -188,20 +153,6 @@ std::string TraceRecorder::ToJson() const {
   }
   out += "\n], \"displayTimeUnit\": \"ms\"}\n";
   return out;
-}
-
-Status TraceRecorder::WriteJson(const std::string& path) const {
-  std::string text = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace dmr::obs

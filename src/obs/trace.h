@@ -2,14 +2,10 @@
 #define DMR_OBS_TRACE_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "common/status.h"
 
 namespace dmr::obs {
 
@@ -35,9 +31,8 @@ class TraceArgs {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-class TraceRecorder;
-
-/// \brief A per-experiment-cell event sink feeding one TraceRecorder.
+/// \brief A per-experiment-cell trace event sink (obs::Cell owns one when
+/// tracing is on).
 ///
 /// Chrome's trace-event format organizes events into processes (pid) and
 /// threads (tid); we map **pid = one simulated node** (plus one extra
@@ -47,10 +42,18 @@ class TraceRecorder;
 /// pid range; local pids passed to the methods below are relative to the
 /// stream and translated internally.
 ///
-/// A stream is single-threaded (it belongs to one simulation cell); only
-/// its creation and the final WriteJson are synchronized.
+/// A stream is single-threaded (it belongs to one simulation cell).
 class TraceStream {
  public:
+  /// Local pids [0, num_pids) map to [pid_base, pid_base + num_pids);
+  /// async-span ids are offset by `id_base`.
+  TraceStream(std::string label, int pid_base, int num_pids,
+              uint64_t id_base)
+      : label_(std::move(label)),
+        pid_base_(pid_base),
+        num_pids_(num_pids),
+        id_base_(id_base) {}
+
   /// Names the track group, e.g. "cell-0007 node3" (Chrome "process_name"
   /// metadata).
   void ProcessName(int pid, std::string_view name);
@@ -79,16 +82,10 @@ class TraceStream {
   int num_pids() const { return num_pids_; }
   const std::string& label() const { return label_; }
   size_t num_events() const { return events_.size(); }
+  /// Rendered JSON objects, in recording order.
+  const std::vector<std::string>& events() const { return events_; }
 
  private:
-  friend class TraceRecorder;
-  TraceStream(std::string label, int pid_base, int num_pids,
-              uint64_t id_base)
-      : label_(std::move(label)),
-        pid_base_(pid_base),
-        num_pids_(num_pids),
-        id_base_(id_base) {}
-
   void Push(std::string event) { events_.push_back(std::move(event)); }
   std::string Header(char ph, double ts, int pid, int tid,
                      std::string_view name, std::string_view cat) const;
@@ -101,42 +98,10 @@ class TraceStream {
   std::vector<std::string> events_;  // rendered JSON objects
 };
 
-/// \brief Collects Chrome trace-event JSON from many simulation cells and
-/// writes a file loadable in Perfetto / chrome://tracing.
-///
-/// Thread contract: NewStream and WriteJson/ToJson lock internally;
-/// individual streams are single-threaded. ToJson must only be called at
-/// a quiescent point (no cell still recording).
-class TraceRecorder {
- public:
-  TraceRecorder();
-  ~TraceRecorder();
-
-  TraceRecorder(const TraceRecorder&) = delete;
-  TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  /// Creates a stream owning `num_pids` process tracks. The recorder keeps
-  /// ownership; the pointer stays valid for the recorder's lifetime.
-  TraceStream* NewStream(std::string_view label, int num_pids);
-
-  /// Streams created so far (creation order).
-  size_t num_streams() const;
-  /// Total events across all streams.
-  size_t num_events() const;
-
-  /// Renders `{"traceEvents": [...], "displayTimeUnit": "ms"}`. Streams
-  /// are emitted in creation order (stable for serial runs; for parallel
-  /// runs the per-stream contents are stable, stream order is not).
-  std::string ToJson() const;
-
-  Status WriteJson(const std::string& path) const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<TraceStream>> streams_;
-  int next_pid_base_ = 0;
-  uint64_t next_id_base_ = 0;
-};
+/// Renders `{"traceEvents": [...], "displayTimeUnit": "ms"}` over
+/// `streams`' events, stream by stream: a file loadable in Perfetto /
+/// chrome://tracing.
+std::string TraceJson(const std::vector<const TraceStream*>& streams);
 
 }  // namespace dmr::obs
 

@@ -4,9 +4,6 @@
 #include <optional>
 
 #include "common/logging.h"
-#include "obs/ledger.h"
-#include "obs/timeline.h"
-
 #include "scheduler/fair_scheduler.h"
 #include "scheduler/fifo_scheduler.h"
 
@@ -15,16 +12,11 @@ namespace dmr::testbed {
 Testbed::Testbed(const cluster::ClusterConfig& config, SchedulerKind kind,
                  double locality_wait, double layout_weight)
     : config_(config) {
-  if (obs::Hub::active()) {
-    scope_ = obs::MakeClusterScope(obs::Hub::registry(),
-                                   obs::Hub::recorder(),
-                                   obs::Hub::book(),
-                                   obs::Hub::NextCellLabel(),
-                                   config_.num_nodes,
-                                   config_.map_slots_per_node,
-                                   obs::Hub::timeline_book());
+  book_ = obs::Hub::book();
+  if (book_ != nullptr) {
+    obs_ = book_->NewCell(config_.num_nodes, config_.map_slots_per_node);
   }
-  obs::Scope* obs = scope_.get();
+  obs::Cell* obs = obs_;
 
   cluster_ = std::make_unique<cluster::Cluster>(&sim_, config_);
   if (obs != nullptr) {
@@ -57,9 +49,9 @@ Testbed::Testbed(const cluster::ClusterConfig& config, SchedulerKind kind,
 }
 
 void Testbed::SetupTimeline() {
-  obs::Timeline* tl = scope_->timeline();
+  obs::Timeline* tl = obs_->timeline();
 
-  // Engine-health probes (the scope adds the job-lifecycle ones). Every
+  // Engine-health probes (the cell adds the job-lifecycle ones). Every
   // callback reads state that is a pure function of virtual time (queue
   // sizes, arena bytes, slot counts), which is what keeps timeline output
   // byte-identical across --threads, --queue and --shuffle-ties
@@ -80,7 +72,7 @@ void Testbed::SetupTimeline() {
 
   // A permissive default SLO over the windowed job-response p99: a
   // sampling job that takes an hour has gone badly wrong at any paper
-  // scale. Drivers layer stricter rules via AddSloRule.
+  // scale.
   obs::SloRule rule;
   rule.name = "job_response_p99_1h";
   rule.series = "mapred.job_response";
@@ -88,7 +80,7 @@ void Testbed::SetupTimeline() {
                                               : tl->options().windows.back();
   rule.quantile = 99.0;
   rule.max_value = 3600.0;
-  scope_->slo()->AddRule(rule);
+  obs_->slo()->AddRule(rule);
 
   // kTelemetry, not kBookkeeping: probes read kernel stats (events fired,
   // live queue size) that same-instant bookkeeping handlers perturb; the
@@ -100,38 +92,32 @@ void Testbed::SetupTimeline() {
 }
 
 void Testbed::TimelineTick() {
-  obs::Timeline* tl = scope_->timeline();
+  obs::Timeline* tl = obs_->timeline();
   tl->Sample(sim_.Now());
-  scope_->slo()->Evaluate(sim_.Now());
+  obs_->slo()->Evaluate(sim_.Now());
   timeline_tick_ = sim_.Schedule(tl->options().interval,
                                  sim::EventClass::kTelemetry,
                                  [this] { TimelineTick(); });
 }
 
-int Testbed::AddSloRule(const obs::SloRule& rule) {
-  if (scope_ == nullptr || scope_->slo() == nullptr) return -1;
-  return scope_->slo()->AddRule(rule);
-}
-
 Testbed::~Testbed() {
   monitor_->Stop();
   timeline_tick_.Cancel();
-  if (scope_ != nullptr) {
+  if (obs_ != nullptr) {
     // Export the kernel's tie-race totals: under --shuffle-ties these must
     // not move across seeds (tie groups are a property of the schedule,
     // not of the order chosen within a group).
     const sim::TieStats ties = sim_.tie_stats();
-    scope_->Count(scope_->m().sim_tie_groups,
-                  static_cast<int64_t>(ties.groups));
-    scope_->Count(scope_->m().sim_tie_events,
-                  static_cast<int64_t>(ties.tied_events));
-    if (obs::Ledger* ledger = scope_->ledger()) ledger->Seal(sim_.Now());
-    if (obs::Timeline* tl = scope_->timeline()) tl->Seal(sim_.Now());
+    obs_->Count(obs::Counter::kSimTieGroups,
+                static_cast<int64_t>(ties.groups));
+    obs_->Count(obs::Counter::kSimTieEvents,
+                static_cast<int64_t>(ties.tied_events));
+    book_->Seal(obs_, sim_.Now());
   }
 }
 
 void Testbed::Annotate(std::string_view key, std::string_view value) {
-  if (scope_ != nullptr) scope_->Annotate(key, value);
+  if (obs_ != nullptr) obs_->Annotate(key, value);
 }
 
 void Testbed::Annotate(std::string_view key, int64_t value) {
@@ -167,36 +153,6 @@ Result<mapred::JobStats> Testbed::RunJobToCompletion(
                             std::to_string(timeout) + " virtual seconds");
   }
   return *stats;
-}
-
-namespace {
-
-obs::Report::SeriesStats DigestSeries(const std::string& name,
-                                      const std::string& unit,
-                                      const TimeSeries& series) {
-  obs::Report::SeriesStats stats;
-  stats.name = name;
-  stats.unit = unit;
-  stats.count = series.size();
-  stats.mean = series.Mean();
-  stats.min = series.Min();
-  stats.max = series.Max();
-  stats.p50 = series.Percentile(50.0);
-  stats.p95 = series.Percentile(95.0);
-  stats.p99 = series.Percentile(99.0);
-  return stats;
-}
-
-}  // namespace
-
-void Testbed::AppendToReport(obs::Report* report) const {
-  report->AddSeries(
-      DigestSeries("cluster.cpu", "%", monitor_->cpu_percent()));
-  report->AddSeries(
-      DigestSeries("cluster.disk_read", "KB/s", monitor_->disk_read_kbs()));
-  report->AddSeries(DigestSeries("cluster.slot_occupancy", "%",
-                                 monitor_->slot_occupancy_percent()));
-  report->AddJsonSection("job_history", tracker_->history().ToJson());
 }
 
 Result<Dataset> MakeLineItemDataset(dfs::FileSystem* fs, int scale, double z,

@@ -14,9 +14,7 @@
 #include "dynamic/growth_policy.h"
 #include "mapred/job_client.h"
 #include "mapred/job_tracker.h"
-#include "obs/report.h"
-#include "obs/scope.h"
-#include "obs/slo.h"
+#include "obs/book.h"
 #include "sim/simulation.h"
 #include "tpch/dataset_catalog.h"
 #include "tpch/skew_model.h"
@@ -37,11 +35,11 @@ class Testbed {
   ///        against locality when ranking candidate (node, split) pairs
   ///        (0 = pure locality, the paper's behaviour; ignored for FIFO).
   ///
-  /// Observability: when the process-global obs::Hub is active (bench
-  /// drivers install it for --trace/--metrics), the testbed automatically
-  /// creates a per-cell Scope over the hub's registry/recorder and attaches
-  /// it to every layer (tracker, scheduler, nodes, DFS). Without an active
-  /// hub nothing is attached and the simulation runs obs-free.
+  /// Observability: when the process-global obs::Hub holds a book (bench
+  /// drivers install one for --trace/--metrics/--timeline), the testbed
+  /// opens a cell in it, attaches the cell to every layer (tracker,
+  /// nodes, DFS) and seals it on destruction. Without a book nothing is
+  /// attached and the simulation runs obs-free.
   explicit Testbed(const cluster::ClusterConfig& config,
                    SchedulerKind scheduler = SchedulerKind::kFifo,
                    double locality_wait = 5.0, double layout_weight = 0.0);
@@ -63,25 +61,17 @@ class Testbed {
   Result<mapred::JobStats> RunJobToCompletion(
       mapred::JobSubmission submission, double timeout = 48.0 * 3600);
 
-  /// The cell's observability scope (null when the hub was inactive at
+  /// The observability cell (null when no book was installed at
   /// construction).
-  obs::Scope* obs() { return scope_.get(); }
+  obs::Cell* obs() { return obs_; }
 
   /// Tags this cell's ledger/critical-path records with a driver-provided
   /// annotation ("policy", "z", "repeat", ...). dmr-analyze joins cells
   /// across runs by these keys; they also give the report a stable cell
-  /// order under --threads=N. No-op without an active ledger book.
+  /// order under --threads=N. No-op without a cell.
   void Annotate(std::string_view key, std::string_view value);
   void Annotate(std::string_view key, int64_t value);
   void Annotate(std::string_view key, double value);
-
-  /// Appends this cell's resource series (cpu / disk-read / slot-occupancy
-  /// digests with p50/p95/p99) and its job-history timeline to `report`.
-  void AppendToReport(obs::Report* report) const;
-
-  /// Adds one SLO rule to this cell's monitor (no-op when no timeline
-  /// cell is attached). Returns the rule index, or -1.
-  int AddSloRule(const obs::SloRule& rule);
 
  private:
   /// Registers the engine-health probes and arms the recurring
@@ -90,7 +80,8 @@ class Testbed {
   void TimelineTick();
 
   sim::Simulation sim_;
-  std::unique_ptr<obs::Scope> scope_;
+  obs::Book* book_ = nullptr;
+  obs::Cell* obs_ = nullptr;
   cluster::ClusterConfig config_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<mapred::TaskScheduler> scheduler_;

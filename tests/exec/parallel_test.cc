@@ -142,24 +142,6 @@ TEST(ParallelMapTest, PropagatesFirstErrorByIndex) {
   EXPECT_EQ(result.status().message(), "bad 10");
 }
 
-TEST(ParallelGridTest, ShapesResultsAsRowsByColumns) {
-  ThreadPool pool(4);
-  auto result = ParallelGrid<std::string>(
-      &pool, 3, 4, [](size_t row, size_t col) {
-        return Result<std::string>(std::to_string(row) + ":" +
-                                   std::to_string(col));
-      });
-  ASSERT_TRUE(result.ok());
-  const auto& grid = *result;
-  ASSERT_EQ(grid.size(), 3u);
-  for (size_t r = 0; r < 3; ++r) {
-    ASSERT_EQ(grid[r].size(), 4u);
-    for (size_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(grid[r][c], std::to_string(r) + ":" + std::to_string(c));
-    }
-  }
-}
-
 // --- Determinism regression: the harness contract ---
 // Each cell builds its own Simulation, so a grid must produce byte-identical
 // results no matter how many worker threads execute it.
@@ -193,15 +175,14 @@ TEST(ParallelDeterminismTest, GridIsByteIdenticalAcrossThreadCounts) {
   const std::vector<double> zs = {0.0, 2.0};
   auto run_grid = [&](int threads) {
     ThreadPool pool(threads);
-    auto grid = ParallelGrid<std::string>(
-        &pool, policies.size(), zs.size(), [&](size_t p, size_t z) {
-          return Result<std::string>(RunSamplingCell(policies[p], zs[z]));
+    auto cells = ParallelMap<std::string>(
+        &pool, policies.size() * zs.size(), [&](size_t i) {
+          return Result<std::string>(
+              RunSamplingCell(policies[i / zs.size()], zs[i % zs.size()]));
         });
     std::string flat;
-    EXPECT_TRUE(grid.ok());
-    for (const auto& row : *grid) {
-      for (const auto& cell : row) flat += cell + "\n";
-    }
+    EXPECT_TRUE(cells.ok());
+    for (const auto& cell : *cells) flat += cell + "\n";
     return flat;
   };
   std::string serial = run_grid(1);

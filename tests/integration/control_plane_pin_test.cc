@@ -17,9 +17,7 @@
 
 #include "dfs/file_system.h"
 #include "dynamic/adaptive_input_provider.h"
-#include "obs/ledger.h"
-#include "obs/metrics.h"
-#include "obs/scope.h"
+#include "obs/book.h"
 #include "sampling/sampling_job.h"
 #include "testbed/testbed.h"
 #include "tpch/dataset_catalog.h"
@@ -202,14 +200,12 @@ CellHashes RunCell(testbed::SchedulerKind scheduler, double layout_weight) {
   return out;
 }
 
-/// RunCell with the obs hub installed as the bench drivers' --metrics
-/// installs it: a metrics registry and a ledger book, whose ledger and
-/// critical-path JSON the cell's testbed seals on destruction.
+/// RunCell with a book installed on the obs hub as the bench drivers'
+/// --metrics installs it; the cell's testbed seals its cell on destruction.
 CellHashes RunObservedCell(testbed::SchedulerKind scheduler,
                            double layout_weight) {
-  obs::MetricsRegistry registry;
-  obs::LedgerBook book;
-  obs::Hub::Install(&registry, /*recorder=*/nullptr, &book);
+  obs::Book book;
+  obs::Hub::Install(&book);
   CellHashes out = RunCell(scheduler, layout_weight);
   obs::Hub::Uninstall();
   EXPECT_EQ(book.num_cells(), 1u);

@@ -12,11 +12,8 @@
 
 #include "common/json.h"
 #include "mapred/job_history.h"
-#include "obs/metrics.h"
+#include "obs/book.h"
 #include "obs/report.h"
-#include "obs/scope.h"
-#include "obs/timeline.h"
-#include "obs/trace.h"
 #include "sampling/sampling_job.h"
 #include "testbed/testbed.h"
 #include "tpch/dataset_catalog.h"
@@ -31,10 +28,9 @@ using json::JsonValue;
 /// into later tests.
 class HubSession {
  public:
-  HubSession() { obs::Hub::Install(&registry, &recorder); }
+  HubSession() { obs::Hub::Install(&book); }
   ~HubSession() { obs::Hub::Uninstall(); }
-  obs::MetricsRegistry registry;
-  obs::TraceRecorder recorder;
+  obs::Book book{/*trace=*/true};
 };
 
 mapred::JobStats RunFig5Cell() {
@@ -65,7 +61,7 @@ TEST(ObsIntegrationTest, TraceSpansMatchTaskCounts) {
   HubSession hub;
   mapred::JobStats stats = RunFig5Cell();
 
-  obs::MetricsRegistry::Snapshot snap = hub.registry.TakeSnapshot();
+  obs::Metrics::Snapshot snap = hub.book.TakeSnapshot();
   const int64_t* launched = snap.FindCounter("mapred.maps_launched");
   const int64_t* completed = snap.FindCounter("mapred.maps_completed");
   const int64_t* failed = snap.FindCounter("mapred.maps_failed");
@@ -94,7 +90,7 @@ TEST(ObsIntegrationTest, TraceSpansMatchTaskCounts) {
   EXPECT_GE(wait->p95, wait->p50);
 
   // Parse the trace back and compare span counts to the counters.
-  auto doc = JsonParse(hub.recorder.ToJson());
+  auto doc = JsonParse(hub.book.TraceJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const JsonValue* trace_events = doc.ValueOrDie().Find("traceEvents");
   ASSERT_NE(trace_events, nullptr);
@@ -127,7 +123,7 @@ TEST(ObsIntegrationTest, ReportRendersCountersAndHistograms) {
 
   obs::Report report;
   report.SetInfo("driver", "obs_integration_test");
-  report.SetSnapshot(hub.registry.TakeSnapshot());
+  report.SetSnapshot(hub.book.TakeSnapshot());
 
   std::string text = report.ToText();
   EXPECT_NE(text.find("mapred.maps_launched"), std::string::npos);
@@ -146,7 +142,7 @@ TEST(ObsIntegrationTest, ReportRendersCountersAndHistograms) {
   EXPECT_FALSE(hists->items.empty());
 }
 
-TEST(ObsIntegrationTest, TestbedAppendsSeriesAndHistory) {
+TEST(ObsIntegrationTest, TrackerHistoryRendersTheJob) {
   HubSession hub;
   Testbed bed(cluster::ClusterConfig::SingleUser());
   auto dataset = *MakeLineItemDataset(&bed.fs(), 5, 0.0, 42);
@@ -167,37 +163,20 @@ TEST(ObsIntegrationTest, TestbedAppendsSeriesAndHistory) {
   auto history_doc = JsonParse(mapred::JobHistory::ToJson(job_events));
   ASSERT_TRUE(history_doc.ok()) << history_doc.status().ToString();
   EXPECT_TRUE(history_doc.ValueOrDie().is_array());
-
-  obs::Report report;
-  report.SetSnapshot(hub.registry.TakeSnapshot());
-  bed.AppendToReport(&report);
-  auto doc = JsonParse(report.ToJson());
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const JsonValue& root = doc.ValueOrDie();
-  const JsonValue* series = root.Find("series");
-  ASSERT_NE(series, nullptr);
-  ASSERT_TRUE(series->is_array());
-  EXPECT_EQ(series->items.size(), 3u);  // cpu, disk_read, slot_occupancy
-  EXPECT_EQ(series->items[0].StringOr("name", ""), "cluster.cpu");
-  const JsonValue* history = root.Find("job_history");
-  ASSERT_NE(history, nullptr);
-  EXPECT_TRUE(history->is_array());
-  EXPECT_FALSE(history->items.empty());
+  EXPECT_FALSE(history_doc.ValueOrDie().items.empty());
 }
 
-/// RAII hub session with a timeline book only.
+/// RAII hub session with the timeline output on.
 class TimelineHubSession {
  public:
-  TimelineHubSession() {
-    obs::Hub::Install(nullptr, nullptr, nullptr, &timelines);
-  }
+  TimelineHubSession() { obs::Hub::Install(&book); }
   ~TimelineHubSession() { obs::Hub::Uninstall(); }
-  obs::TimelineBook timelines;
+  obs::Book book{/*trace=*/false, obs::TimelineOptions()};
 };
 
 TEST(ObsIntegrationTest, TimelineFollowsPerUserJobsAndPrunedLaunches) {
   // The per-user inflight series and the pruned-launch counter live in
-  // the obs scope and are fed only by lifecycle records; check what they
+  // the obs cell and are fed only by lifecycle records; check what they
   // say, not just that they are deterministic.
   TimelineHubSession hub;
   int64_t tracker_pruned = 0;
@@ -232,10 +211,10 @@ TEST(ObsIntegrationTest, TimelineFollowsPerUserJobsAndPrunedLaunches) {
     bed.sim().RunUntil(300.0);
     ASSERT_EQ(completed, 4);
     tracker_pruned = bed.tracker().total_pruned_splits();
-  }  // the testbed seals its timeline cell
+  }  // the testbed seals its cell
   EXPECT_EQ(tracker_pruned, 8);  // 2 of 6 splits in each of 4 jobs
 
-  auto doc = JsonParse(hub.timelines.ToJson());
+  auto doc = JsonParse(hub.book.TimelineJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const JsonValue* cells = doc.ValueOrDie().Find("cells");
   ASSERT_NE(cells, nullptr);
@@ -262,9 +241,9 @@ TEST(ObsIntegrationTest, TimelineFollowsPerUserJobsAndPrunedLaunches) {
 }
 
 TEST(ObsIntegrationTest, NoHubMeansNoScopeAndCleanRun) {
-  // Zero-overhead-when-off contract: without an installed hub the testbed
-  // must not attach any scope, and the run must behave identically.
-  ASSERT_FALSE(obs::Hub::active());
+  // Zero-overhead-when-off contract: without an installed book the testbed
+  // must not attach any cell, and the run must behave identically.
+  ASSERT_EQ(obs::Hub::book(), nullptr);
   Testbed bed(cluster::ClusterConfig::SingleUser());
   EXPECT_EQ(bed.obs(), nullptr);
   mapred::JobStats stats = RunFig5Cell();

@@ -21,10 +21,10 @@
 #include "common/json.h"
 #include "common/random.h"
 #include "obs/analysis.h"
+#include "obs/book.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/scope.h"
 #include "obs/trace.h"
 #include "sampling/sampling_job.h"
 #include "testbed/testbed.h"
@@ -335,7 +335,7 @@ TEST(BaselineTest, MalformedOrderingsAreRefused) {
 }
 
 /// A minimal --timeline document: one cell with one probe series and one
-/// windowed series, shaped like TimelineBook::ToJson. `p99` parameterizes
+/// windowed series, shaped like Book::TimelineJson. `p99` parameterizes
 /// the 10 s window's whole-run p99 maximum so tests can inject a latency
 /// regression.
 std::string TimelineDoc(double p99) {
@@ -652,11 +652,9 @@ TEST(AnalysisFuzzTest, MutantsOfEveryDocumentReturnAStatus) {
 /// Installs every obs sink a driver installs, for one run; uninstalls on
 /// scope exit so a failed assertion cannot leak the global install.
 struct ObsRun {
-  ObsRun() { Hub::Install(&registry, &recorder, &book); }
+  ObsRun() { Hub::Install(&book); }
   ~ObsRun() { Hub::Uninstall(); }
-  MetricsRegistry registry;
-  TraceRecorder recorder;
-  LedgerBook book;
+  Book book{/*trace=*/true};
 };
 
 /// Runs LA sampling jobs on the fig5 cluster with obs on and writes the
@@ -700,10 +698,10 @@ void WriteRun(const std::filesystem::path& dir, double stop_at) {
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     }
   }  // the testbed seals its ledger cell
-  ASSERT_TRUE(obs.recorder.WriteJson((dir / "trace.json").string()).ok());
+  ASSERT_TRUE(obs.book.WriteTrace((dir / "trace.json").string()).ok());
   Report report;
   report.SetInfo("driver", "analysis_test");
-  report.SetSnapshot(obs.registry.TakeSnapshot());
+  report.SetSnapshot(obs.book.TakeSnapshot());
   report.AddJsonSection("ledger", obs.book.LedgerJson());
   report.AddJsonSection("critical_path", obs.book.CriticalPathJson());
   ASSERT_TRUE(report.WriteJson((dir / "metrics.json").string()).ok());

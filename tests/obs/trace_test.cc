@@ -2,10 +2,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "obs/book.h"
 
 namespace dmr::obs {
 namespace {
@@ -13,31 +16,35 @@ namespace {
 using json::JsonParse;
 using json::JsonValue;
 
-/// Parses the recorder output and returns the traceEvents array.
-std::vector<JsonValue> Events(const TraceRecorder& recorder) {
-  auto doc = JsonParse(recorder.ToJson());
+/// Parses a trace document and returns its traceEvents array.
+std::vector<JsonValue> Events(const std::string& document) {
+  auto doc = JsonParse(document);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   const JsonValue* events = doc.ValueOrDie().Find("traceEvents");
   EXPECT_NE(events, nullptr);
   return events->items;
 }
 
+std::vector<JsonValue> Events(const TraceStream& stream) {
+  return Events(TraceJson({&stream}));
+}
+
 TEST(TraceTest, EmptyRecorderStillParses) {
-  TraceRecorder recorder;
-  EXPECT_EQ(Events(recorder).size(), 0u);
-  EXPECT_EQ(recorder.num_events(), 0u);
-  EXPECT_EQ(recorder.num_streams(), 0u);
+  Book book(/*trace=*/true);
+  EXPECT_EQ(Events(book.TraceJson()).size(), 0u);
+  EXPECT_EQ(book.num_trace_events(), 0u);
+  EXPECT_EQ(book.num_cells(), 0u);
 }
 
 TEST(TraceTest, CompleteSpanRoundTripsThroughJson) {
-  TraceRecorder recorder;
-  TraceStream* stream = recorder.NewStream("cell-0000", 2);
+  TraceStream stream("cell-0000", /*pid_base=*/0, /*num_pids=*/2,
+                     /*id_base=*/0);
   TraceArgs args;
   args.Set("split", 7).Set("local", true).Set("policy", "LA");
-  stream->Complete(/*ts=*/1.5, /*dur=*/0.25, /*pid=*/1, /*tid=*/3,
-                   "map j1/s7", "map", args);
+  stream.Complete(/*ts=*/1.5, /*dur=*/0.25, /*pid=*/1, /*tid=*/3,
+                  "map j1/s7", "map", args);
 
-  std::vector<JsonValue> events = Events(recorder);
+  std::vector<JsonValue> events = Events(stream);
   ASSERT_EQ(events.size(), 1u);
   const JsonValue& e = events[0];
   EXPECT_EQ(e.StringOr("ph", ""), "X");
@@ -57,12 +64,12 @@ TEST(TraceTest, CompleteSpanRoundTripsThroughJson) {
 }
 
 TEST(TraceTest, AsyncPairShareCategoryAndId) {
-  TraceRecorder recorder;
-  TraceStream* stream = recorder.NewStream("cell", 1);
-  stream->AsyncBegin(0.0, /*id=*/42, /*pid=*/0, "job 42", "job");
-  stream->AsyncEnd(9.0, /*id=*/42, /*pid=*/0, "job 42", "job");
+  TraceStream stream("cell", /*pid_base=*/0, /*num_pids=*/1,
+                     /*id_base=*/0);
+  stream.AsyncBegin(0.0, /*id=*/42, /*pid=*/0, "job 42", "job");
+  stream.AsyncEnd(9.0, /*id=*/42, /*pid=*/0, "job 42", "job");
 
-  std::vector<JsonValue> events = Events(recorder);
+  std::vector<JsonValue> events = Events(stream);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].StringOr("ph", ""), "b");
   EXPECT_EQ(events[1].StringOr("ph", ""), "e");
@@ -72,14 +79,14 @@ TEST(TraceTest, AsyncPairShareCategoryAndId) {
 }
 
 TEST(TraceTest, InstantAndCounterEvents) {
-  TraceRecorder recorder;
-  TraceStream* stream = recorder.NewStream("cell", 1);
+  TraceStream stream("cell", /*pid_base=*/0, /*num_pids=*/1,
+                     /*id_base=*/0);
   TraceArgs args;
   args.Set("selectivity_estimate", 0.001);
-  stream->Instant(2.0, 0, 0, "provider.decision", "provider", args);
-  stream->Counter(3.0, 0, "map_slots", "used", 4.0);
+  stream.Instant(2.0, 0, 0, "provider.decision", "provider", args);
+  stream.Counter(3.0, 0, "map_slots", "used", 4.0);
 
-  std::vector<JsonValue> events = Events(recorder);
+  std::vector<JsonValue> events = Events(stream);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].StringOr("ph", ""), "i");
   EXPECT_EQ(events[0].StringOr("s", ""), "t");  // thread-scoped instant
@@ -90,12 +97,12 @@ TEST(TraceTest, InstantAndCounterEvents) {
 }
 
 TEST(TraceTest, MetadataEventsNameTracks) {
-  TraceRecorder recorder;
-  TraceStream* stream = recorder.NewStream("cell-0001", 1);
-  stream->ProcessName(0, "cell-0001 node0");
-  stream->ThreadName(0, 2, "slot2");
+  TraceStream stream("cell-0001", /*pid_base=*/0, /*num_pids=*/1,
+                     /*id_base=*/0);
+  stream.ProcessName(0, "cell-0001 node0");
+  stream.ThreadName(0, 2, "slot2");
 
-  std::vector<JsonValue> events = Events(recorder);
+  std::vector<JsonValue> events = Events(stream);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].StringOr("ph", ""), "M");
   EXPECT_EQ(events[0].StringOr("name", ""), "process_name");
@@ -106,10 +113,11 @@ TEST(TraceTest, MetadataEventsNameTracks) {
 }
 
 TEST(TraceTest, StreamsGetDisjointPidAndIdRanges) {
-  TraceRecorder recorder;
-  TraceStream* first = recorder.NewStream("cell-a", 3);
-  TraceStream* second = recorder.NewStream("cell-b", 2);
-  EXPECT_EQ(recorder.num_streams(), 2u);
+  Book book(/*trace=*/true);
+  // Two nodes plus the client track, then one node plus the client.
+  TraceStream* first = book.NewCell(/*num_nodes=*/2, /*slots=*/1)->trace();
+  TraceStream* second = book.NewCell(/*num_nodes=*/1, /*slots=*/1)->trace();
+  EXPECT_EQ(book.num_cells(), 2u);
 
   // Both cells record "their" pid 0 and async id 7; the file must keep
   // them apart.
@@ -118,12 +126,15 @@ TEST(TraceTest, StreamsGetDisjointPidAndIdRanges) {
   first->AsyncBegin(0.0, 7, 0, "job", "job");
   second->AsyncBegin(0.0, 7, 0, "job", "job");
 
-  // Output groups events per stream in creation order:
-  // [a.Complete, a.AsyncBegin, b.Complete, b.AsyncBegin].
-  std::vector<JsonValue> events = Events(recorder);
+  // Output groups events per cell in creation order, each cell's track
+  // names first: [a.Complete, a.AsyncBegin, b.Complete, b.AsyncBegin].
+  std::vector<JsonValue> events;
+  for (JsonValue& e : Events(book.TraceJson())) {
+    if (e.StringOr("ph", "") != "M") events.push_back(std::move(e));
+  }
   ASSERT_EQ(events.size(), 4u);
   EXPECT_DOUBLE_EQ(events[0].NumberOr("pid", -1.0), 0.0);
-  EXPECT_DOUBLE_EQ(events[2].NumberOr("pid", -1.0), 3.0);  // after cell-a's 3
+  EXPECT_DOUBLE_EQ(events[2].NumberOr("pid", -1.0), 3.0);  // after cell a's 3
   double id_a = events[1].NumberOr("id", -1.0);
   double id_b = events[3].NumberOr("id", -1.0);
   EXPECT_NE(id_a, id_b);
